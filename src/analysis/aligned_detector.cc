@@ -103,20 +103,6 @@ std::vector<Cand> MergeTopCands(std::vector<std::vector<Cand>>* shard_cands,
 // scan while the counting runs through one blocked kernel call per flush.
 constexpr std::size_t kBatchCands = 128;
 
-// One partition for the serial engine, the pool's partition otherwise.
-std::vector<ShardRange> ShardsOrWhole(ThreadPool* pool, std::size_t count) {
-  return pool != nullptr ? pool->ShardsFor(count) : MakeShards(count, 1);
-}
-
-void RunSharded(ThreadPool* pool, const std::vector<ShardRange>& shards,
-                const std::function<void(const ShardRange&)>& fn) {
-  if (pool != nullptr) {
-    pool->RunShards(shards, fn);
-    return;
-  }
-  for (const ShardRange& shard : shards) fn(shard);
-}
-
 std::uint64_t ColumnSetFingerprint(const std::vector<std::uint32_t>& cols) {
   std::uint64_t h = 0x5EAFC0DE;
   for (std::uint32_t c : cols) h = HashCombine(h, Mix64(c + 1));
@@ -170,9 +156,9 @@ AlignedDetection AlignedDetector::Detect(
   // --- Iteration b' = 2: all column pairs, keep the heaviest hopefuls.
   // Sharded over the first column; each shard keeps its own bounded heap
   // and the merge recovers the exact global top list.
-  const std::vector<ShardRange> pair_shards = ShardsOrWhole(pool, n_cols);
+  const std::vector<ShardRange> pair_shards = ShardsFor(pool, n_cols);
   std::vector<std::vector<Cand>> shard_pairs(pair_shards.size());
-  RunSharded(pool, pair_shards, [&](const ShardRange& shard) {
+  RunShards(pool, pair_shards, [&](const ShardRange& shard) {
     StageStopwatch watch;
     if (pair_hist != nullptr) watch.Start();
     TopH heap(options_.first_iteration_hopefuls);
@@ -268,9 +254,9 @@ AlignedDetection AlignedDetector::Detect(
   // against all columns into a bounded heap, merged like the pair pass.
   for (std::size_t iter = 3; iter <= options_.max_iterations; ++iter) {
     const std::vector<ShardRange> ext_shards =
-        ShardsOrWhole(pool, hopefuls.size());
+        ShardsFor(pool, hopefuls.size());
     std::vector<std::vector<Cand>> shard_exts(ext_shards.size());
-    RunSharded(pool, ext_shards, [&](const ShardRange& shard) {
+    RunShards(pool, ext_shards, [&](const ShardRange& shard) {
       StageStopwatch watch;
       if (ext_hist != nullptr) watch.Start();
       TopH heap(options_.hopefuls);
@@ -334,15 +320,14 @@ AlignedDetection AlignedDetector::Detect(
       stop_reason = "no_extensions";
       break;
     }
-    const auto materialize = [&](std::size_t idx) {
-      next[idx].bits.AssignAnd(hopefuls[kept[idx].a].bits,
-                               screened.columns[kept[idx].b]);
-    };
-    if (pool != nullptr && next.size() >= 64) {
-      pool->ParallelFor(next.size(), materialize);
-    } else {
-      for (std::size_t idx = 0; idx < next.size(); ++idx) materialize(idx);
-    }
+    ThreadPool* const materialize_pool = next.size() >= 64 ? pool : nullptr;
+    RunShards(materialize_pool, ShardsFor(materialize_pool, next.size()),
+              [&](const ShardRange& shard) {
+                for (std::size_t idx = shard.begin; idx < shard.end; ++idx) {
+                  next[idx].bits.AssignAnd(hopefuls[kept[idx].a].bits,
+                                           screened.columns[kept[idx].b]);
+                }
+              });
     hopefuls = std::move(next);
 
     const double cur_weight = static_cast<double>(hopefuls.front().weight);
@@ -434,15 +419,13 @@ std::vector<AlignedDetection> AlignedDetector::DetectMultipleInMatrix(
     ObsCounter("detector.aligned.multi_rounds").Increment();
     // Erase the found pattern's columns so the next round sees only what
     // remains. Rows are independent, so the erase fans out per row.
-    const auto erase_row = [&working, &detection](std::size_t r) {
-      BitVector& row = working.row(r);
-      for (std::size_t c : detection.columns) row.Clear(c);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(working.rows(), erase_row);
-    } else {
-      for (std::size_t r = 0; r < working.rows(); ++r) erase_row(r);
-    }
+    RunShards(pool, ShardsFor(pool, working.rows()),
+              [&working, &detection](const ShardRange& shard) {
+                for (std::size_t r = shard.begin; r < shard.end; ++r) {
+                  BitVector& row = working.row(r);
+                  for (std::size_t c : detection.columns) row.Clear(c);
+                }
+              });
     detections.push_back(std::move(detection));
   }
   return detections;
@@ -483,9 +466,9 @@ AlignedDetection AlignedDetector::DetectInMatrix(
     core_rows.push_back(matrix.row(r).words());
   }
   const std::size_t col_words = (matrix.cols() + 63) / 64;
-  const std::vector<ShardRange> shards = ShardsOrWhole(pool, col_words);
+  const std::vector<ShardRange> shards = ShardsFor(pool, col_words);
   std::vector<std::vector<std::size_t>> shard_cols(shards.size());
-  RunSharded(pool, shards, [&](const ShardRange& shard) {
+  RunShards(pool, shards, [&](const ShardRange& shard) {
     StageStopwatch watch;
     if (task_hist != nullptr) watch.Start();
     AccumulateColumnCounts(core_rows.data(), core_rows.size(), shard.begin,

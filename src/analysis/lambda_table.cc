@@ -47,16 +47,14 @@ void LambdaTable::Calibrate(std::span<const std::uint32_t> row_weights,
   // Shard over the first weight; iterating i <= j covers each unordered
   // pair exactly once, so shards compute disjoint entries and the miss
   // counter advances by exactly the number of previously-absent entries.
-  auto fill_row = [&](std::size_t a) {
-    for (std::size_t b = a; b < weights.size(); ++b) {
-      Threshold(weights[a], weights[b]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(weights.size(), fill_row);
-  } else {
-    for (std::size_t a = 0; a < weights.size(); ++a) fill_row(a);
-  }
+  RunShards(pool, ShardsFor(pool, weights.size()),
+            [&](const ShardRange& shard) {
+              for (std::size_t a = shard.begin; a < shard.end; ++a) {
+                for (std::size_t b = a; b < weights.size(); ++b) {
+                  Threshold(weights[a], weights[b]);
+                }
+              }
+            });
 }
 
 double LambdaTable::EdgeProbFromPStar(double p_star, std::size_t arrays) {

@@ -44,25 +44,17 @@ UnalignedDetection DetectUnalignedPattern(const Graph& graph,
     return edges_into_core >= options.expand_min_edges;
   };
   std::vector<Graph::VertexId> survivors;
-  if (pool != nullptr) {
-    const std::vector<ShardRange> shards =
-        pool->ShardsFor(graph.num_vertices());
-    std::vector<std::vector<Graph::VertexId>> shard_survivors(shards.size());
-    pool->RunShards(shards, [&](const ShardRange& shard) {
-      for (std::size_t v = shard.begin; v < shard.end; ++v) {
-        if (survives(v)) {
-          shard_survivors[shard.index].push_back(
-              static_cast<Graph::VertexId>(v));
-        }
+  const std::vector<ShardRange> shards = ShardsFor(pool, graph.num_vertices());
+  std::vector<std::vector<Graph::VertexId>> shard_survivors(shards.size());
+  RunShards(pool, shards, [&](const ShardRange& shard) {
+    for (std::size_t v = shard.begin; v < shard.end; ++v) {
+      if (survives(v)) {
+        shard_survivors[shard.index].push_back(static_cast<Graph::VertexId>(v));
       }
-    });
-    for (const std::vector<Graph::VertexId>& part : shard_survivors) {
-      survivors.insert(survivors.end(), part.begin(), part.end());
     }
-  } else {
-    for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
-      if (survives(v)) survivors.push_back(static_cast<Graph::VertexId>(v));
-    }
+  });
+  for (const std::vector<Graph::VertexId>& part : shard_survivors) {
+    survivors.insert(survivors.end(), part.begin(), part.end());
   }
 
   // Induce H on the survivors and find a second core in it.

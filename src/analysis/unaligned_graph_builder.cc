@@ -28,14 +28,13 @@ Graph BuildCorrelationGraph(const BitMatrix& matrix,
   std::vector<std::uint32_t> row_ones(matrix.rows());
   {
     ScopedStageTimer timer("unaligned_row_weights");
-    auto weigh = [&](std::size_t r) {
-      row_ones[r] = static_cast<std::uint32_t>(matrix.row(r).CountOnes());
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(matrix.rows(), weigh);
-    } else {
-      for (std::size_t r = 0; r < matrix.rows(); ++r) weigh(r);
-    }
+    RunShards(pool, ShardsFor(pool, matrix.rows()),
+              [&](const ShardRange& shard) {
+                for (std::size_t r = shard.begin; r < shard.end; ++r) {
+                  row_ones[r] =
+                      static_cast<std::uint32_t>(matrix.row(r).CountOnes());
+                }
+              });
   }
 
   // Sharded lambda calibration: precompute the threshold for every pair of

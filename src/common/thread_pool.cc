@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
 
@@ -10,7 +9,7 @@ namespace {
 
 // Which pool (if any) owns the calling thread. Lets RunShards degrade to
 // inline execution when invoked from one of its own workers, where waiting
-// would deadlock (the caller's task counts as in-flight).
+// would deadlock (the caller's own shard could never be waited out).
 thread_local const ThreadPool* current_worker_pool = nullptr;
 
 }  // namespace
@@ -32,6 +31,10 @@ std::vector<ShardRange> MakeShards(std::size_t count, std::size_t max_shards) {
   return shards;
 }
 
+std::vector<ShardRange> ShardsFor(const ThreadPool* pool, std::size_t count) {
+  return MakeShards(count, pool != nullptr ? 4 * pool->num_threads() : 1);
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   DCS_CHECK(num_threads >= 1);
   threads_.reserve(num_threads);
@@ -44,38 +47,16 @@ ThreadPool::~ThreadPool() {
   {
     MutexLock lock(&mu_);
     shutting_down_ = true;
+    // The workers keep running the queue meanwhile, so every batch in
+    // progress completes and its caller leaves.
+    while (callers_ != 0) batch_done_.Wait(&lock);
   }
   work_available_.SignalAll();
   for (std::thread& t : threads_) t.join();
 }
 
-bool ThreadPool::OnWorkerThread() const {
-  return current_worker_pool == this;
-}
-
-void ThreadPool::Schedule(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    DCS_CHECK(!shutting_down_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.Signal();
-}
-
-void ThreadPool::Wait() {
-  DCS_CHECK(!OnWorkerThread());  // A worker waiting on itself would hang.
-  MutexLock lock(&mu_);
-  while (in_flight_ != 0) all_done_.Wait(&lock);
-}
-
-std::vector<ShardRange> ThreadPool::ShardsFor(std::size_t count) const {
-  return MakeShards(count, threads_.size() * 4);
-}
-
-void ThreadPool::RunShards(const std::vector<ShardRange>& shards,
-                           const std::function<void(const ShardRange&)>& fn) {
-  if (shards.empty()) return;
+void RunShards(ThreadPool* pool, const std::vector<ShardRange>& shards,
+               const std::function<void(const ShardRange&)>& fn) {
   // The deterministic-merge contract: shard indices are their positions and
   // ranges tile [begin, end) without gaps, so per-shard partials can be
   // merged in ascending index order regardless of execution schedule.
@@ -87,86 +68,46 @@ void ThreadPool::RunShards(const std::vector<ShardRange>& shards,
     DCS_DCHECK(s == 0 || shards[s].begin == shards[s - 1].end)
         << "shard " << s << " is not contiguous with its predecessor";
   }
-  if (OnWorkerThread() || shards.size() == 1) {
-    // Nested call (or nothing to spread): run inline. Shard contents and
-    // merge order are schedule-independent, so results are unchanged.
+  if (pool == nullptr || shards.size() <= 1 || current_worker_pool == pool) {
     for (const ShardRange& shard : shards) fn(shard);
     return;
   }
-  // Per-call completion latch, so concurrent RunShards callers (and
-  // unrelated Schedule traffic) never wait on each other's work. The
-  // counter is the latch state (decremented outside the lock); done_mu only
-  // serializes the sleep/notify handshake, which is why it guards no data.
-  std::atomic<std::size_t> remaining{shards.size()};
-  Mutex done_mu{"ThreadPool.RunShards.done_mu"};
-  CondVar done_cv;
-  for (const ShardRange& shard : shards) {
-    Schedule([&fn, &shard, &remaining, &done_mu, &done_cv] {
-      fn(shard);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(&done_mu);
-        done_cv.SignalAll();
-      }
-    });
-  }
-  MutexLock lock(&done_mu);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.Wait(&lock);
-  }
+  ThreadPool::Batch batch{&shards, &fn, shards.size()};
+  pool->RunBatch(&batch);
 }
 
-void ThreadPool::ParallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  RunShards(ShardsFor(count), [&fn](const ShardRange& shard) {
-    for (std::size_t i = shard.begin; i < shard.end; ++i) fn(i);
-  });
-}
-
-void ThreadPool::RunTasks(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  if (OnWorkerThread() || tasks.size() == 1) {
-    // Nested call (or nothing to spread): run inline. Tasks carry no
-    // ordering contract, so the batch-order schedule is as good as any.
-    for (const auto& task : tasks) task();
-    return;
+void ThreadPool::RunBatch(Batch* batch) {
+  MutexLock lock(&mu_);
+  DCS_CHECK(!shutting_down_) << "RunShards on a pool being destroyed";
+  ++callers_;
+  for (std::size_t s = 0; s < batch->shards->size(); ++s) {
+    queue_.push(Item{batch, s});
   }
-  // Per-call completion latch, exactly as in RunShards: concurrent callers
-  // (and unrelated Schedule traffic) never wait on each other's work.
-  std::atomic<std::size_t> remaining{tasks.size()};
-  Mutex done_mu{"ThreadPool.RunTasks.done_mu"};
-  CondVar done_cv;
-  for (const auto& task : tasks) {
-    Schedule([&task, &remaining, &done_mu, &done_cv] {
-      task();
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(&done_mu);
-        done_cv.SignalAll();
-      }
-    });
-  }
-  MutexLock lock(&done_mu);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.Wait(&lock);
-  }
+  work_available_.SignalAll();
+  while (batch->remaining != 0) batch_done_.Wait(&lock);
+  if (--callers_ == 0 && shutting_down_) batch_done_.SignalAll();
 }
 
 void ThreadPool::WorkerLoop() {
   current_worker_pool = this;
+  // The batch of the shard this worker just ran; its count is settled at
+  // the top of the next iteration, under the same lock that takes the next
+  // item, so each shard costs one lock round trip.
+  Batch* finished = nullptr;
   while (true) {
-    std::function<void()> task;
+    Item item;
     {
       MutexLock lock(&mu_);
+      if (finished != nullptr && --finished->remaining == 0) {
+        batch_done_.SignalAll();
+      }
       while (!shutting_down_ && queue_.empty()) work_available_.Wait(&lock);
       if (queue_.empty()) return;  // shutting_down_ and drained.
-      task = std::move(queue_.front());
+      item = queue_.front();
       queue_.pop();
     }
-    task();
-    {
-      MutexLock lock(&mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.SignalAll();
-    }
+    (*item.batch->fn)((*item.batch->shards)[item.shard]);
+    finished = item.batch;
   }
 }
 

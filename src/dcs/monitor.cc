@@ -310,10 +310,10 @@ AlignedReport DcsMonitor::AnalyzeAligned() const {
   ObsCounter("monitor.epochs_analyzed.aligned").Increment();
   AlignedReport report;
   report.calibration = AlignedCalibration();
+  if (aligned_.size() < 2) return report;
   if (report.calibration.degraded) {
     ObsCounter("ingest.degraded_epochs").Increment();
   }
-  if (aligned_.size() < 2) return report;
 
   // Stack one row per router bitmap.
   BitMatrix matrix;
@@ -407,9 +407,6 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
   ObsCounter("monitor.epochs_analyzed.unaligned").Increment();
   UnalignedReport report;
   report.calibration = UnalignedCalibration();
-  if (report.calibration.degraded) {
-    ObsCounter("ingest.degraded_epochs").Increment();
-  }
   if (unaligned_.empty()) return report;
 
   BitMatrix matrix;
@@ -422,6 +419,9 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
   const std::size_t n = group_refs.size();
   report.num_vertices = n;
   if (n < 2) return report;
+  if (report.calibration.degraded) {
+    ObsCounter("ingest.degraded_epochs").Increment();
+  }
 
   // ER test on the sparse graph (p1 below the 1/n phase transition).
   const double er_p1 =

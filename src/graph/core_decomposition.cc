@@ -18,21 +18,6 @@ namespace {
 // so results never depend on which path ran.
 constexpr std::size_t kMinParallelScan = 2048;
 
-std::vector<ShardRange> PeelShards(ThreadPool* pool, std::size_t count) {
-  return pool != nullptr && count >= kMinParallelScan
-             ? pool->ShardsFor(count)
-             : MakeShards(count, 1);
-}
-
-void RunPeelShards(ThreadPool* pool, const std::vector<ShardRange>& shards,
-                   const std::function<void(const ShardRange&)>& fn) {
-  if (pool != nullptr && shards.size() > 1) {
-    pool->RunShards(shards, fn);
-  } else {
-    for (const ShardRange& shard : shards) fn(shard);
-  }
-}
-
 // Canonical wave peeling for kMinDegree (see docs/PARALLELISM.md).
 //
 // At the current minimum degree d, the set of vertices a min-degree peel
@@ -52,16 +37,17 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
   PeelResult result;
   if (n == 0) return result;
 
+  // Every whole-graph scan below shares one vertex partition.
+  ThreadPool* const vertex_pool = n >= kMinParallelScan ? pool : nullptr;
+  const std::vector<ShardRange> vertex_shards = ShardsFor(vertex_pool, n);
+
   // Residual degrees, sharded (pure per-vertex writes).
   std::vector<std::size_t> degree(n);
-  {
-    const std::vector<ShardRange> shards = PeelShards(pool, n);
-    RunPeelShards(pool, shards, [&](const ShardRange& shard) {
-      for (std::size_t v = shard.begin; v < shard.end; ++v) {
-        degree[v] = graph.degree(static_cast<Graph::VertexId>(v));
-      }
-    });
-  }
+  RunShards(vertex_pool, vertex_shards, [&](const ShardRange& shard) {
+    for (std::size_t v = shard.begin; v < shard.end; ++v) {
+      degree[v] = graph.degree(static_cast<Graph::VertexId>(v));
+    }
+  });
 
   std::vector<char> removed(n, 0);
   // Cascade-round stamp per vertex: lets the degree update test "was this
@@ -80,10 +66,9 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
     // with min(), which is insensitive to merge order.
     std::size_t wave_degree = std::numeric_limits<std::size_t>::max();
     {
-      const std::vector<ShardRange> shards = PeelShards(pool, n);
       std::vector<std::size_t> shard_min(
-          shards.size(), std::numeric_limits<std::size_t>::max());
-      RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+          vertex_shards.size(), std::numeric_limits<std::size_t>::max());
+      RunShards(vertex_pool, vertex_shards, [&](const ShardRange& shard) {
         std::size_t local = std::numeric_limits<std::size_t>::max();
         for (std::size_t v = shard.begin; v < shard.end; ++v) {
           if (!removed[v]) local = std::min(local, degree[v]);
@@ -100,9 +85,9 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
     // ascending (contiguous shards concatenated in shard order).
     frontier.clear();
     {
-      const std::vector<ShardRange> shards = PeelShards(pool, n);
-      std::vector<std::vector<Graph::VertexId>> shard_hits(shards.size());
-      RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+      std::vector<std::vector<Graph::VertexId>> shard_hits(
+          vertex_shards.size());
+      RunShards(vertex_pool, vertex_shards, [&](const ShardRange& shard) {
         for (std::size_t v = shard.begin; v < shard.end; ++v) {
           if (!removed[v] && degree[v] <= wave_degree) {
             shard_hits[shard.index].push_back(
@@ -136,10 +121,12 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
       // ascending (sort after a shard-order concatenation).
       candidates.clear();
       {
+        ThreadPool* const scan_pool =
+            frontier.size() >= kMinParallelScan ? pool : nullptr;
         const std::vector<ShardRange> shards =
-            PeelShards(pool, frontier.size());
+            ShardsFor(scan_pool, frontier.size());
         std::vector<std::vector<Graph::VertexId>> shard_hits(shards.size());
-        RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+        RunShards(scan_pool, shards, [&](const ShardRange& shard) {
           for (std::size_t i = shard.begin; i < shard.end; ++i) {
             for (Graph::VertexId w : graph.neighbors(frontier[i])) {
               if (!removed[w]) shard_hits[shard.index].push_back(w);
@@ -158,9 +145,11 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
       // per candidate, so the sharded update has no races and the new
       // degrees are a pure function of (graph, round set).
       {
+        ThreadPool* const scan_pool =
+            candidates.size() >= kMinParallelScan ? pool : nullptr;
         const std::vector<ShardRange> shards =
-            PeelShards(pool, candidates.size());
-        RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+            ShardsFor(scan_pool, candidates.size());
+        RunShards(scan_pool, shards, [&](const ShardRange& shard) {
           for (std::size_t i = shard.begin; i < shard.end; ++i) {
             const Graph::VertexId w = candidates[i];
             std::size_t lost = 0;

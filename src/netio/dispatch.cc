@@ -87,15 +87,12 @@ void FrameDispatcher::HandleEvent(const FrameEvent& event) {
 void FrameDispatcher::HandleEvents(const std::vector<FrameEvent>& events) {
   if (events.empty()) return;
   std::vector<Decoded> decoded(events.size());
-  if (pool_ != nullptr && events.size() > 1) {
-    pool_->ParallelFor(events.size(), [&](std::size_t i) {
-      decoded[i] = DecodeOne(events[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      decoded[i] = DecodeOne(events[i]);
-    }
-  }
+  RunShards(pool_, ShardsFor(pool_, events.size()),
+            [&](const ShardRange& shard) {
+              for (std::size_t i = shard.begin; i < shard.end; ++i) {
+                decoded[i] = DecodeOne(events[i]);
+              }
+            });
   // Offers stay serial and in arrival order: the ring's window advance and
   // duplicate detection are order-sensitive, and this order is the one the
   // serial path would use.

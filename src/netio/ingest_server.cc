@@ -348,9 +348,10 @@ Status IngestServer::Serve() {
       // Stage 1 — drain: collect the readable connections (bounded by the
       // pre-poll count: AcceptPending may have grown connections_ past
       // fds, and the fresh sockets have no revents yet anyway) and fan
-      // their reads + frame parsing out across the pool. Each connection
-      // owns its buffer and parser, so the tasks share nothing; the pool's
-      // completion latch hands their results back to this thread.
+      // their reads + frame parsing out across the pool, one shard per
+      // connection. Each connection owns its buffer and parser, so the
+      // shards share nothing; the pool's completion latch hands their
+      // results back to this thread.
       std::vector<Connection*> readable;
       readable.reserve(polled);
       for (std::size_t i = 0; i < polled; ++i) {
@@ -358,16 +359,10 @@ Status IngestServer::Serve() {
         if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
         readable.push_back(connections_[i].get());
       }
-      if (options_.pool != nullptr && readable.size() > 1) {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(readable.size());
-        for (Connection* conn : readable) {
-          tasks.emplace_back([this, conn] { DrainConnection(conn); });
-        }
-        options_.pool->RunTasks(tasks);
-      } else {
-        for (Connection* conn : readable) DrainConnection(conn);
-      }
+      RunShards(options_.pool, MakeShards(readable.size(), readable.size()),
+                [this, &readable](const ShardRange& shard) {
+                  DrainConnection(readable[shard.index]);
+                });
       // Stage 2 — ordered offer: always on this thread, always in
       // connection order. One funnel into the dispatcher/ring is what
       // keeps the report stream identical at any worker count.

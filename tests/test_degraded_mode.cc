@@ -14,6 +14,7 @@
 #include "analysis/unaligned_thresholds.h"
 #include "common/rng.h"
 #include "dcs/monitor.h"
+#include "obs/metrics.h"
 
 namespace dcs {
 namespace {
@@ -201,6 +202,37 @@ TEST(DegradedModeTest, HalfFleetStillDetectsThePlantedPattern) {
             report.calibration.aligned_min_nno_columns);
   // The degraded epoch is visible in the human-readable form too.
   EXPECT_NE(report.ToString().find("DEGRADED"), std::string::npos);
+}
+
+// `ingest.degraded_epochs` after `epochs` epochs of AnalyzeAligned +
+// AnalyzeUnaligned (what the epoch ring runs per epoch) over the first
+// `reporting` routers of the aligned fleet, with the whole fleet expected.
+std::uint64_t DegradedEpochsCounted(std::uint32_t reporting, int epochs) {
+  MetricsRegistry::Global().set_enabled(true);
+  MetricsRegistry::Global().ResetValues();
+  DcsMonitor monitor = HardenedMonitor(kFleet);
+  const std::vector<Digest> fleet = AlignedFleet(kFleet);
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    monitor.ClearEpoch();
+    for (std::uint32_t r = 0; r < reporting; ++r) {
+      EXPECT_TRUE(monitor.AddDigest(fleet[r]).ok());
+    }
+    EXPECT_EQ(monitor.AnalyzeAligned().calibration.degraded,
+              reporting < kFleet);
+    // No unaligned digests: nothing is analyzed, so nothing is degraded.
+    (void)monitor.AnalyzeUnaligned();
+  }
+  const std::uint64_t counted = ObsCounter("ingest.degraded_epochs").value();
+  MetricsRegistry::Global().set_enabled(false);
+  return counted;
+}
+
+TEST(DegradedModeTest, FullAlignedFleetCountsNoDegradedEpochs) {
+  EXPECT_EQ(DegradedEpochsCounted(kFleet, 4), 0u);
+}
+
+TEST(DegradedModeTest, PartialAlignedFleetCountsOncePerEpoch) {
+  EXPECT_EQ(DegradedEpochsCounted(12, 4), 4u);
 }
 
 }  // namespace

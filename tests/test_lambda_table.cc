@@ -52,9 +52,11 @@ TEST(LambdaTableTest, ConcurrentLookupsAgree) {
   LambdaTable table(1024, 1e-5);
   ThreadPool pool(4);
   std::vector<std::int64_t> results(64);
-  pool.ParallelFor(64, [&](std::size_t i) {
-    results[i] = table.Threshold(static_cast<std::uint32_t>(400 + i % 8),
-                                 static_cast<std::uint32_t>(450 + i % 5));
+  RunShards(&pool, ShardsFor(&pool, 64), [&](const ShardRange& shard) {
+    for (std::size_t i = shard.begin; i < shard.end; ++i) {
+      results[i] = table.Threshold(static_cast<std::uint32_t>(400 + i % 8),
+                                   static_cast<std::uint32_t>(450 + i % 5));
+    }
   });
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(results[i],

@@ -1,9 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -12,78 +12,67 @@
 namespace dcs {
 namespace {
 
-TEST(ThreadPoolTest, RunsScheduledTasks) {
+// Adds one to hits[i] for every index i a shard covers.
+std::function<void(const ShardRange&)> CountHits(
+    std::vector<std::atomic<int>>* hits) {
+  return [hits](const ShardRange& shard) {
+    for (std::size_t i = shard.begin; i < shard.end; ++i) {
+      (*hits)[i].fetch_add(1);
+    }
+  };
+}
+
+TEST(ThreadPoolTest, RunsEveryShardOfABatch) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  RunShards(&pool, MakeShards(100, 100),
+            [&counter](const ShardRange&) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
+TEST(ThreadPoolTest, CoversEveryIndexOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  RunShards(&pool, ShardsFor(&pool, hits.size()), CountHits(&hits));
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ParallelForZeroCountIsNoop) {
+TEST(ThreadPoolTest, ZeroCountIsNoop) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL(); });
+  RunShards(&pool, ShardsFor(&pool, 0), [](const ShardRange&) { FAIL(); });
+  RunShards(nullptr, ShardsFor(nullptr, 0), [](const ShardRange&) { FAIL(); });
 }
 
-TEST(ThreadPoolTest, ParallelForCountSmallerThanThreads) {
+TEST(ThreadPoolTest, CountSmallerThanThreads) {
   ThreadPool pool(8);
   std::atomic<int> sum{0};
-  pool.ParallelFor(3, [&sum](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i));
+  RunShards(&pool, ShardsFor(&pool, 3), [&sum](const ShardRange& shard) {
+    for (std::size_t i = shard.begin; i < shard.end; ++i) {
+      sum.fetch_add(static_cast<int>(i));
+    }
   });
   EXPECT_EQ(sum.load(), 0 + 1 + 2);
 }
 
-TEST(ThreadPoolTest, TasksCanScheduleMoreWorkBeforeWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Schedule([&] {
-    counter.fetch_add(1);
-  });
-  pool.Wait();
-  pool.Schedule([&] { counter.fetch_add(10); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(ThreadPoolTest, DestructorJoinsCleanly) {
+TEST(ThreadPoolTest, DestructorJoinsCleanlyAfterABatch) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 50; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    RunShards(&pool, MakeShards(50, 50),
+              [&counter](const ShardRange&) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    pool.Schedule([&order, i] { order.push_back(i); });
+  std::vector<std::atomic<int>> hits(5);
+  RunShards(&pool, MakeShards(hits.size(), hits.size()), CountHits(&hits));
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  pool.Wait();
-  // One worker executes in FIFO order.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(MakeShardsTest, CoversRangeExactlyOnce) {
@@ -122,85 +111,94 @@ TEST(MakeShardsTest, NearEqualSizes) {
   EXPECT_EQ(shards[2].end - shards[2].begin, 3u);
 }
 
-TEST(ThreadPoolTest, RunShardsExecutesEveryShardOnce) {
-  ThreadPool pool(4);
-  const auto shards = pool.ShardsFor(100);
-  std::vector<std::atomic<int>> hits(100);
-  pool.RunShards(shards, [&hits](const ShardRange& shard) {
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
+TEST(ShardsForTest, FourShardsPerThreadOnAPoolOneWithout) {
+  ThreadPool pool(3);
+  EXPECT_EQ(ShardsFor(&pool, 1000).size(), 12u);
+  EXPECT_EQ(ShardsFor(&pool, 5).size(), 5u);
+  const auto serial = ShardsFor(nullptr, 1000);
+  ASSERT_EQ(serial.size(), 1u);
+  EXPECT_EQ(serial[0].begin, 0u);
+  EXPECT_EQ(serial[0].end, 1000u);
 }
 
-TEST(ThreadPoolTest, RunTasksExecutesEveryTaskOnce) {
+TEST(ThreadPoolTest, NullPoolRunsInlineInShardOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  RunShards(nullptr, MakeShards(6, 6), [&](const ShardRange& shard) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(shard.index);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ThreadPoolTest, OneShardPerItemCoversEveryItem) {
+  // The ingest drain's shape: one shard per connection.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(37);
-  std::vector<std::function<void()>> tasks;
+  RunShards(&pool, MakeShards(hits.size(), hits.size()), CountHits(&hits));
   for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back([&hits, i] { hits[i].fetch_add(1); });
-  }
-  pool.RunTasks(tasks);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+    EXPECT_EQ(hits[i].load(), 1) << "item " << i;
   }
 }
 
-TEST(ThreadPoolTest, RunTasksEmptyAndSingle) {
+TEST(ThreadPoolTest, SingleShardRunsOnTheCaller) {
   ThreadPool pool(2);
-  pool.RunTasks({});  // Must not deadlock.
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> counter{0};
-  pool.RunTasks({[&counter] { counter.fetch_add(1); }});
+  RunShards(&pool, MakeShards(1, 1), [&](const ShardRange&) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    counter.fetch_add(1);
+  });
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedRunTasksRunsInlineInBatchOrder) {
-  // RunTasks from a worker thread must not deadlock waiting on itself; it
-  // degrades to inline execution, preserving batch order. (A two-task
-  // batch, because a single task runs inline on the caller and would not
-  // reach a worker thread at all.)
+TEST(ThreadPoolTest, NestedRunShardsRunsInlineInShardOrder) {
+  // RunShards from a worker thread must not deadlock waiting on itself; it
+  // degrades to inline execution on that worker, in shard order. (A
+  // two-shard batch, because a single shard runs on the caller and would
+  // not reach a worker thread at all.)
   ThreadPool pool(2);
-  std::vector<int> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
   std::atomic<int> other{0};
-  pool.RunTasks({[&pool, &order] {
-                   EXPECT_TRUE(pool.OnWorkerThread());
-                   std::vector<std::function<void()>> inner;
-                   for (int i = 0; i < 5; ++i) {
-                     inner.push_back([&order, i] { order.push_back(i); });
-                   }
-                   pool.RunTasks(inner);
-                 },
-                 [&other] { other.fetch_add(1); }});
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  RunShards(&pool, MakeShards(2, 2), [&](const ShardRange& outer) {
+    if (outer.index == 1) {
+      other.fetch_add(1);
+      return;
+    }
+    const std::thread::id worker = std::this_thread::get_id();
+    EXPECT_NE(worker, caller);
+    RunShards(&pool, MakeShards(5, 5), [&](const ShardRange& inner) {
+      EXPECT_EQ(std::this_thread::get_id(), worker);
+      order.push_back(inner.index);
+    });
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(other.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  // A ParallelFor issued from inside a pool task must not deadlock waiting
-  // on itself; it degrades to inline execution on the worker.
+TEST(ThreadPoolTest, NestedRunShardsRunsInline) {
+  // Every outer shard fans out again from its worker; all of it completes.
   ThreadPool pool(3);
   std::atomic<int> inner_total{0};
-  std::atomic<int> inline_calls{0};
-  pool.ParallelFor(6, [&](std::size_t) {
-    EXPECT_TRUE(pool.OnWorkerThread());
-    inline_calls.fetch_add(1);
-    pool.ParallelFor(50, [&inner_total](std::size_t) {
-      inner_total.fetch_add(1);
+  std::atomic<int> outer_calls{0};
+  RunShards(&pool, MakeShards(6, 6), [&](const ShardRange&) {
+    outer_calls.fetch_add(1);
+    RunShards(&pool, ShardsFor(&pool, 50), [&](const ShardRange& shard) {
+      inner_total.fetch_add(static_cast<int>(shard.end - shard.begin));
     });
   });
-  EXPECT_EQ(inline_calls.load(), 6);
+  EXPECT_EQ(outer_calls.load(), 6);
   EXPECT_EQ(inner_total.load(), 6 * 50);
-  EXPECT_FALSE(pool.OnWorkerThread());
 }
 
-TEST(ThreadPoolTest, BackToBackParallelFor) {
+TEST(ThreadPoolTest, BackToBackRuns) {
   ThreadPool pool(4);
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.ParallelFor(101, [&sum](std::size_t i) { sum.fetch_add(i); });
+    RunShards(&pool, ShardsFor(&pool, 101), [&sum](const ShardRange& shard) {
+      for (std::size_t i = shard.begin; i < shard.end; ++i) sum.fetch_add(i);
+    });
     EXPECT_EQ(sum.load(), 101u * 100u / 2u) << "round " << round;
   }
 }
@@ -212,17 +210,15 @@ TEST(ThreadPoolTest, ConcurrentRunShardsCallersAreIndependent) {
   std::atomic<int> a_done{0};
   std::atomic<int> b_done{0};
   std::thread ta([&] {
-    pool.RunShards(pool.ShardsFor(64),
-                   [&a_done](const ShardRange& shard) {
-                     a_done.fetch_add(static_cast<int>(shard.end - shard.begin));
-                   });
+    RunShards(&pool, ShardsFor(&pool, 64), [&a_done](const ShardRange& shard) {
+      a_done.fetch_add(static_cast<int>(shard.end - shard.begin));
+    });
     EXPECT_EQ(a_done.load(), 64);
   });
   std::thread tb([&] {
-    pool.RunShards(pool.ShardsFor(32),
-                   [&b_done](const ShardRange& shard) {
-                     b_done.fetch_add(static_cast<int>(shard.end - shard.begin));
-                   });
+    RunShards(&pool, ShardsFor(&pool, 32), [&b_done](const ShardRange& shard) {
+      b_done.fetch_add(static_cast<int>(shard.end - shard.begin));
+    });
     EXPECT_EQ(b_done.load(), 32);
   });
   ta.join();
@@ -231,96 +227,129 @@ TEST(ThreadPoolTest, ConcurrentRunShardsCallersAreIndependent) {
   EXPECT_EQ(b_done.load(), 32);
 }
 
-TEST(ThreadPoolTest, WaitUnderContention) {
-  // Several threads Wait() while work keeps arriving; everyone returns once
-  // the queue drains.
+TEST(ThreadPoolTest, BackToBackTwoShardRunsFromManyCallersSeeTheirOwnShards) {
+  // The completion-latch regression: four non-worker threads each issue
+  // 10k back-to-back two-shard runs of trivial work on a two-thread pool.
+  // Each call's flags live in that call's stack frame and are plain ints:
+  // a caller that returned before its last shard finished (or a worker
+  // still touching a returned caller's frame) shows up here as a missing
+  // flag, as a TSan race, or as an ASan stack-use-after-return.
   ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
+  const std::vector<ShardRange> shards = MakeShards(2, 2);
+  std::atomic<int> incomplete{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < 10000; ++call) {
+        std::array<int, 2> done{};
+        RunShards(&pool, shards,
+                  [&done](const ShardRange& shard) { done[shard.index] = 1; });
+        if (done[0] != 1 || done[1] != 1) incomplete.fetch_add(1);
+      }
+    });
   }
-  std::vector<std::thread> waiters;
-  for (int w = 0; w < 4; ++w) {
-    waiters.emplace_back([&pool] { pool.Wait(); });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(incomplete.load(), 0);
+}
+
+TEST(ThreadPoolTest, ManyMoreShardsThanThreads) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(10000);
+  RunShards(&pool, MakeShards(hits.size(), hits.size()), CountHits(&hits));
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  for (std::thread& t : waiters) t.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 200);
 }
 
 // ---------------------------------------------------------------------------
 // Teardown edges. These are the races TSan is pointed at explicitly in CI
 // (ctest -R "test_sync|test_thread_pool" in the sanitizer job): destruction
-// overlapping queued work, nested shard runs during shutdown, and waiter
-// release ordering against the final drain.
+// overlapping a batch in progress, nested shard runs during shutdown, and
+// caller release ordering against the final drain.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTeardownTest, DestructorDrainsTasksStillQueued) {
-  // The destructor's contract is drain-then-join, not abandon: tasks that
-  // were accepted must run even when nobody calls Wait(). One worker with a
-  // slow head task guarantees a deep queue at destruction time.
+// Blocks until `flag` is set; the tests below use it to start destroying a
+// pool only once a batch is known to be running on it.
+void AwaitFlag(const std::atomic<bool>& flag) {
+  while (!flag.load()) std::this_thread::yield();
+}
+
+TEST(ThreadPoolTeardownTest, DestructorWaitsOutABatchStillQueued) {
+  // Destroying the pool while another thread's batch is still queued
+  // behind a slow head shard: the destructor lets the batch finish, and
+  // its caller sees every shard done.
   std::atomic<int> counter{0};
+  std::atomic<bool> started{false};
+  std::thread caller;
   {
     ThreadPool pool(1);
-    pool.Schedule(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
-    for (int i = 0; i < 100; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
+    caller = std::thread([&] {
+      RunShards(&pool, MakeShards(101, 101), [&](const ShardRange& shard) {
+        if (shard.index == 0) {
+          started.store(true);
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          return;
+        }
+        counter.fetch_add(1);
+      });
+      EXPECT_EQ(counter.load(), 100);
+    });
+    AwaitFlag(started);
   }
+  caller.join();
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTeardownTest, NestedRunShardsDuringShutdownRunsInline) {
-  // A worker task that fans out with RunShards/ParallelFor while the
-  // destructor has already flagged shutdown must complete inline — the
-  // nested call may not Schedule (new work is refused during teardown) and
-  // may not deadlock waiting for workers that are busy winding down.
+  // A shard that fans out with RunShards while the destructor has already
+  // flagged shutdown must complete inline: the nested call may not queue
+  // (new batches are refused during teardown) and may not deadlock
+  // waiting for workers that are busy winding down.
   std::atomic<int> inner{0};
+  std::atomic<bool> started{false};
+  std::thread caller;
   {
     ThreadPool pool(2);
-    pool.Schedule([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      pool.ParallelFor(64, [&inner](std::size_t) { inner.fetch_add(1); });
+    caller = std::thread([&] {
+      RunShards(&pool, MakeShards(2, 2), [&](const ShardRange& shard) {
+        if (shard.index != 0) return;
+        started.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        RunShards(&pool, ShardsFor(&pool, 64), [&](const ShardRange& s) {
+          inner.fetch_add(static_cast<int>(s.end - s.begin));
+        });
+      });
     });
-    // Leave scope immediately: the destructor runs while the task sleeps,
-    // so the nested ParallelFor starts with shutting_down_ already set.
+    // Leave scope as soon as the shard runs: the destructor starts while it
+    // sleeps, so the nested RunShards sees shutting_down_ already set.
+    AwaitFlag(started);
   }
+  caller.join();
   EXPECT_EQ(inner.load(), 64);
 }
 
-TEST(ThreadPoolTeardownTest, WaitersAreReleasedBeforeTeardown) {
-  // Waiters blocked in Wait() while the final tasks drain must all be
-  // released by the last worker's broadcast, immediately ahead of the
+TEST(ThreadPoolTeardownTest, CallersAreReleasedBeforeTeardown) {
+  // Callers blocked in RunShards while the final shards drain must all be
+  // released by the workers' broadcasts, immediately ahead of the
   // destructor's own shutdown handshake on the same mutex.
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.Schedule([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c) {
+      callers.emplace_back([&] {
+        std::atomic<int> mine{0};
+        RunShards(&pool, MakeShards(8, 8), [&](const ShardRange&) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          mine.fetch_add(1);
+          counter.fetch_add(1);
+        });
+        EXPECT_EQ(mine.load(), 8);  // Returned after its own drain.
       });
     }
-    std::vector<std::thread> waiters;
-    for (int w = 0; w < 4; ++w) {
-      waiters.emplace_back([&] {
-        pool.Wait();
-        EXPECT_EQ(counter.load(), 32);  // Wait() returned after the drain.
-      });
-    }
-    for (std::thread& t : waiters) t.join();
+    for (std::thread& t : callers) t.join();
   }
   EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPoolTest, ParallelForManyMoreShardsThanThreads) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(10000);
-  pool.ParallelFor(10000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
 }
 
 }  // namespace
