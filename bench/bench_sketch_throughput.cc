@@ -2,7 +2,12 @@
 // with OC-48 (2.4M packets/s) or faster. Measures the per-packet update
 // paths (aligned bitmap, offset sampling, flow-split, payload hash) in
 // packets/sec, plus the digest codec (docs/DISTRIBUTED.md): encode
-// throughput and the sparse-vs-raw size reduction across fill fractions.
+// throughput and the sparse-vs-raw size reduction across fill fractions,
+// and the analysis center's per-digest ingest cost — DcsMonitor::AddDigest
+// and the encoded-size accounting inside it — on the 1 Mbit, quarter-full
+// rows of the aligned paper shape. Those two are medians over repetitions,
+// exported in µs per digest and ns per dense row byte so that the CI
+// bench_compare step catches a size computation that starts encoding again.
 //
 // The bench fails (exit 1) if the sparse codec stops paying >= 4x at 1%
 // fill — that reduction is what makes shipping early-epoch digests from
@@ -14,17 +19,21 @@
 //   --out <path>   machine-readable results as JSON lines via the obs
 //                  exporter (default BENCH_sketch_throughput.json).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
+#include "dcs/monitor.h"
 #include "net/packet.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -92,6 +101,11 @@ Digest DigestAtFill(std::size_t row_bits, double fill, Rng* rng) {
   }
   digest.rows.push_back(std::move(row));
   return digest;
+}
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples.empty() ? 0.0 : samples[samples.size() / 2];
 }
 
 }  // namespace
@@ -187,7 +201,8 @@ int main(int argc, char** argv) {
   double sparse_encode_mb_per_sec = 0.0;
   for (const FillCase& fc : fills) {
     const Digest digest = DigestAtFill(kCodecBits, fc.fill, &codec_rng);
-    const auto raw_bytes = static_cast<double>(RawPayloadSizeBytes(digest));
+    const auto raw_bytes = static_cast<double>(
+        EncodedPayloadSizeBytes(digest, DigestCodecId::kRaw));
 
     // Encode throughput in dense-equivalent MB/s: how fast a router turns
     // bitmap state into wire bytes. Only the 1% case is exported — one
@@ -221,6 +236,62 @@ int main(int argc, char** argv) {
   codec_table.Print(std::cout);
   ObsGauge("bench.sketch_throughput.sparse_encode_mb_per_sec")
       .Set(sparse_encode_mb_per_sec);
+
+  // Ingest: what the analysis center pays per accepted digest before any
+  // analysis — validation, byte accounting (EncodedSizeBytes) and the
+  // incremental column weights — with the digest moved in, as the frame
+  // dispatcher does. 1 Mbit at 1/4 fill is the aligned_paper_quarter shape.
+  {
+    constexpr std::uint32_t kRouters = 32;
+    const int reps = smoke ? 5 : 25;
+    Rng ingest_rng(29);
+    const Digest quarter = DigestAtFill(kCodecBits, 0.25, &ingest_rng);
+    const double row_bytes = static_cast<double>(kCodecBits / 8);
+
+    std::vector<double> size_ns_per_byte;
+    std::size_t size_sink = 0;
+    for (int r = 0; r < reps; ++r) {
+      const double start = bench::NowSeconds();
+      size_sink += quarter.EncodedSizeBytes();
+      size_ns_per_byte.push_back((bench::NowSeconds() - start) * 1e9 /
+                                 row_bytes);
+    }
+
+    AlignedPipelineOptions aligned;
+    aligned.incremental_weights = true;
+    DcsMonitor monitor(aligned, UnalignedPipelineOptions{});
+    std::vector<double> add_us_per_digest;
+    for (int r = 0; r < reps; ++r) {
+      std::vector<Digest> epoch(kRouters, quarter);
+      for (std::uint32_t router = 0; router < kRouters; ++router) {
+        epoch[router].router_id = router;
+      }
+      monitor.ClearEpoch();
+      const double start = bench::NowSeconds();
+      for (Digest& digest : epoch) {
+        if (!monitor.AddDigest(std::move(digest)).ok()) {
+          std::fprintf(stderr, "FATAL: AddDigest refused a bench digest\n");
+          return 1;
+        }
+      }
+      add_us_per_digest.push_back((bench::NowSeconds() - start) * 1e6 /
+                                  kRouters);
+    }
+    const double size_ns = Median(size_ns_per_byte);
+    const double add_us = Median(add_us_per_digest);
+    std::printf(
+        "\ningest, %zu-bit aligned row at 1/4 fill (median of %d):\n"
+        "  encoded-size accounting  %.3f ns per dense row byte "
+        "(%zu-byte digest)\n"
+        "  DcsMonitor::AddDigest    %.1f us per digest\n",
+        static_cast<std::size_t>(kCodecBits), reps, size_ns,
+        size_sink / static_cast<std::size_t>(reps), add_us);
+    ObsGauge("bench.sketch_throughput.encoded_size_per_row_byte_ns")
+        .Set(size_ns);
+    ObsGauge("bench.sketch_throughput.add_digest_per_digest_us").Set(add_us);
+  }
+  ObsGauge("bench.sketch_throughput.host_cpus")
+      .Set(static_cast<double>(std::thread::hardware_concurrency()));
 
   // Gate — the distributed plane's sizing argument (EXPERIMENTS.md) rests
   // on near-empty digests compressing >= 4x; below that, per-frame

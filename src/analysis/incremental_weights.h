@@ -14,17 +14,26 @@ namespace dcs {
 /// The weight screen's first pass rescans all n columns of the stacked
 /// epoch matrix — O(rows x n/64) word scans per epoch, paid from scratch
 /// every second in continuous operation. This accumulator maintains the
-/// same counts *as rows arrive* (one positional-popcount pass per row, via
-/// the carry-save AccumulateColumnCounts kernel), so by the time the epoch
-/// is analyzed the weights already exist and the screen starts hot.
+/// same counts *as rows arrive*, so by the time the epoch is analyzed the
+/// weights already exist and the screen starts hot.
+///
+/// Cost: a row is added in O(row words) — each byte of each word indexes a
+/// 256-entry table that spreads its 8 bits over the 8 byte-wide counters of
+/// one uint64_t, so a row costs 8 table adds per word however many of its
+/// bits are set. The byte counters are widened into the uint32_t weights
+/// before any of them can overflow (every 255 rows) and when weights() is
+/// read: one O(columns) pass per epoch.
 ///
 /// Equivalence argument (docs/STREAMING.md): column weights are a sum of
 /// per-row indicator vectors over the integers, and integer addition is
 /// associative and commutative, so adding rows one digest at a time yields
 /// exactly the vector BitMatrix::ColumnWeights() computes from the stacked
-/// matrix — not approximately, bit for bit. The differential suite in
-/// tests/test_epoch_ring.cc cross-checks this against the oracle every
-/// epoch.
+/// matrix — not approximately, bit for bit. tests/test_incremental_weights.cc
+/// checks it across lane-widening boundaries, and the differential suite in
+/// tests/test_epoch_ring.cc cross-checks it against the oracle every epoch.
+///
+/// Not safe for concurrent use, reads included: the first weights() call
+/// after AddRow widens the pending counters in place.
 class IncrementalColumnWeights {
  public:
   /// Forgets all rows (ring-slot reuse). Capacity is kept so a steady-state
@@ -43,12 +52,20 @@ class IncrementalColumnWeights {
 
   /// weights()[c] == number of accumulated rows with bit c set. Sized
   /// num_cols().
-  const std::vector<std::uint32_t>& weights() const { return weights_; }
+  const std::vector<std::uint32_t>& weights() const;
 
  private:
+  // Adds the byte counters into weights_ and zeroes them.
+  void Widen() const;
+
   std::size_t num_rows_ = 0;
   std::size_t num_cols_ = 0;
-  std::vector<std::uint32_t> weights_;
+  // Byte j of lanes_[8 * w + b] counts the rows, since the last Widen(),
+  // with column 64 * w + 8 * b + j set.
+  mutable std::vector<std::uint64_t> lanes_;
+  // Rows added to lanes_ but not yet to weights_ (at most 255).
+  mutable std::size_t pending_rows_ = 0;
+  mutable std::vector<std::uint32_t> weights_;
 };
 
 }  // namespace dcs

@@ -139,7 +139,7 @@ std::int64_t SamplePoisson(Rng* rng, double mean) {
   }
   const auto mode = static_cast<std::int64_t>(std::floor(mean));
   const double log_pmf_mode = static_cast<double>(mode) * std::log(mean) -
-                              mean - std::lgamma(static_cast<double>(mode) + 1);
+                              mean - LogGamma(static_cast<double>(mode) + 1);
   return ModeCenteredInversion(
       rng, mode, log_pmf_mode, 0,
       std::numeric_limits<std::int64_t>::max(),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>  // lgamma_r (POSIX), not declared by <cmath>.
 #include <limits>
 
 #include "common/logging.h"
@@ -24,10 +25,15 @@ double NormalTailLogApprox(double z) {
 
 }  // namespace
 
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 double LogChoose(double n, double k) {
   if (k < 0 || k > n) return kNegInf;
   if (k == 0 || k == n) return 0.0;
-  return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
+  return LogGamma(n + 1) - LogGamma(k + 1) - LogGamma(n - k + 1);
 }
 
 double LogSumExp(double a, double b) {

@@ -5,6 +5,11 @@
 
 namespace dcs {
 
+/// log|Gamma(x)|, the value std::lgamma returns. Unlike std::lgamma it never
+/// writes the global `signgam`, so concurrent callers (the pooled lambda
+/// calibration) do not race.
+double LogGamma(double x);
+
 /// Natural log of n choose k; -inf when k < 0 or k > n.
 double LogChoose(double n, double k);
 

@@ -193,7 +193,7 @@ void EpochRing::AdvanceTo(std::uint64_t epoch) {
   }
 }
 
-Status EpochRing::Offer(const Digest& digest) {
+Status EpochRing::Offer(Digest digest) {
   ++stats_.digests_offered;
   ObsCounter("soak.digests_offered").Increment();
   if (!started_) {
@@ -208,7 +208,7 @@ Status EpochRing::Offer(const Digest& digest) {
   }
   AdvanceTo(digest.epoch_id);
   Slot& slot = OpenSlot(digest.epoch_id);
-  const Status status = slot.monitor->AddDigest(digest);
+  const Status status = slot.monitor->AddDigest(std::move(digest));
   if (status.ok()) {
     ++stats_.digests_accepted;
     ObsCounter("soak.digests_accepted").Increment();

@@ -133,8 +133,9 @@ class EpochRing {
   /// Routes one digest to its epoch's slot, advancing the window first if
   /// the digest's epoch lies beyond it (closing overdue heads per the shed
   /// policy). Returns the slot monitor's verdict; stale digests fail with
-  /// FailedPrecondition without touching any slot.
-  Status Offer(const Digest& digest);
+  /// FailedPrecondition without touching any slot. By value, like
+  /// DcsMonitor::AddDigest: pass std::move(digest) to hand the rows over.
+  Status Offer(Digest digest);
 
   /// Closes every still-open epoch in order (full-fidelity analysis —
   /// end-of-stream, so the shed policy does not apply). Call before

@@ -1,6 +1,7 @@
 #include "dcs/monitor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bit_matrix.h"
 #include "common/logging.h"
@@ -53,7 +54,7 @@ DcsMonitor::DcsMonitor(const AlignedPipelineOptions& aligned_options,
 }
 
 void DcsMonitor::set_ingest_options(const IngestOptions& options) {
-  DCS_CHECK(aligned_.empty() && unaligned_.empty());
+  DCS_CHECK(aligned_routers_.empty() && unaligned_.empty());
   ingest_options_ = options;
   stats_ = EpochIngestStats{};
   stats_.expected_routers = options.expected_routers;
@@ -85,7 +86,7 @@ Status DcsMonitor::Reject(std::uint64_t* counter, const char* metric,
   return reason;
 }
 
-Status DcsMonitor::AddDigest(const Digest& digest) {
+Status DcsMonitor::AddDigest(Digest digest) {
   if (digest.rows.empty()) {
     return Reject(&stats_.rejected_empty, "ingest.rejected.empty",
                   digest.router_id,
@@ -154,22 +155,27 @@ Status DcsMonitor::AddDigest(const Digest& digest) {
                     /*quarantine=*/true);
     }
   }
-  std::vector<Digest>* bucket =
-      digest.kind == DigestKind::kAligned ? &aligned_ : &unaligned_;
-  if (!bucket->empty()) {
-    const Digest& first = bucket->front();
-    if (digest.rows.front().size() != first.rows.front().size() ||
-        digest.num_groups != first.num_groups ||
-        digest.arrays_per_group != first.arrays_per_group) {
-      // Misconfiguration rather than forgery: never quarantines, so a
-      // router can resend with the right shape.
-      return Reject(&stats_.rejected_shape, "ingest.rejected.shape",
-                    digest.router_id,
-                    Status::InvalidArgument(
-                        "digest shape disagrees with earlier digests of "
-                        "this epoch"),
-                    /*quarantine=*/false);
-    }
+  // Aligned digests are 1 x 1 (checked above), so their shape is the row
+  // width alone.
+  const bool shape_differs =
+      digest.kind == DigestKind::kAligned
+          ? !aligned_routers_.empty() &&
+                digest.rows.front().size() != aligned_rows_.cols()
+          : !unaligned_.empty() &&
+                (digest.rows.front().size() !=
+                     unaligned_.front().rows.front().size() ||
+                 digest.num_groups != unaligned_.front().num_groups ||
+                 digest.arrays_per_group !=
+                     unaligned_.front().arrays_per_group);
+  if (shape_differs) {
+    // Misconfiguration rather than forgery: never quarantines, so a router
+    // can resend with the right shape.
+    return Reject(&stats_.rejected_shape, "ingest.rejected.shape",
+                  digest.router_id,
+                  Status::InvalidArgument(
+                      "digest shape disagrees with earlier digests of "
+                      "this epoch"),
+                  /*quarantine=*/false);
   }
   if (!epoch_locked_) {
     epoch_locked_ = true;
@@ -192,14 +198,20 @@ Status DcsMonitor::AddDigest(const Digest& digest) {
       .Increment();
   ObsCounter("monitor.digest_bytes_received").Add(encoded_bytes);
   ObsCounter("monitor.raw_bytes_summarized").Add(digest.raw_bytes_covered);
-  if (digest.kind == DigestKind::kAligned &&
-      aligned_options_.incremental_weights) {
+  if (digest.kind == DigestKind::kUnaligned) {
+    unaligned_.push_back(std::move(digest));
+    return Status::Ok();
+  }
+  if (aligned_options_.incremental_weights) {
     // Fold the accepted row into the running column counts now, while the
     // digest is hot in cache. Rejected digests never reach this point, so a
     // quarantined or duplicate sender cannot perturb the counts.
     incremental_weights_.AddRow(digest.rows.front());
   }
-  bucket->push_back(digest);
+  // The row becomes the epoch matrix's next row as it arrives, so analysis
+  // stacks nothing.
+  aligned_routers_.push_back(digest.router_id);
+  aligned_rows_.AppendRow(std::move(digest.rows.front()));
   return Status::Ok();
 }
 
@@ -214,7 +226,7 @@ Status DcsMonitor::AddEncodedDigest(const std::vector<std::uint8_t>& bytes) {
     ObsCounter("ingest.rejected.decode").Increment();
     return decoded;
   }
-  return AddDigest(digest);
+  return AddDigest(std::move(digest));
 }
 
 EpochCalibration DcsMonitor::BaseCalibration(std::uint32_t observed) const {
@@ -229,11 +241,10 @@ EpochCalibration DcsMonitor::AlignedCalibration() const {
   // One aligned digest per router (duplicates were rejected), so the matrix
   // height m' is exactly the digest count.
   EpochCalibration c =
-      BaseCalibration(static_cast<std::uint32_t>(aligned_.size()));
-  if (aligned_.size() < 2) return c;
-  const auto m = static_cast<std::int64_t>(aligned_.size());
-  const auto n =
-      static_cast<std::int64_t>(aligned_.front().rows.front().size());
+      BaseCalibration(static_cast<std::uint32_t>(aligned_routers_.size()));
+  if (aligned_routers_.size() < 2) return c;
+  const auto m = static_cast<std::int64_t>(aligned_rows_.rows());
+  const auto n = static_cast<std::int64_t>(aligned_rows_.cols());
   // Full-height pattern (a = m'): Eq 1 gives the narrowest submatrix the
   // NNO gate will accept at this epoch's actual height.
   c.aligned_min_nno_columns = MinNonNaturallyOccurringB(
@@ -273,30 +284,26 @@ const std::vector<std::uint32_t>* DcsMonitor::AlignedHotWeights() const {
   // ring slot degraded after ingest started) the counts are stale and the
   // screen must run cold. Analysis stays correct either way.
   if (!aligned_options_.incremental_weights) return nullptr;
-  if (incremental_weights_.num_rows() != aligned_.size()) return nullptr;
+  if (incremental_weights_.num_rows() != aligned_rows_.rows()) return nullptr;
   return &incremental_weights_.weights();
 }
 
 std::vector<AlignedReport> DcsMonitor::AnalyzeAlignedAll(
     std::size_t max_patterns) const {
   std::vector<AlignedReport> reports;
-  if (aligned_.size() < 2) return reports;
+  if (aligned_routers_.size() < 2) return reports;
   const EpochCalibration calibration = AlignedCalibration();
-  BitMatrix matrix;
-  for (const Digest& digest : aligned_) {
-    matrix.AppendRow(digest.rows.front());
-  }
   AlignedDetector detector(aligned_options_.detector, context_);
   for (const AlignedDetection& detection : detector.DetectMultipleInMatrix(
-           matrix, aligned_options_.n_prime, max_patterns,
+           aligned_rows_, aligned_options_.n_prime, max_patterns,
            AlignedHotWeights())) {
     AlignedReport report;
     report.calibration = calibration;
-    report.matrix_rows = matrix.rows();
-    report.matrix_cols = matrix.cols();
+    report.matrix_rows = aligned_rows_.rows();
+    report.matrix_cols = aligned_rows_.cols();
     report.common_content_detected = true;
     for (std::uint32_t row : detection.rows) {
-      report.routers.push_back(aligned_[row].router_id);
+      report.routers.push_back(aligned_routers_[row]);
     }
     std::sort(report.routers.begin(), report.routers.end());
     report.signature_columns = detection.columns;
@@ -310,30 +317,21 @@ AlignedReport DcsMonitor::AnalyzeAligned() const {
   ObsCounter("monitor.epochs_analyzed.aligned").Increment();
   AlignedReport report;
   report.calibration = AlignedCalibration();
-  if (aligned_.size() < 2) return report;
+  if (aligned_routers_.size() < 2) return report;
   if (report.calibration.degraded) {
     ObsCounter("ingest.degraded_epochs").Increment();
   }
-
-  // Stack one row per router bitmap.
-  BitMatrix matrix;
-  {
-    ScopedStageTimer timer("stack_matrix");
-    for (const Digest& digest : aligned_) {
-      matrix.AppendRow(digest.rows.front());
-    }
-  }
-  report.matrix_rows = matrix.rows();
-  report.matrix_cols = matrix.cols();
+  report.matrix_rows = aligned_rows_.rows();
+  report.matrix_cols = aligned_rows_.cols();
 
   AlignedDetector detector(aligned_options_.detector, context_);
   const AlignedDetection detection = detector.DetectInMatrix(
-      matrix, aligned_options_.n_prime, AlignedHotWeights());
+      aligned_rows_, aligned_options_.n_prime, AlignedHotWeights());
   report.common_content_detected = detection.pattern_found;
   if (detection.pattern_found) {
     report.routers.reserve(detection.rows.size());
     for (std::uint32_t row : detection.rows) {
-      report.routers.push_back(aligned_[row].router_id);
+      report.routers.push_back(aligned_routers_[row]);
     }
     std::sort(report.routers.begin(), report.routers.end());
     report.signature_columns = detection.columns;
@@ -485,7 +483,8 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
 }
 
 void DcsMonitor::ClearEpoch() {
-  aligned_.clear();
+  aligned_rows_ = BitMatrix();
+  aligned_routers_.clear();
   unaligned_.clear();
   incremental_weights_.Reset();
   digest_bytes_ = 0;

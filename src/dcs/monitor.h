@@ -76,8 +76,10 @@ class DcsMonitor {
   /// (InvalidArgument); epoch ids outside the configured skew window
   /// (FailedPrecondition); and digests whose shape disagrees with
   /// previously added ones (InvalidArgument). Semantic offences quarantine
-  /// the sender when IngestOptions says so.
-  Status AddDigest(const Digest& digest);
+  /// the sender when IngestOptions says so. Takes the digest by value: an
+  /// accepted digest is moved into the epoch's buffer, so callers that are
+  /// done with theirs pass std::move(digest) and no row is copied.
+  Status AddDigest(Digest digest);
 
   /// Decodes an encoded digest (the wire form routers ship) and adds it.
   /// Decode failures are counted in ingest_stats() but never quarantine:
@@ -121,7 +123,7 @@ class DcsMonitor {
   void ClearEpoch();
 
   /// Digests buffered so far.
-  std::size_t num_aligned_digests() const { return aligned_.size(); }
+  std::size_t num_aligned_digests() const { return aligned_routers_.size(); }
   std::size_t num_unaligned_digests() const { return unaligned_.size(); }
 
   /// Total encoded digest bytes received this epoch and the raw traffic
@@ -159,7 +161,10 @@ class DcsMonitor {
   UnalignedPipelineOptions unaligned_options_;
   AnalysisContext context_;
   IngestOptions ingest_options_;
-  std::vector<Digest> aligned_;
+  // Accepted aligned digests: row r of the epoch matrix came from router
+  // aligned_routers_[r]. Rows are moved in on accept.
+  BitMatrix aligned_rows_;
+  std::vector<std::uint32_t> aligned_routers_;
   std::vector<Digest> unaligned_;
   IncrementalColumnWeights incremental_weights_;
   std::uint64_t digest_bytes_ = 0;

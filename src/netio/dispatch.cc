@@ -31,11 +31,11 @@ FrameDispatcher::Decoded FrameDispatcher::DecodeOne(
   if (!d.decode_ok) return d;
   d.identity_ok = d.digest.router_id == event.header.router_id &&
                   d.digest.epoch_id == event.header.epoch_id;
-  d.dense_bytes = RawPayloadSizeBytes(d.digest);
+  d.dense_bytes = EncodedPayloadSizeBytes(d.digest, DigestCodecId::kRaw);
   return d;
 }
 
-void FrameDispatcher::Account(const FrameEvent& event, const Decoded& decoded) {
+void FrameDispatcher::Account(const FrameEvent& event, Decoded decoded) {
   if (!decoded.is_frame) {
     ++stats_.frame_rejects;
     stats_.resync_bytes += event.skipped_bytes;
@@ -71,7 +71,7 @@ void FrameDispatcher::Account(const FrameEvent& event, const Decoded& decoded) {
   }
   ++stats_.digests_offered;
   ObsCounter("netio.digests.offered").Increment();
-  if (ring_->Offer(decoded.digest).ok()) {
+  if (ring_->Offer(std::move(decoded.digest)).ok()) {
     ++stats_.digests_accepted;
     ObsCounter("netio.digests.accepted").Increment();
   } else {
@@ -97,7 +97,7 @@ void FrameDispatcher::HandleEvents(const std::vector<FrameEvent>& events) {
   // duplicate detection are order-sensitive, and this order is the one the
   // serial path would use.
   for (std::size_t i = 0; i < events.size(); ++i) {
-    Account(events[i], decoded[i]);
+    Account(events[i], std::move(decoded[i]));
   }
 }
 

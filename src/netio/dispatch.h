@@ -74,8 +74,9 @@ class FrameDispatcher {
   struct Decoded;
   // Frame-event bookkeeping + payload decode (no ring access, thread-safe).
   Decoded DecodeOne(const FrameEvent& event) const;
-  // Serial half: stats, metrics, and the ring offer.
-  void Account(const FrameEvent& event, const Decoded& decoded);
+  // Serial half: stats, metrics, and the ring offer (which takes the
+  // decoded digest over).
+  void Account(const FrameEvent& event, Decoded decoded);
 
   EpochRing* ring_;
   ThreadPool* pool_;

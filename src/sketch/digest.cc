@@ -19,7 +19,9 @@ Status Digest::Decode(const std::vector<std::uint8_t>& bytes, Digest* out) {
   return DecodeDigestPayload(bytes, DigestCodecId::kSparse, out);
 }
 
-std::size_t Digest::EncodedSizeBytes() const { return Encode().size(); }
+std::size_t Digest::EncodedSizeBytes() const {
+  return EncodedPayloadSizeBytes(*this, DigestCodecId::kSparse);
+}
 
 double Digest::CompressionFactor() const {
   if (raw_bytes_covered == 0) return 0.0;

@@ -78,7 +78,9 @@ struct Digest {
   [[nodiscard]] static Status Decode(const std::vector<std::uint8_t>& bytes,
                                      Digest* out);
 
-  /// Size of the encoded form (equals Encode().size()).
+  /// Size of the encoded form (equals Encode().size()), computed from the
+  /// rows without encoding them (EncodedPayloadSizeBytes, kSparse): cheap
+  /// enough for per-digest byte accounting on the ingest path.
   [[nodiscard]] std::size_t EncodedSizeBytes() const;
 
   /// raw_bytes_covered / encoded size — the paper's compression factor.

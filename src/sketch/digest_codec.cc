@@ -1,5 +1,6 @@
 #include "sketch/digest_codec.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/hash.h"
@@ -23,6 +24,11 @@ void AppendVarint(std::vector<std::uint8_t>* out, std::uint64_t v) {
     v >>= 7;
   }
   out->push_back(static_cast<std::uint8_t>(v));
+}
+
+// Bytes AppendVarint writes for v: one per started group of 7 bits.
+std::size_t VarintBytes(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 bool TakeU32(const std::vector<std::uint8_t>& in, std::size_t* pos,
@@ -59,52 +65,117 @@ bool TakeVarint(const std::vector<std::uint8_t>& in, std::size_t* pos,
   return false;  // Over-long varint.
 }
 
-// The varint-delta set-bit form (RowWire::kSparse), without its tag byte.
-std::vector<std::uint8_t> BuildSparseCandidate(const BitVector& row) {
-  std::vector<std::uint8_t> sparse;
-  std::vector<std::size_t> indices;
-  row.AppendSetBits(&indices);
-  AppendVarint(&sparse, indices.size());
-  std::size_t prev = 0;
-  for (std::size_t idx : indices) {
-    AppendVarint(&sparse, idx - prev);  // First gap is the index itself.
-    prev = idx;
+void AppendWords(std::vector<std::uint8_t>* out, const std::uint64_t* words,
+                 std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t at = out->size();
+    out->resize(at + count * 8);
+    if (count != 0) std::memcpy(out->data() + at, words, count * 8);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) AppendU64(out, words[i]);
   }
-  return sparse;
 }
 
-// The zero-run RLE form (RowWire::kRle), without its tag byte: a sequence
-// of (varint zero-word run, varint literal-word run, literal words) tokens
-// covering every backing word exactly once. A canonical encoder splits on
-// every zero word — a 2-byte token is always cheaper than an 8-byte zero
-// literal — so literal runs contain only non-zero words.
-std::vector<std::uint8_t> BuildRleCandidate(const BitVector& row) {
-  std::vector<std::uint8_t> rle;
+// The varint-delta set-bit form (RowWire::kSparse), without its tag byte:
+// the set-bit count, then each index as a gap from the previous one (the
+// first gap is the index itself).
+void AppendSparseBody(const BitVector& row, std::size_t ones,
+                      std::vector<std::uint8_t>* out) {
+  AppendVarint(out, ones);
+  std::size_t prev = 0;
+  for (std::size_t w = 0; w < row.num_words(); ++w) {
+    for (std::uint64_t bits = row.words()[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t index =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      AppendVarint(out, index - prev);
+      prev = index;
+    }
+  }
+}
+
+// The zero-run RLE form (RowWire::kRle) is a sequence of (varint zero-word
+// run, varint literal-word run, literal words) tokens covering every
+// backing word exactly once. A canonical encoder splits on every zero word
+// — a 2-byte token is always cheaper than an 8-byte zero literal — so
+// literal runs contain only non-zero words. Calls token(zeros,
+// literals_begin, literals) for each token in order; the encoder and the
+// size pass share this walk.
+template <typename TokenFn>
+void ForEachRleToken(const BitVector& row, TokenFn token) {
   const std::uint64_t* words = row.words();
   const std::size_t num_words = row.num_words();
   std::size_t w = 0;
   while (w < num_words) {
-    std::size_t zeros = 0;
-    while (w + zeros < num_words && words[w + zeros] == 0) ++zeros;
-    std::size_t literals = 0;
-    while (w + zeros + literals < num_words && words[w + zeros + literals] != 0) {
-      ++literals;
-    }
-    AppendVarint(&rle, zeros);
-    AppendVarint(&rle, literals);
-    for (std::size_t i = 0; i < literals; ++i) {
-      AppendU64(&rle, words[w + zeros + i]);
-    }
-    w += zeros + literals;
+    const std::size_t zeros_begin = w;
+    while (w < num_words && words[w] == 0) ++w;
+    const std::size_t literals_begin = w;
+    while (w < num_words && words[w] != 0) ++w;
+    token(literals_begin - zeros_begin, literals_begin, w - literals_begin);
   }
-  return rle;
 }
 
-void AppendDenseRow(const BitVector& row, std::vector<std::uint8_t>* out) {
-  out->push_back(RowWire::kDense);
+// The RLE body, without its tag byte.
+void AppendRleBody(const BitVector& row, std::vector<std::uint8_t>* out) {
+  ForEachRleToken(row, [&row, out](std::size_t zeros,
+                                   std::size_t literals_begin,
+                                   std::size_t literals) {
+    AppendVarint(out, zeros);
+    AppendVarint(out, literals);
+    AppendWords(out, row.words() + literals_begin, literals);
+  });
+}
+
+std::size_t RleBodyBytes(const BitVector& row) {
+  std::size_t bytes = 0;
+  ForEachRleToken(row, [&bytes](std::size_t zeros, std::size_t /*begin*/,
+                                std::size_t literals) {
+    bytes += VarintBytes(zeros) + VarintBytes(literals) + 8 * literals;
+  });
+  return bytes;
+}
+
+// AppendSparseBody's output size in O(words): a gap between two bits of one
+// word is under 64, so one varint byte, and only the gap into each word's
+// first set bit can be longer.
+std::size_t SparseBodyBytes(const BitVector& row, std::size_t ones) {
+  std::size_t bytes = VarintBytes(ones) + ones;
+  std::size_t prev = 0;
   for (std::size_t w = 0; w < row.num_words(); ++w) {
-    AppendU64(out, row.words()[w]);
+    const std::uint64_t word = row.words()[w];
+    if (word == 0) continue;
+    const std::size_t base = w << 6;
+    const std::size_t first =
+        base + static_cast<std::size_t>(std::countr_zero(word));
+    bytes += VarintBytes(first - prev) - 1;
+    prev = base + 63 - static_cast<std::size_t>(std::countl_zero(word));
   }
+  return bytes;
+}
+
+// How a codec ships one row: the chosen tag and its wire size, tag byte
+// included. kSparse takes the smallest of the three forms; ties keep
+// pre-RLE encodings stable: sparse only when strictly smaller than dense
+// (the historical rule), RLE only when strictly smaller than both.
+struct RowPlan {
+  std::uint8_t tag = RowWire::kDense;
+  std::size_t bytes = 0;
+  std::size_t ones = 0;  ///< Set bits (kSparse codec only).
+};
+
+RowPlan PlanRow(const BitVector& row, DigestCodecId codec) {
+  const std::size_t dense = row.num_words() * 8;
+  if (codec == DigestCodecId::kRaw) return {RowWire::kDense, 1 + dense, 0};
+  const std::size_t rle = RleBodyBytes(row);
+  const std::size_t ones = row.CountOnes();
+  // Every gap costs at least one byte. Once that floor reaches the dense
+  // size, sparse can beat neither dense nor (since rle < dense <= sparse
+  // whenever RLE wins on dense) RLE, so its exact size is never needed —
+  // the common case for the steady-state quarter- to half-full bitmaps.
+  std::size_t sparse = VarintBytes(ones) + ones;
+  if (sparse < dense) sparse = SparseBodyBytes(row, ones);
+  if (rle < dense && rle < sparse) return {RowWire::kRle, 1 + rle, ones};
+  if (sparse < dense) return {RowWire::kSparse, 1 + sparse, ones};
+  return {RowWire::kDense, 1 + dense, ones};
 }
 
 // Bits of the last backing word that lie beyond size(); they must be zero
@@ -215,27 +286,18 @@ bool KnownDigestCodecId(std::uint8_t raw) {
 
 void EncodeRow(const BitVector& row, DigestCodecId codec,
                std::vector<std::uint8_t>* out) {
-  if (codec == DigestCodecId::kRaw) {
-    AppendDenseRow(row, out);
-    return;
-  }
-  const std::size_t dense_bytes = row.num_words() * 8;
-  const std::vector<std::uint8_t> sparse = BuildSparseCandidate(row);
-  const std::vector<std::uint8_t> rle = BuildRleCandidate(row);
-  // Tie-breaks keep pre-RLE encodings stable: sparse only when strictly
-  // smaller than dense (the historical rule), RLE only when strictly
-  // smaller than both.
-  const std::uint8_t tag = rle.size() < dense_bytes && rle.size() < sparse.size()
-                               ? RowWire::kRle
-                           : sparse.size() < dense_bytes ? RowWire::kSparse
-                                                         : RowWire::kDense;
-  if (tag == RowWire::kDense) {
-    AppendDenseRow(row, out);
-  } else {
-    out->push_back(tag);
-    const std::vector<std::uint8_t>& body =
-        tag == RowWire::kRle ? rle : sparse;
-    out->insert(out->end(), body.begin(), body.end());
+  const RowPlan plan = PlanRow(row, codec);
+  out->push_back(plan.tag);
+  switch (plan.tag) {
+    case RowWire::kSparse:
+      AppendSparseBody(row, plan.ones, out);
+      break;
+    case RowWire::kRle:
+      AppendRleBody(row, out);
+      break;
+    default:
+      AppendWords(out, row.words(), row.num_words());
+      break;
   }
 }
 
@@ -283,8 +345,8 @@ std::vector<std::uint8_t> EncodeDigestPayload(const Digest& digest,
   }
   AppendU64(&out,
             Hash64(out.data(), out.size(), /*seed=*/DigestWireLayout::kMagic));
-  // NOTE: EncodedSizeBytes() re-encodes, so these also count its calls — a
-  // visible hint that callers doing size accounting pay the full encode.
+  // Real encodes only: size accounting (EncodedPayloadSizeBytes, and so
+  // Digest::EncodedSizeBytes) computes sizes without encoding.
   ObsCounter("digest.encode.calls").Increment();
   ObsCounter("digest.encode.bytes").Add(out.size());
   return out;
@@ -363,11 +425,10 @@ Status DecodeDigestPayload(const std::vector<std::uint8_t>& bytes,
   return Status::Ok();
 }
 
-std::size_t RawPayloadSizeBytes(const Digest& digest) {
+std::size_t EncodedPayloadSizeBytes(const Digest& digest,
+                                    DigestCodecId codec) {
   std::size_t rows = 0;
-  for (const BitVector& row : digest.rows) {
-    rows += 1 + row.num_words() * 8;  // Tag byte + dense words.
-  }
+  for (const BitVector& row : digest.rows) rows += PlanRow(row, codec).bytes;
   return DigestWireLayout::kHeaderBytes + rows +
          DigestWireLayout::kChecksumBytes;
 }
@@ -375,17 +436,17 @@ std::size_t RawPayloadSizeBytes(const Digest& digest) {
 DigestCodecId EncodeDigestPayloadAuto(const Digest& digest,
                                       std::vector<std::uint8_t>* out) {
   DCS_CHECK(out != nullptr);
-  std::vector<std::uint8_t> sparse =
-      EncodeDigestPayload(digest, DigestCodecId::kSparse);
-  const std::size_t raw_size = RawPayloadSizeBytes(digest);
+  const std::size_t sparse_size =
+      EncodedPayloadSizeBytes(digest, DigestCodecId::kSparse);
+  const std::size_t raw_size =
+      EncodedPayloadSizeBytes(digest, DigestCodecId::kRaw);
   // Keep the compressed form only when it pays for itself on the WAN: a
   // saving under 1/16 of the dense size is not worth the slower decode.
-  if (sparse.size() + raw_size / 16 <= raw_size) {
-    *out = std::move(sparse);
-    return DigestCodecId::kSparse;
-  }
-  *out = EncodeDigestPayload(digest, DigestCodecId::kRaw);
-  return DigestCodecId::kRaw;
+  const DigestCodecId codec = sparse_size + raw_size / 16 <= raw_size
+                                  ? DigestCodecId::kSparse
+                                  : DigestCodecId::kRaw;
+  *out = EncodeDigestPayload(digest, codec);
+  return codec;
 }
 
 }  // namespace dcs

@@ -57,22 +57,26 @@ struct RowWire {
 [[nodiscard]] Status DecodeDigestPayload(const std::vector<std::uint8_t>& bytes,
                                          DigestCodecId codec, Digest* out);
 
-/// The payload size EncodeDigestPayload(digest, kRaw) would produce,
-/// without encoding — the dense wire size the sparse codec's savings are
+/// The exact size EncodeDigestPayload(digest, codec) would produce, without
+/// encoding: per row one word scan (the RLE size) and a popcount, plus a
+/// varint-gap walk only for rows sparse enough that the set-bit form could
+/// win. kRaw gives the dense wire size the sparse codec's savings are
 /// measured against.
-[[nodiscard]] std::size_t RawPayloadSizeBytes(const Digest& digest);
+[[nodiscard]] std::size_t EncodedPayloadSizeBytes(const Digest& digest,
+                                                  DigestCodecId codec);
 
-/// Per-frame negotiation: encodes with kSparse, and keeps it only when it
-/// saves at least 1/16 of the dense size (otherwise the fixed-size raw form
-/// wins — its decode path is a straight word copy). Returns the chosen
-/// codec and fills *out with the matching payload.
+/// Per-frame negotiation: keeps kSparse only when it saves at least 1/16 of
+/// the dense size (otherwise the fixed-size raw form wins — its decode path
+/// is a straight word copy). Decides from the two payload sizes, encodes
+/// once with the winner, and returns the chosen codec with *out filled.
 DigestCodecId EncodeDigestPayloadAuto(const Digest& digest,
                                       std::vector<std::uint8_t>* out);
 
 /// Appends one row with the codec's row policy: kRaw always writes the
 /// dense form; kSparse writes the smallest of the three encodings (ties
 /// prefer sparse over RLE, dense over both, so pre-RLE encodings are
-/// reproduced byte-for-byte).
+/// reproduced byte-for-byte). The form is chosen from computed sizes and
+/// only its body is built.
 void EncodeRow(const BitVector& row, DigestCodecId codec,
                std::vector<std::uint8_t>* out);
 

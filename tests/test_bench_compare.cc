@@ -43,6 +43,8 @@ const MetricDelta* FindDelta(const BenchCompareResult& result,
 TEST(ClassifyMetricTest, SuffixConvention) {
   EXPECT_EQ(ClassifyMetric("bench.soak.total_s"), MetricClass::kTiming);
   EXPECT_EQ(ClassifyMetric("bench.soak.p99_epoch_ms"), MetricClass::kTiming);
+  EXPECT_EQ(ClassifyMetric("bench.sketch_throughput.add_digest_per_digest_us"),
+            MetricClass::kTiming);
   EXPECT_EQ(ClassifyMetric("bench.soak.epochs_per_sec"),
             MetricClass::kTiming);
   EXPECT_EQ(ClassifyMetric("bench.soak.peak_rss_mb"), MetricClass::kMemory);

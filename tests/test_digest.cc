@@ -1,6 +1,13 @@
 #include "sketch/digest.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "dcs/epoch_ring.h"
+#include "dcs/monitor.h"
 
 namespace dcs {
 namespace {
@@ -143,6 +150,114 @@ TEST(DigestTest, AlignedSingleRowDigest) {
   EXPECT_EQ(decoded.kind, DigestKind::kAligned);
   ASSERT_EQ(decoded.rows.size(), 1u);
   EXPECT_TRUE(decoded.rows[0].Test(17));
+}
+
+// Bernoulli(fill) row; with `islands`, only a few 50%-full word runs in an
+// otherwise empty row instead (the shape the RLE form wins on).
+BitVector FillRow(std::size_t bits, double fill, bool islands, Rng* rng) {
+  BitVector row(bits);
+  for (std::size_t i = 0; i < bits; ++i) {
+    const bool in_island = !islands || (i / 64) % 9 == 4 || (i / 64) % 13 == 0;
+    if (in_island && rng->Bernoulli(fill)) row.Set(i);
+  }
+  return row;
+}
+
+// Size accounting is computed, not encoded: it must agree with the bytes
+// Encode() emits for every fill regime and every ragged row length.
+TEST(DigestTest, EncodedSizeMatchesEncodeAcrossFillsAndLengths) {
+  Rng rng(31);
+  const double fills[] = {0.0, 0.001, 0.01, 0.05, 0.25, 0.5, 1.0};
+  std::vector<std::size_t> lengths;
+  for (std::size_t bits = 0; bits < 200; ++bits) lengths.push_back(bits);
+  for (std::size_t bits = 200; bits <= 8192; bits += 97) {
+    lengths.push_back(bits);
+  }
+  for (const std::size_t bits : {4095u, 4096u, 4097u, 8191u, 8192u}) {
+    lengths.push_back(bits);
+  }
+  for (const std::size_t bits : lengths) {
+    for (const double fill : fills) {
+      for (const bool islands : {false, true}) {
+        Digest digest;
+        digest.kind = DigestKind::kAligned;
+        digest.rows.push_back(FillRow(bits, fill, islands, &rng));
+        ASSERT_EQ(digest.EncodedSizeBytes(), digest.Encode().size())
+            << "bits=" << bits << " fill=" << fill << " islands=" << islands;
+      }
+    }
+  }
+  // Multi-row digests sum their rows' sizes.
+  Digest unaligned = MakeUnalignedDigest();
+  unaligned.rows[1] = FillRow(128, 1.0, false, &rng);
+  unaligned.rows[2] = FillRow(128, 0.5, true, &rng);
+  EXPECT_EQ(unaligned.EncodedSizeBytes(), unaligned.Encode().size());
+}
+
+// Aligned digests with a planted 10-router pattern plus one unaligned
+// digest per router: enough for both pipelines to produce a report.
+std::vector<Digest> IngestDigests() {
+  Rng rng(5);
+  std::vector<Digest> digests;
+  for (std::uint32_t r = 0; r < 12; ++r) {
+    Digest aligned;
+    aligned.router_id = r;
+    aligned.kind = DigestKind::kAligned;
+    aligned.packets_covered = 100 + r;
+    aligned.raw_bytes_covered = 53600 + r;
+    aligned.rows.push_back(FillRow(2048, r % 3 == 0 ? 0.01 : 0.4, false, &rng));
+    if (r < 10) {
+      for (std::size_t c = 0; c < 24; ++c) aligned.rows[0].Set(5 + 83 * c);
+    }
+    digests.push_back(std::move(aligned));
+    Digest unaligned = MakeUnalignedDigest();
+    unaligned.router_id = r;
+    unaligned.epoch_id = 0;
+    for (BitVector& row : unaligned.rows) row = FillRow(128, 0.3, false, &rng);
+    digests.push_back(std::move(unaligned));
+  }
+  return digests;
+}
+
+DcsReport ReportOf(const DcsMonitor& monitor) {
+  DcsReport report;
+  report.aligned = monitor.AnalyzeAligned();
+  report.unaligned = monitor.AnalyzeUnaligned();
+  report.digests_accepted = monitor.ingest_stats().accepted;
+  report.digests_rejected = monitor.ingest_stats().rejected_total();
+  report.observed_routers = monitor.ingest_stats().observed_routers;
+  return report;
+}
+
+// Moving a digest into the monitor is indistinguishable from copying it:
+// same reports, same byte accounting, same running column weights.
+TEST(DigestTest, MovedDigestIngestMatchesCopiedIngest) {
+  AlignedPipelineOptions aligned;
+  aligned.n_prime = 128;
+  aligned.incremental_weights = true;
+  DcsMonitor copied(aligned, UnalignedPipelineOptions{});
+  DcsMonitor moved(aligned, UnalignedPipelineOptions{});
+  const std::vector<Digest> digests = IngestDigests();
+  for (const Digest& digest : digests) {
+    ASSERT_TRUE(copied.AddDigest(digest).ok());
+    Digest copy = digest;
+    ASSERT_TRUE(moved.AddDigest(std::move(copy)).ok());
+  }
+  // A duplicate is refused the same way on both paths.
+  EXPECT_FALSE(copied.AddDigest(digests.front()).ok());
+  Digest duplicate = digests.front();
+  EXPECT_FALSE(moved.AddDigest(std::move(duplicate)).ok());
+
+  std::uint64_t encoded = 0;
+  for (const Digest& digest : digests) encoded += digest.Encode().size();
+  EXPECT_EQ(copied.digest_bytes_received(), encoded);
+  EXPECT_EQ(moved.digest_bytes_received(), encoded);
+  EXPECT_EQ(moved.raw_bytes_summarized(), copied.raw_bytes_summarized());
+  EXPECT_EQ(moved.incremental_column_weights().weights(),
+            copied.incremental_column_weights().weights());
+  const DcsReport from_copies = ReportOf(copied);
+  EXPECT_TRUE(from_copies.aligned.common_content_detected);
+  EXPECT_TRUE(ReportOf(moved) == from_copies);
 }
 
 }  // namespace

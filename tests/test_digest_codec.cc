@@ -7,10 +7,12 @@
 // a codec is not allowed to emit.
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "sketch/digest.h"
 #include "sketch/digest_codec.h"
@@ -115,7 +117,8 @@ TEST(DigestCodecTest, SparseNeverBeatenByRawAndMonotoneUntilDense) {
   const std::size_t row_bits = 4096;
   const std::size_t raw_size =
       EncodeDigestPayload(MakeDigest(row_bits, 0), DigestCodecId::kRaw).size();
-  EXPECT_EQ(raw_size, RawPayloadSizeBytes(MakeDigest(row_bits, 0)));
+  EXPECT_EQ(raw_size, EncodedPayloadSizeBytes(MakeDigest(row_bits, 0),
+                                              DigestCodecId::kRaw));
   std::size_t prev = 0;
   bool dense_reached = false;
   for (std::size_t ones = 0; ones <= row_bits; ones += 64) {
@@ -123,7 +126,7 @@ TEST(DigestCodecTest, SparseNeverBeatenByRawAndMonotoneUntilDense) {
     const std::size_t sparse_size =
         EncodeDigestPayload(digest, DigestCodecId::kSparse).size();
     EXPECT_LE(sparse_size, raw_size) << "ones=" << ones;
-    EXPECT_EQ(RawPayloadSizeBytes(digest), raw_size);
+    EXPECT_EQ(EncodedPayloadSizeBytes(digest, DigestCodecId::kRaw), raw_size);
     if (dense_reached) {
       EXPECT_EQ(sparse_size, raw_size) << "ones=" << ones;
     } else if (sparse_size == raw_size && ones > row_bits / 2) {
@@ -144,7 +147,8 @@ TEST(DigestCodecTest, SparseAtLeastFourXAtOnePercentFill) {
   for (const std::size_t row_bits : {8192u, 65536u, 1u << 20}) {
     const std::size_t ones = row_bits / 100;
     const Digest digest = MakeDigest(row_bits, ones, &rng);
-    const std::size_t raw_size = RawPayloadSizeBytes(digest);
+    const std::size_t raw_size =
+        EncodedPayloadSizeBytes(digest, DigestCodecId::kRaw);
     const std::size_t sparse_size =
         EncodeDigestPayload(digest, DigestCodecId::kSparse).size();
     EXPECT_GE(raw_size, 4 * sparse_size) << "bits=" << row_bits;
@@ -198,7 +202,8 @@ TEST(DigestCodecTest, AutoNegotiationPicksThePayingCodec) {
   EXPECT_EQ(EncodeDigestPayloadAuto(dense_case, &payload), DigestCodecId::kRaw);
   ASSERT_TRUE(DecodeDigestPayload(payload, DigestCodecId::kRaw, &out).ok());
   EXPECT_TRUE(out == dense_case);
-  EXPECT_EQ(payload.size(), RawPayloadSizeBytes(dense_case));
+  EXPECT_EQ(payload.size(),
+            EncodedPayloadSizeBytes(dense_case, DigestCodecId::kRaw));
 }
 
 // Digest::Encode is the kSparse payload, byte for byte — the digest plane
@@ -320,7 +325,135 @@ TEST(DigestCodecTest, MixedRowEncodingsInOnePayload) {
   ASSERT_TRUE(
       DecodeDigestPayload(bytes, DigestCodecId::kSparse, &decoded).ok());
   EXPECT_TRUE(decoded == digest);
-  EXPECT_LT(bytes.size(), RawPayloadSizeBytes(digest));
+  EXPECT_LT(bytes.size(),
+            EncodedPayloadSizeBytes(digest, DigestCodecId::kRaw));
+}
+
+// One row of a seeded sweep: uniform Bernoulli fill, or 50%-full islands
+// of words in an otherwise empty row (the shape RLE wins on).
+BitVector SweepRow(std::size_t row_bits, Rng* rng) {
+  static constexpr double kFills[] = {0.0,  0.001, 0.01, 0.05,
+                                      0.25, 0.5,   1.0};
+  BitVector row(row_bits);
+  if (row_bits == 0) return row;
+  if (rng->Bernoulli(0.3)) {
+    const std::size_t islands = 1 + rng->UniformInt(4);
+    for (std::size_t k = 0; k < islands; ++k) {
+      const std::size_t start = rng->UniformInt(row_bits);
+      const std::size_t len = 1 + rng->UniformInt(256);
+      for (std::size_t i = start; i < row_bits && i < start + len; ++i) {
+        if (rng->Bernoulli(0.5)) row.Set(i);
+      }
+    }
+    return row;
+  }
+  const double fill = kFills[rng->UniformInt(std::size(kFills))];
+  for (std::size_t i = 0; i < row_bits; ++i) {
+    if (rng->Bernoulli(fill)) row.Set(i);
+  }
+  return row;
+}
+
+// Aligned or unaligned digest of random shape, ragged row widths included.
+Digest SweepDigest(Rng* rng) {
+  Digest digest;
+  digest.router_id = static_cast<std::uint32_t>(rng->UniformInt(1000));
+  digest.epoch_id = rng->UniformInt(1u << 20);
+  digest.packets_covered = rng->UniformInt(1u << 16);
+  digest.raw_bytes_covered = rng->UniformInt(1u << 30);
+  const std::size_t row_bits = rng->UniformInt(5000);
+  if (rng->Bernoulli(0.5)) {
+    digest.kind = DigestKind::kAligned;
+    digest.rows.push_back(SweepRow(row_bits, rng));
+  } else {
+    digest.kind = DigestKind::kUnaligned;
+    digest.num_groups = 1 + static_cast<std::uint32_t>(rng->UniformInt(3));
+    digest.arrays_per_group =
+        1 + static_cast<std::uint32_t>(rng->UniformInt(3));
+    for (std::uint32_t r = 0; r < digest.num_groups * digest.arrays_per_group;
+         ++r) {
+      digest.rows.push_back(SweepRow(row_bits, rng));
+    }
+  }
+  return digest;
+}
+
+// Locks every encoder output byte for byte: the chained Hash64 below was
+// recorded from the encoder that built all three row candidates and kept
+// the smallest, so any drift in tag choice, body layout, negotiation or
+// checksum changes it. The sweep must exercise every row form.
+TEST(DigestCodecTest, EncoderOutputPinnedAcrossSeededSweep) {
+  Rng rng(2006);
+  std::uint64_t chain = 0;
+  std::size_t tags[3] = {0, 0, 0};
+  std::size_t negotiated[2] = {0, 0};
+  for (int trial = 0; trial < 400; ++trial) {
+    const Digest digest = SweepDigest(&rng);
+    const std::vector<std::uint8_t> sparse = digest.Encode();
+    ASSERT_EQ(sparse.size(), digest.EncodedSizeBytes()) << "trial " << trial;
+    chain = Hash64(sparse.data(), sparse.size(), chain);
+    const std::vector<std::uint8_t> raw =
+        EncodeDigestPayload(digest, DigestCodecId::kRaw);
+    ASSERT_EQ(raw.size(), EncodedPayloadSizeBytes(digest, DigestCodecId::kRaw))
+        << "trial " << trial;
+    chain = Hash64(raw.data(), raw.size(), chain);
+    std::vector<std::uint8_t> automatic;
+    const DigestCodecId codec = EncodeDigestPayloadAuto(digest, &automatic);
+    ++negotiated[static_cast<std::size_t>(codec)];
+    chain = Hash64(automatic.data(), automatic.size(),
+                   chain ^ static_cast<std::uint64_t>(codec));
+    for (const BitVector& row : digest.rows) {
+      ++tags[EncodeOneRow(row, DigestCodecId::kSparse).front()];
+    }
+  }
+  EXPECT_GT(tags[RowWire::kDense], 0u);
+  EXPECT_GT(tags[RowWire::kSparse], 0u);
+  EXPECT_GT(tags[RowWire::kRle], 0u);
+  EXPECT_GT(negotiated[static_cast<std::size_t>(DigestCodecId::kRaw)], 0u);
+  EXPECT_GT(negotiated[static_cast<std::size_t>(DigestCodecId::kSparse)], 0u);
+  EXPECT_EQ(chain, 0x66347f1a1cc3a320ULL);
+}
+
+// Rows built to land exactly on a tie between two candidate sizes: the tag
+// must follow the tie-break rule (sparse only when strictly smaller than
+// dense, RLE only when strictly smaller than both) and the size accounting
+// must agree with the bytes.
+TEST(DigestCodecTest, TieRowsFollowTheTieBreakRule) {
+  struct TieCase {
+    std::size_t row_bits;
+    std::size_t ones;  // Bits 0..ones-1 set (one-byte gaps).
+    std::uint8_t tag;
+    std::size_t encoded_bytes;  // Tag included.
+  };
+  const TieCase cases[] = {
+      // 1 word: dense 8; sparse 1 + ones; RLE (0,1)+8 = 10.
+      {64, 6, RowWire::kSparse, 1 + 7},   // sparse 7 < dense 8.
+      {64, 7, RowWire::kDense, 1 + 8},    // sparse 8 == dense 8.
+      // 4 words, first non-zero: dense 32; RLE (0,1)+8 + (3,0) = 12.
+      {256, 11, RowWire::kSparse, 1 + 12},  // sparse 12 == RLE 12.
+      {256, 12, RowWire::kRle, 1 + 12},     // RLE 12 < sparse 13.
+      // 0 words: dense 0, sparse 1 (the count), RLE 0 == dense.
+      {0, 0, RowWire::kDense, 1},
+  };
+  for (const TieCase& tc : cases) {
+    BitVector row(tc.row_bits);
+    for (std::size_t i = 0; i < tc.ones; ++i) row.Set(i);
+    const std::vector<std::uint8_t> bytes =
+        EncodeOneRow(row, DigestCodecId::kSparse);
+    EXPECT_EQ(bytes.front(), tc.tag)
+        << "bits=" << tc.row_bits << " ones=" << tc.ones;
+    EXPECT_EQ(bytes.size(), tc.encoded_bytes)
+        << "bits=" << tc.row_bits << " ones=" << tc.ones;
+    Digest digest;
+    digest.rows.push_back(row);
+    EXPECT_EQ(digest.EncodedSizeBytes(), digest.Encode().size())
+        << "bits=" << tc.row_bits << " ones=" << tc.ones;
+    std::size_t pos = 0;
+    BitVector decoded(tc.row_bits);
+    ASSERT_TRUE(
+        DecodeRow(bytes, &pos, DigestCodecId::kSparse, &decoded).ok());
+    EXPECT_TRUE(decoded == row);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// LogGamma is the reentrant form of std::lgamma: the same value, bit for
+// bit, so switching LogChoose over moved no threshold.
+TEST(LogGammaTest, EqualsStdLgamma) {
+  for (const double x : {0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 101.0, 1024.5,
+                         4194304.0, 1e9, -0.5, -2.5}) {
+    EXPECT_EQ(LogGamma(x), std::lgamma(x)) << "x=" << x;
+  }
+}
+
 TEST(LogChooseTest, SmallValuesExact) {
   EXPECT_NEAR(LogChoose(5, 2), std::log(10.0), 1e-12);
   EXPECT_NEAR(LogChoose(10, 0), 0.0, 1e-12);

@@ -56,7 +56,8 @@ MetricClass ClassifyMetric(const std::string& name) {
   // epochs_per_sec is throughput: timing-class, but higher is better, so
   // it is judged on its reciprocal (see CompareSnapshots).
   if (EndsWith(name, "_s") || EndsWith(name, "_ms") ||
-      EndsWith(name, "_ns") || EndsWith(name, "_per_sec")) {
+      EndsWith(name, "_us") || EndsWith(name, "_ns") ||
+      EndsWith(name, "_per_sec")) {
     return MetricClass::kTiming;
   }
   if (EndsWith(name, "_mb")) return MetricClass::kMemory;

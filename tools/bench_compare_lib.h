@@ -15,7 +15,7 @@ namespace bench_compare {
 /// quantity the suffix), because the snapshot format carries no unit or
 /// direction metadata.
 enum class MetricClass {
-  /// Wall-clock quantities (suffix _s, _ms, _ns, _per_sec): real but
+  /// Wall-clock quantities (suffix _s, _ms, _us, _ns, _per_sec): real but
   /// machine-dependent, so regressions are gated on a lenient
   /// multiplicative factor — a CI runner is not the machine that produced
   /// the committed snapshot.

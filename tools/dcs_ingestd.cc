@@ -303,7 +303,14 @@ Status CmdSelfTest() {
   ring_options.aligned.incremental_weights = true;
   EpochRing ring(ring_options, AnalysisContext{});
   FrameDispatcher dispatcher(&ring, nullptr);
+  // The server stops itself once every digest has been offered. The hook
+  // runs on the serve thread, the only thread that touches the dispatcher
+  // until serve_thread.join() below.
+  const std::uint64_t expected = kRouters * kEpochs;
   IngestServerOptions server_options;
+  server_options.after_round = [&dispatcher, expected] {
+    return dispatcher.stats().digests_offered < expected;
+  };
   IngestServer server(server_options, &dispatcher);
 
   const std::string uds_path =
@@ -334,15 +341,8 @@ Status CmdSelfTest() {
     }
     // Sender closes here: the server sees EOF and flushes the connection.
   }
-  // Wait for every digest to land, then stop the server. Repeated zero-delay
-  // sleeps keep this a scheduling yield, not a timing assumption.
-  const std::uint64_t expected = kRouters * kEpochs;
-  while (send_status.ok() &&
-         dispatcher.stats().digests_offered < expected &&
-         serve_thread.joinable()) {
-    std::this_thread::yield();
-  }
-  server.RequestStop();
+  // A failed send never delivers everything; stop the server directly.
+  if (!send_status.ok()) server.RequestStop();
   serve_thread.join();
   DCS_RETURN_IF_ERROR(serve_status);
   DCS_RETURN_IF_ERROR(send_status);
