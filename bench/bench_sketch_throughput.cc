@@ -1,13 +1,14 @@
 // Section III-A line-speed claim: the data collection modules must keep up
 // with OC-48 (2.4M packets/s) or faster. Measures the per-packet update
 // paths (aligned bitmap, offset sampling, flow-split, payload hash) in
-// packets/sec, plus the digest codec (docs/DISTRIBUTED.md): encode
-// throughput and the sparse-vs-raw size reduction across fill fractions,
-// and the analysis center's per-digest ingest cost — DcsMonitor::AddDigest
-// and the encoded-size accounting inside it — on the 1 Mbit, quarter-full
-// rows of the aligned paper shape. Those two are medians over repetitions,
-// exported in µs per digest and ns per dense row byte so that the CI
-// bench_compare step catches a size computation that starts encoding again.
+// packets/sec, each the median of 5 repetitions, plus the digest codec
+// (docs/DISTRIBUTED.md): encode throughput and the sparse-vs-raw size
+// reduction across fill fractions, and the analysis center's per-digest
+// ingest cost — DcsMonitor::AddDigest and the encoded-size accounting
+// inside it — on the 1 Mbit, quarter-full rows of the aligned paper shape.
+// Those two are medians over repetitions, exported in µs per digest and ns
+// per dense row byte so that the CI bench_compare step catches a size
+// computation that starts encoding again.
 //
 // The bench fails (exit 1) if the sparse codec stops paying >= 4x at 1%
 // fill — that reduction is what makes shipping early-epoch digests from
@@ -63,21 +64,35 @@ std::vector<Packet> MakePackets(std::size_t count, std::size_t payload) {
   return packets;
 }
 
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples.empty() ? 0.0 : samples[samples.size() / 2];
+}
+
+// Repetitions behind each per-packet rate: single runs on a shared host
+// moved by 0.6-0.8x between runs minutes apart.
+constexpr int kRateReps = 5;
+
 // Runs `iters` packet updates through `update`, cycling the packet pool,
-// and returns packets/sec. The sink accumulator defeats dead-code
-// elimination without a compiler barrier.
+// kRateReps times, and returns the median packets/sec. The sink accumulator
+// defeats dead-code elimination without a compiler barrier.
 template <typename UpdateFn>
 double MeasurePacketsPerSec(const std::vector<Packet>& packets,
                             std::uint64_t iters, UpdateFn update) {
   const std::size_t mask = packets.size() - 1;  // Pool sizes are powers of 2.
   std::uint64_t sink = 0;
-  const double start = bench::NowSeconds();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink += update(packets[i & mask]);
+  std::vector<double> rates;
+  for (int rep = 0; rep < kRateReps; ++rep) {
+    const double start = bench::NowSeconds();
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      sink += update(packets[i & mask]);
+    }
+    const double elapsed = bench::NowSeconds() - start;
+    rates.push_back(elapsed > 0.0 ? static_cast<double>(iters) / elapsed
+                                  : 0.0);
   }
-  const double elapsed = bench::NowSeconds() - start;
   if (sink == 0xDEADBEEF) std::printf("(unreachable sink)\n");
-  return elapsed > 0.0 ? static_cast<double>(iters) / elapsed : 0.0;
+  return Median(std::move(rates));
 }
 
 // One aligned digest row at the requested fill fraction; set bits are
@@ -101,11 +116,6 @@ Digest DigestAtFill(std::size_t row_bits, double fill, Rng* rng) {
   }
   digest.rows.push_back(std::move(row));
   return digest;
-}
-
-double Median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples.empty() ? 0.0 : samples[samples.size() / 2];
 }
 
 }  // namespace
@@ -132,7 +142,7 @@ int main(int argc, char** argv) {
   const auto packets = MakePackets(4096, 536);
   MetricsRegistry::Global().set_enabled(true);
 
-  TablePrinter table({"path", "packets/sec", "vs OC-48 (2.4M)"});
+  TablePrinter table({"path", "packets/sec (median of 5)", "vs OC-48 (2.4M)"});
   const auto add_timing = [&table](const char* label, const char* metric,
                                    double per_sec) {
     table.AddRow({label, TablePrinter::Fmt(per_sec / 1e6, 2) + "M",

@@ -440,7 +440,8 @@ AlignedDetection AlignedDetector::DetectInMatrix(
   AlignedDetection detection = Detect(screened);
   if (!detection.pattern_found) return detection;
 
-  // Fig 6 lines 10-14: scan every column outside S1 against the core.
+  // Fig 6 lines 10-14: scan every column, screened or not, against the
+  // core; the core's own columns clear weight(core) - gamma by definition.
   // Sharded over word-aligned column slices: each shard accumulates the
   // common-1s counts of its own columns across the core rows and collects
   // its qualifying columns; shards concatenate in ascending column order.
@@ -454,8 +455,6 @@ AlignedDetection AlignedDetector::DetectInMatrix(
   const std::size_t thresh =
       core_weight > options_.gamma ? core_weight - options_.gamma : 1;
 
-  const std::unordered_set<std::size_t> in_screen(
-      screened.original_ids.begin(), screened.original_ids.end());
   std::vector<std::uint32_t> common(matrix.cols(), 0);
   // Core-row word pointers, gathered once; each shard feeds them to the
   // positional-popcount kernel over its own word-aligned column slice, so
@@ -475,17 +474,17 @@ AlignedDetection AlignedDetector::DetectInMatrix(
                            shard.end, common.data());
     const std::size_t col_end = std::min(shard.end * 64, matrix.cols());
     for (std::size_t c = shard.begin * 64; c < col_end; ++c) {
-      if (common[c] >= thresh && !in_screen.contains(c)) {
+      if (common[c] >= thresh) {
         shard_cols[shard.index].push_back(c);
       }
     }
     if (task_hist != nullptr) task_hist->Record(watch.ElapsedNanos());
   });
+  detection.columns.clear();
   for (const std::vector<std::size_t>& cols : shard_cols) {
     detection.columns.insert(detection.columns.end(), cols.begin(),
                              cols.end());
   }
-  std::sort(detection.columns.begin(), detection.columns.end());
   return detection;
 }
 

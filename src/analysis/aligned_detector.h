@@ -64,13 +64,14 @@ struct AlignedDetection {
 /// trajectory termination procedure decides when the noise is gone (see
 /// Fig 7); the result passes the non-naturally-occurring gate before being
 /// reported. DetectInMatrix() adds the refined algorithm's final scan that
-/// grows the core across the unscreened columns (Fig 6 lines 10-14).
+/// grows the core across every remaining column, screened or not (Fig 6
+/// lines 10-14).
 ///
 /// When constructed with an AnalysisContext carrying a pool, the hot passes
 /// run sharded on it (Section IV-D: spread the analysis over many CPUs):
 /// the pair pass and each hopefuls extension keep per-shard bounded heaps
 /// merged under a total order (weight desc, then column ids asc), and the
-/// final core scan shards the unscreened columns. Every merge is
+/// final core scan shards the matrix's columns. Every merge is
 /// shard-order-invariant, so the detection — rows, columns, and the full
 /// weight trajectory — is bit-identical at any thread count, including the
 /// serial (null pool) engine.

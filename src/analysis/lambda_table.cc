@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -11,26 +12,17 @@
 namespace dcs {
 
 LambdaTable::LambdaTable(std::size_t array_bits, double p_star)
-    : array_bits_(array_bits),
-      p_star_(p_star),
-      cache_((array_bits + 1) * (array_bits + 1)) {
+    : array_bits_(array_bits), p_star_(p_star) {
   DCS_CHECK(p_star > 0.0 && p_star < 1.0);
-  for (auto& entry : cache_) {
-    entry.store(-1, std::memory_order_relaxed);
-  }
 }
 
-std::int64_t LambdaTable::Threshold(std::uint32_t i, std::uint32_t j) const {
+std::int64_t LambdaTable::ComputeMiss(std::uint32_t i,
+                                      std::uint32_t j) const {
   DCS_CHECK(i <= array_bits_ && j <= array_bits_);
-  if (i > j) std::swap(i, j);
-  auto& slot = cache_[static_cast<std::size_t>(i) * (array_bits_ + 1) + j];
-  const std::int32_t cached = slot.load(std::memory_order_relaxed);
-  if (cached >= 0) return cached;
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t lambda = HypergeomUpperThreshold(
-      p_star_, static_cast<std::int64_t>(array_bits_), i, j);
-  slot.store(static_cast<std::int32_t>(lambda), std::memory_order_relaxed);
-  return lambda;
+  return HypergeomUpperThreshold(
+      p_star_, static_cast<std::int64_t>(array_bits_), std::min(i, j),
+      std::max(i, j));
 }
 
 void LambdaTable::Calibrate(std::span<const std::uint32_t> row_weights,
@@ -43,15 +35,23 @@ void LambdaTable::Calibrate(std::span<const std::uint32_t> row_weights,
   if (!weights.empty() && weights.front() == 0) {
     weights.erase(weights.begin());
   }
-  if (weights.empty()) return;
-  // Shard over the first weight; iterating i <= j covers each unordered
-  // pair exactly once, so shards compute disjoint entries and the miss
-  // counter advances by exactly the number of previously-absent entries.
-  RunShards(pool, ShardsFor(pool, weights.size()),
-            [&](const ShardRange& shard) {
+  if (weights == weights_) return;
+  weights_ = std::move(weights);
+  low_ = weights_.empty() ? 0 : weights_.front();
+  span_ = weights_.empty() ? 0 : weights_.back() - low_ + 1;
+  window_.assign(static_cast<std::size_t>(span_) * span_, -1);
+  // Shard over the first weight; iterating a <= b covers each unordered
+  // pair exactly once, so shards write disjoint cells and the miss counter
+  // advances by exactly the number of observed pairs.
+  RunShards(pool, ShardsFor(pool, weights_.size()),
+            [this](const ShardRange& shard) {
               for (std::size_t a = shard.begin; a < shard.end; ++a) {
-                for (std::size_t b = a; b < weights.size(); ++b) {
-                  Threshold(weights[a], weights[b]);
+                for (std::size_t b = a; b < weights_.size(); ++b) {
+                  const std::size_t i = weights_[a] - low_;
+                  const std::size_t j = weights_[b] - low_;
+                  window_[i * span_ + j] = window_[j * span_ + i] =
+                      static_cast<std::int32_t>(
+                          ComputeMiss(weights_[a], weights_[b]));
                 }
               }
             });

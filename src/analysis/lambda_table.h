@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,46 +16,50 @@ class ThreadPool;
 /// 1s under the null (no matching content) is hypergeometric; lambda_{i,j}
 /// is the smallest threshold with P[X(i,j) > lambda_{i,j}] <= p_star, making
 /// the per-row-pair false-alarm probability uniform regardless of row fill.
-/// Entries are computed lazily and cached (the scan touches only the narrow
-/// band of observed fills); the cache is lock-free and safe for concurrent
-/// readers.
 ///
-/// Deliberately lock-free — no dcs::Mutex, no DCS_GUARDED_BY: every cache
-/// slot is an independent atomic whose value is a pure function of its
-/// index, so two threads racing to fill the same slot write the same bits
-/// and a relaxed publish is enough (the worst case is duplicated
-/// computation, counted in cache_misses()). Putting the pair-scan's hottest
-/// lookup behind a lock would serialize exactly the work the ThreadPool
-/// shards. Same reasoning as the Counter/Gauge values in obs/metrics.h.
+/// The table is a dense window over the row weights it was calibrated with:
+/// Calibrate() sizes it to [min, max] of the non-zero weights and fills the
+/// cells of every observed weight pair, which is all a pair scan over those
+/// rows ever reads. Any other pair is computed directly on lookup, uncached,
+/// and counted in cache_misses(). Lookups may run concurrently with each
+/// other; Calibrate() must not run concurrently with Threshold().
 class LambdaTable {
  public:
   /// Table for rows of `array_bits` bits at per-pair false-alarm level
-  /// `p_star`.
+  /// `p_star`. Starts empty: every lookup misses until Calibrate().
   LambdaTable(std::size_t array_bits, double p_star);
 
   /// lambda_{i,j}; symmetric in (i, j). i, j must be <= array_bits.
-  std::int64_t Threshold(std::uint32_t i, std::uint32_t j) const;
+  std::int64_t Threshold(std::uint32_t i, std::uint32_t j) const {
+    // Unsigned wrap sends weights below the window past `span_` too.
+    const std::uint32_t a = i - low_;
+    const std::uint32_t b = j - low_;
+    if (a < span_ && b < span_) {
+      const std::int32_t cached =
+          window_[static_cast<std::size_t>(a) * span_ + b];
+      if (cached >= 0) return cached;
+    }
+    return ComputeMiss(i, j);
+  }
 
-  /// Precomputes lambda_{i,j} for every unordered pair of the distinct
-  /// non-zero values in `row_weights` (duplicates and zeros — rows the scan
-  /// skips — are dropped), sharded over `pool` when non-null. Each pair
-  /// lands in exactly one shard and every entry is a pure function of
-  /// (i, j), so the cache contents, the miss count, and all later
-  /// Threshold() results are bit-identical at any thread count. Idempotent:
-  /// already-cached entries cost one relaxed load.
+  /// Sizes the window to the distinct non-zero values in `row_weights`
+  /// (zeros are rows the scan skips) and computes each unordered pair of
+  /// them once, as one miss, into both mirror cells, sharded over `pool`
+  /// when non-null. The window and the miss count are bit-identical at any
+  /// thread count. A repeat call with the same distinct weights computes
+  /// nothing; other weights replace the window. Logically const: it
+  /// changes what a lookup costs, never what it returns.
   void Calibrate(std::span<const std::uint32_t> row_weights,
                  ThreadPool* pool) const;
 
-  /// Lookups that had to compute a fresh entry (cache misses). Hits are not
+  /// Thresholds computed rather than read from the window: the pairs
+  /// Calibrate() filled plus every lookup outside them. Hits are not
   /// counted individually — the scan already counts row-pair compares, and
   /// every compare is exactly one lookup, so hit rate = 1 - misses/lookups
   /// without touching a shared counter on the hot path.
   std::uint64_t cache_misses() const {
     return cache_misses_.load(std::memory_order_relaxed);
   }
-
-  std::size_t array_bits() const { return array_bits_; }
-  double p_star() const { return p_star_; }
 
   /// The edge probability between two null groups when each group
   /// contributes `arrays` rows and any of the arrays^2 row pairs can fire:
@@ -68,10 +71,18 @@ class LambdaTable {
   static double PStarFromEdgeProb(double p1, std::size_t arrays);
 
  private:
+  // Direct computation for a pair the window does not hold; counts a miss.
+  std::int64_t ComputeMiss(std::uint32_t i, std::uint32_t j) const;
+
   std::size_t array_bits_;
   double p_star_;
-  // -1 = not yet computed. Benign duplicated computation on races.
-  mutable std::vector<std::atomic<std::int32_t>> cache_;
+  // The calibrated distinct non-zero weights, ascending.
+  mutable std::vector<std::uint32_t> weights_;
+  // window_[(i - low_) * span_ + (j - low_)] = lambda_{i,j}, or -1 for a
+  // pair of in-range weights that were not both observed.
+  mutable std::uint32_t low_ = 0;
+  mutable std::uint32_t span_ = 0;
+  mutable std::vector<std::int32_t> window_;
   mutable std::atomic<std::uint64_t> cache_misses_{0};
 };
 

@@ -37,10 +37,10 @@ Graph BuildCorrelationGraph(const BitMatrix& matrix,
               });
   }
 
-  // Sharded lambda calibration: precompute the threshold for every pair of
-  // observed row weights, so the scan below runs against a warm cache
-  // instead of serializing hypergeometric solves through first-touch
-  // misses.
+  // Sharded lambda calibration: size the table's window to the observed
+  // row weights and fill every pair of them, so each lookup in the scan
+  // below is a window read. A table already calibrated with these weights
+  // computes nothing here.
   {
     ScopedStageTimer timer("unaligned_lambda_calibrate");
     lambda.Calibrate(row_ones, pool);
@@ -67,8 +67,7 @@ Graph BuildCorrelationGraph(const BitMatrix& matrix,
         // Group 2's rows are contiguous in the matrix, so one batched
         // kernel call per row1 covers the whole inner loop. Thresholds are
         // still consulted in the original (i, j) order with the same
-        // zero-row skips, so compares / edge choice / lambda cache traffic
-        // are unchanged.
+        // zero-row skips, so compares and edge choice are unchanged.
         const std::span<const BitVector> group2(&matrix.row(base2), arrays);
         std::vector<std::uint32_t>& common_counts = shard_counts[shard.index];
         if (common_counts.size() != arrays) common_counts.resize(arrays);

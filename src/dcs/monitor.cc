@@ -1,6 +1,7 @@
 #include "dcs/monitor.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/bit_matrix.h"
@@ -342,9 +343,16 @@ AlignedReport DcsMonitor::AnalyzeAligned() const {
 void DcsMonitor::BuildUnalignedMatrix(
     BitMatrix* matrix, std::vector<GroupRef>* group_refs) const {
   // Merge digests vertically (Section IV-B): all rows, group-major, with a
-  // global group id per (router, group).
+  // global group id per (router, group). Digests stack by router id (unique
+  // once duplicates are rejected), so no tie-break depends on arrival order.
+  std::vector<std::size_t> order(unaligned_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    return unaligned_[a].router_id < unaligned_[b].router_id;
+  });
   const std::size_t arrays = unaligned_.front().arrays_per_group;
-  for (const Digest& digest : unaligned_) {
+  for (const std::size_t at : order) {
+    const Digest& digest = unaligned_[at];
     DCS_CHECK(digest.rows.size() ==
               static_cast<std::size_t>(digest.num_groups) * arrays);
     for (std::uint32_t g = 0; g < digest.num_groups; ++g) {
@@ -356,84 +364,50 @@ void DcsMonitor::BuildUnalignedMatrix(
   }
 }
 
-std::vector<UnalignedReport> DcsMonitor::AnalyzeUnalignedAll(
-    std::size_t max_patterns) const {
-  std::vector<UnalignedReport> reports;
-  const UnalignedReport epoch = AnalyzeUnaligned();
-  if (!epoch.common_content_detected) return reports;
-
-  BitMatrix matrix;
-  std::vector<GroupRef> group_refs;
-  BuildUnalignedMatrix(&matrix, &group_refs);
-  const std::size_t n = group_refs.size();
-  const std::size_t arrays = unaligned_.front().arrays_per_group;
-  const double core_p1 =
-      unaligned_options_.core_p1_times_n / static_cast<double>(n);
-  LambdaTable lambda_core(matrix.cols(),
-                          LambdaTable::PStarFromEdgeProb(core_p1, arrays));
-  GraphBuilderOptions builder = unaligned_options_.builder;
-  builder.arrays_per_group = arrays;
-  const Graph core_graph =
-      BuildCorrelationGraph(matrix, lambda_core, builder);
-
-  MultiPatternOptions multi;
-  multi.detector = unaligned_options_.detector;
-  multi.max_patterns = max_patterns;
-  multi.p_background = core_p1;
-  for (const UnalignedDetection& detection :
-       DetectMultipleUnalignedPatterns(core_graph, multi, context_)) {
-    UnalignedReport report = epoch;  // Shared ER statistics.
-    report.groups.clear();
-    report.routers.clear();
-    report.clusters.clear();
-    report.num_edges = core_graph.num_edges();
-    for (Graph::VertexId v : detection.detected) {
-      report.groups.push_back(group_refs[v]);
-      report.routers.push_back(group_refs[v].router_id);
-    }
-    std::sort(report.routers.begin(), report.routers.end());
-    report.routers.erase(
-        std::unique(report.routers.begin(), report.routers.end()),
-        report.routers.end());
-    reports.push_back(std::move(report));
-  }
-  return reports;
-}
-
-UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
-  ScopedStageTimer epoch_timer("analyze_unaligned");
-  ObsCounter("monitor.epochs_analyzed.unaligned").Increment();
+struct DcsMonitor::UnalignedPass {
+  // Calibration, ER outcome, vertex and core-edge counts; no groups yet.
   UnalignedReport report;
+  // Graph vertex id -> (router, group).
+  std::vector<GroupRef> group_refs;
+  // G' at core_p1; edgeless unless the ER test fired.
+  Graph core_graph{0};
+  double core_p1 = 0.0;
+};
+
+DcsMonitor::UnalignedPass DcsMonitor::RunUnalignedPass() const {
+  ObsCounter("monitor.epochs_analyzed.unaligned").Increment();
+  UnalignedPass pass;
+  UnalignedReport& report = pass.report;
   report.calibration = UnalignedCalibration();
-  if (unaligned_.empty()) return report;
+  if (unaligned_.empty()) return pass;
 
   BitMatrix matrix;
-  std::vector<GroupRef> group_refs;
   {
     ScopedStageTimer timer("stack_matrix");
-    BuildUnalignedMatrix(&matrix, &group_refs);
+    BuildUnalignedMatrix(&matrix, &pass.group_refs);
   }
   const std::size_t arrays = unaligned_.front().arrays_per_group;
-  const std::size_t n = group_refs.size();
+  const std::size_t n = pass.group_refs.size();
   report.num_vertices = n;
-  if (n < 2) return report;
+  if (n < 2) return pass;
   if (report.calibration.degraded) {
     ObsCounter("ingest.degraded_epochs").Increment();
   }
 
-  // ER test on the sparse graph (p1 below the 1/n phase transition).
-  const double er_p1 =
-      unaligned_options_.er_p1_times_n / static_cast<double>(n);
+  // One lambda table and one pair scan at null edge probability p1.
   GraphBuilderOptions builder = unaligned_options_.builder;
+  builder.arrays_per_group = arrays;
+  auto build = [&](double p1, const char* stage) {
+    const LambdaTable lambda(matrix.cols(),
+                             LambdaTable::PStarFromEdgeProb(p1, arrays));
+    ScopedStageTimer timer(stage);
+    return BuildCorrelationGraph(matrix, lambda, builder);
+  };
+
+  // ER test on the sparse graph (p1 below the 1/n phase transition).
   {
-    LambdaTable lambda(matrix.cols(),
-                       LambdaTable::PStarFromEdgeProb(er_p1, arrays));
-    builder.arrays_per_group = arrays;
-    Graph er_graph(0);
-    {
-      ScopedStageTimer timer("er_graph");
-      er_graph = BuildCorrelationGraph(matrix, lambda, builder);
-    }
+    const Graph er_graph = build(
+        unaligned_options_.er_p1_times_n / static_cast<double>(n), "er_graph");
     const std::size_t threshold =
         unaligned_options_.er_threshold > 0
             ? unaligned_options_.er_threshold
@@ -444,41 +418,72 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
     report.er_threshold = threshold;
     report.common_content_detected = er.pattern_detected;
   }
-  if (!report.common_content_detected) return report;
+  if (!report.common_content_detected) return pass;
 
   // Core finding on the denser graph G' (lambda' from the larger p1).
-  const double core_p1 =
-      unaligned_options_.core_p1_times_n / static_cast<double>(n);
-  LambdaTable lambda_core(matrix.cols(),
-                          LambdaTable::PStarFromEdgeProb(core_p1, arrays));
-  Graph core_graph(0);
-  {
-    ScopedStageTimer timer("core_graph");
-    core_graph = BuildCorrelationGraph(matrix, lambda_core, builder);
+  pass.core_p1 = unaligned_options_.core_p1_times_n / static_cast<double>(n);
+  pass.core_graph = build(pass.core_p1, "core_graph");
+  report.num_edges = pass.core_graph.num_edges();
+  return pass;
+}
+
+namespace {
+
+// Names the detected vertices' groups and their distinct routers.
+void NameDetectedGroups(const std::vector<Graph::VertexId>& detected,
+                        const std::vector<GroupRef>& group_refs,
+                        UnalignedReport* report) {
+  for (Graph::VertexId v : detected) {
+    report->groups.push_back(group_refs[v]);
+    report->routers.push_back(group_refs[v].router_id);
   }
-  report.num_edges = core_graph.num_edges();
-  const UnalignedDetection detection =
-      DetectUnalignedPattern(core_graph, unaligned_options_.detector,
-                             context_);
-  report.groups.reserve(detection.detected.size());
-  for (Graph::VertexId v : detection.detected) {
-    report.groups.push_back(group_refs[v]);
-    report.routers.push_back(group_refs[v].router_id);
+  std::sort(report->routers.begin(), report->routers.end());
+  report->routers.erase(
+      std::unique(report->routers.begin(), report->routers.end()),
+      report->routers.end());
+}
+
+}  // namespace
+
+std::vector<UnalignedReport> DcsMonitor::AnalyzeUnalignedAll(
+    std::size_t max_patterns) const {
+  ScopedStageTimer epoch_timer("analyze_unaligned");
+  std::vector<UnalignedReport> reports;
+  const UnalignedPass pass = RunUnalignedPass();
+  if (!pass.report.common_content_detected) return reports;
+
+  MultiPatternOptions multi;
+  multi.detector = unaligned_options_.detector;
+  multi.max_patterns = max_patterns;
+  multi.p_background = pass.core_p1;
+  for (const UnalignedDetection& detection :
+       DetectMultipleUnalignedPatterns(pass.core_graph, multi, context_)) {
+    UnalignedReport report = pass.report;  // Shared ER statistics.
+    NameDetectedGroups(detection.detected, pass.group_refs, &report);
+    reports.push_back(std::move(report));
   }
+  return reports;
+}
+
+UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
+  ScopedStageTimer epoch_timer("analyze_unaligned");
+  UnalignedPass pass = RunUnalignedPass();
+  UnalignedReport report = std::move(pass.report);
+  if (!report.common_content_detected) return report;
+
+  const UnalignedDetection detection = DetectUnalignedPattern(
+      pass.core_graph, unaligned_options_.detector, context_);
+  NameDetectedGroups(detection.detected, pass.group_refs, &report);
   // Per-content breakdown of the detected set (Section II-D).
   ScopedStageTimer separation_timer("cluster_separation");
   for (const std::vector<Graph::VertexId>& cluster :
-       SeparateClusters(core_graph, detection.detected,
+       SeparateClusters(pass.core_graph, detection.detected,
                         unaligned_options_.separation)) {
     std::vector<GroupRef> refs;
     refs.reserve(cluster.size());
-    for (Graph::VertexId v : cluster) refs.push_back(group_refs[v]);
+    for (Graph::VertexId v : cluster) refs.push_back(pass.group_refs[v]);
     report.clusters.push_back(std::move(refs));
   }
-  std::sort(report.routers.begin(), report.routers.end());
-  report.routers.erase(
-      std::unique(report.routers.begin(), report.routers.end()),
-      report.routers.end());
   return report;
 }
 

@@ -140,10 +140,17 @@ class DcsMonitor {
   }
 
  private:
-  // Stacks the unaligned digests group-major and fills the (router, group)
-  // identity of every graph vertex.
+  struct UnalignedPass;
+
+  // Stacks the unaligned digests group-major in router-id order and fills
+  // the (router, group) identity of every graph vertex.
   void BuildUnalignedMatrix(BitMatrix* matrix,
                             std::vector<GroupRef>* group_refs) const;
+
+  // The unaligned analysis both Analyze*() share: stacks the epoch once,
+  // builds the ER graph and tests it, and builds the core graph only when
+  // the test fires.
+  UnalignedPass RunUnalignedPass() const;
 
   // Rejection bookkeeping: counts *counter, mirrors it into the ingest.*
   // metrics, optionally quarantines the sender, and returns `reason`.

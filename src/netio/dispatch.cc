@@ -80,10 +80,6 @@ void FrameDispatcher::Account(const FrameEvent& event, Decoded decoded) {
   }
 }
 
-void FrameDispatcher::HandleEvent(const FrameEvent& event) {
-  Account(event, DecodeOne(event));
-}
-
 void FrameDispatcher::HandleEvents(const std::vector<FrameEvent>& events) {
   if (events.empty()) return;
   std::vector<Decoded> decoded(events.size());

@@ -42,15 +42,15 @@ struct DispatchStats {
 /// quarantine an honest router by spraying garbage. Quarantine remains a
 /// ring-level verdict about *well-formed* digests only.
 ///
-/// Threading: deliberately unlocked. HandleEvent/HandleEvents must be
+/// Threading: deliberately unlocked. HandleEvents must be
 /// called from one thread at a time (the server's ingest loop) — the ring's
 /// offer path is thread-confined, and serial offers are what keep the
 /// report stream deterministic, so a mutex here would buy nothing and hide
 /// a contract violation that TSan should catch instead. `stats_` is part of
 /// that confinement (read stats() from the ingest thread, e.g. in the
-/// server's after_round hook). HandleEvents additionally decodes payloads
-/// on the AnalysisContext pool, then offers the results serially in arrival
-/// order, so the report stream is identical to HandleEvent one at a time.
+/// server's after_round hook). HandleEvents decodes payloads on the
+/// AnalysisContext pool, then offers the results serially in arrival order,
+/// so the report stream is identical to handling one event at a time.
 /// The multi-threaded IngestServer preserves this contract: connection
 /// reads and frame *parsing* fan out across its worker pool, but every
 /// HandleEvents call happens on the leader thread, one connection at a
@@ -60,9 +60,6 @@ class FrameDispatcher {
   /// `ring` must outlive the dispatcher. `pool` may be nullptr (serial
   /// decode); it is only used for batch decoding, never for offering.
   FrameDispatcher(EpochRing* ring, ThreadPool* pool);
-
-  /// Handles one parser event serially.
-  void HandleEvent(const FrameEvent& event);
 
   /// Handles a batch: payload decodes fan out on the pool, ring offers stay
   /// serial in arrival order (bit-identical to the serial path).

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dcs/monitor.h"
+#include "obs/metrics.h"
 #include "sketch/digest.h"
 
 namespace dcs {
@@ -95,6 +96,10 @@ TEST_F(UnalignedParallelTest, CalibrationMatchesLazyThresholds) {
     // 10 distinct non-zero weights -> 55 unordered pairs, each computed
     // exactly once regardless of sharding.
     EXPECT_EQ(after_calibration, 55u) << pool->num_threads() << " threads";
+    // A repeat with the same weights computes nothing.
+    calibrated.Calibrate(weights, pool);
+    EXPECT_EQ(calibrated.cache_misses(), after_calibration)
+        << pool->num_threads() << " threads";
   }
 }
 
@@ -291,6 +296,45 @@ TEST_F(UnalignedParallelTest, MonitorReportsMatchSerial) {
       }
     }
   }
+}
+
+// The unaligned pass builds each graph once: a firing epoch scans the row
+// pairs for the ER graph and for the core graph, whichever Analyze*() asks,
+// and a quiet epoch stops after the ER graph.
+TEST_F(UnalignedParallelTest, EachGraphIsScannedOncePerAnalysis) {
+  UnalignedPipelineOptions unaligned;
+  unaligned.er_threshold = 6;
+  unaligned.detector.beta = 9;
+  unaligned.detector.expand_min_edges = 2;
+  DcsMonitor firing(AlignedPipelineOptions{}, unaligned,
+                    AnalysisContext{&pool2_});
+  for (const Digest& d : EpochDigests(31)) {
+    ASSERT_TRUE(firing.AddDigest(d).ok());
+  }
+  Rng rng(77);
+  DcsMonitor quiet(AlignedPipelineOptions{}, unaligned);
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    ASSERT_TRUE(quiet.AddDigest(UnalignedDigest(r, 12, 4, 512, &rng)).ok());
+  }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const Counter& scans = ObsCounter("pairscan.scans");
+  auto scans_during = [&scans](auto analyze) {
+    const std::uint64_t before = scans.value();
+    analyze();
+    return scans.value() - before;
+  };
+  EXPECT_EQ(scans_during([&] { (void)firing.AnalyzeUnalignedAll(3); }), 2u);
+  EXPECT_EQ(scans_during([&] {
+              EXPECT_TRUE(firing.AnalyzeUnaligned().common_content_detected);
+            }),
+            2u);
+  EXPECT_EQ(scans_during([&] {
+              EXPECT_TRUE(quiet.AnalyzeUnalignedAll(3).empty());
+            }),
+            1u);
+  registry.set_enabled(was_enabled);
 }
 
 TEST_F(UnalignedParallelTest, DegenerateInputsAreSafeOnPools) {
