@@ -64,11 +64,6 @@ std::vector<Packet> MakePackets(std::size_t count, std::size_t payload) {
   return packets;
 }
 
-double Median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples.empty() ? 0.0 : samples[samples.size() / 2];
-}
-
 // Repetitions behind each per-packet rate: single runs on a shared host
 // moved by 0.6-0.8x between runs minutes apart.
 constexpr int kRateReps = 5;
@@ -92,7 +87,7 @@ double MeasurePacketsPerSec(const std::vector<Packet>& packets,
                                   : 0.0);
   }
   if (sink == 0xDEADBEEF) std::printf("(unreachable sink)\n");
-  return Median(std::move(rates));
+  return bench::Median(std::move(rates));
 }
 
 // One aligned digest row at the requested fill fraction; set bits are
@@ -287,8 +282,8 @@ int main(int argc, char** argv) {
       add_us_per_digest.push_back((bench::NowSeconds() - start) * 1e6 /
                                   kRouters);
     }
-    const double size_ns = Median(size_ns_per_byte);
-    const double add_us = Median(add_us_per_digest);
+    const double size_ns = bench::Median(size_ns_per_byte);
+    const double add_us = bench::Median(add_us_per_digest);
     std::printf(
         "\ningest, %zu-bit aligned row at 1/4 fill (median of %d):\n"
         "  encoded-size accounting  %.3f ns per dense row byte "

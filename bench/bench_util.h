@@ -1,10 +1,12 @@
 #ifndef DCS_BENCH_BENCH_UTIL_H_
 #define DCS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/config.h"
 
@@ -28,6 +30,14 @@ inline double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The median of `samples` (the upper one for an even count), or 0 when
+/// there are none. Benches report medians of repeated runs because single
+/// wall-clock runs on a shared host move by tens of percent.
+inline double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples.empty() ? 0.0 : samples[samples.size() / 2];
 }
 
 /// RNG seed from the environment (DCS_SEED convention), as the unsigned

@@ -1,6 +1,7 @@
 #ifndef DCS_ANALYSIS_LAMBDA_TABLE_H_
 #define DCS_ANALYSIS_LAMBDA_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -17,12 +18,15 @@ class ThreadPool;
 /// is the smallest threshold with P[X(i,j) > lambda_{i,j}] <= p_star, making
 /// the per-row-pair false-alarm probability uniform regardless of row fill.
 ///
-/// The table is a dense window over the row weights it was calibrated with:
-/// Calibrate() sizes it to [min, max] of the non-zero weights and fills the
-/// cells of every observed weight pair, which is all a pair scan over those
-/// rows ever reads. Any other pair is computed directly on lookup, uncached,
-/// and counted in cache_misses(). Lookups may run concurrently with each
-/// other; Calibrate() must not run concurrently with Threshold().
+/// The table is a dense window over every row weight it has been calibrated
+/// with: each Calibrate() adds its weights, grows the window to span them
+/// all, and fills the cells of every pair of them, which is all a pair scan
+/// over those rows ever reads. lambda is a pure function of (array_bits,
+/// p_star, i, j), so one table serves any number of epochs and later calls
+/// compute only the pairs a new weight brings. Any other pair is computed
+/// directly on lookup, uncached, and counted in cache_misses(). Lookups may
+/// run concurrently with each other; Calibrate() must not run concurrently
+/// with Threshold() or another Calibrate().
 class LambdaTable {
  public:
   /// Table for rows of `array_bits` bits at per-pair false-alarm level
@@ -32,25 +36,34 @@ class LambdaTable {
   /// lambda_{i,j}; symmetric in (i, j). i, j must be <= array_bits.
   std::int64_t Threshold(std::uint32_t i, std::uint32_t j) const {
     // Unsigned wrap sends weights below the window past `span_` too.
-    const std::uint32_t a = i - low_;
-    const std::uint32_t b = j - low_;
+    const std::uint32_t a = std::min(i, j) - low_;
+    const std::uint32_t b = std::max(i, j) - low_;
     if (a < span_ && b < span_) {
-      const std::int32_t cached =
-          window_[static_cast<std::size_t>(a) * span_ + b];
+      const std::int32_t cached = window_[row_start_[a] + b];
       if (cached >= 0) return cached;
     }
     return ComputeMiss(i, j);
   }
 
-  /// Sizes the window to the distinct non-zero values in `row_weights`
-  /// (zeros are rows the scan skips) and computes each unordered pair of
-  /// them once, as one miss, into both mirror cells, sharded over `pool`
-  /// when non-null. The window and the miss count are bit-identical at any
-  /// thread count. A repeat call with the same distinct weights computes
-  /// nothing; other weights replace the window. Logically const: it
-  /// changes what a lookup costs, never what it returns.
+  /// Adds the distinct non-zero values in `row_weights` (zeros are rows the
+  /// scan skips) to the weights the table holds, grows the window to span
+  /// them, and computes every pair of held weights whose cell is still
+  /// empty -- exactly the pairs with at least one weight new to the table --
+  /// once each, as one miss, into both mirror cells, sharded over `pool`
+  /// when non-null. A call that brings no new weight computes nothing.
+  ///
+  /// lambda_{i,j} is non-decreasing in j, so each window row is filled in
+  /// ascending j by a search that starts at the row's previous cell and
+  /// tests the predicate HypergeomUpperThreshold() bisects on: about two
+  /// tail evaluations per cell instead of about nine, and the same value.
+  /// The window and the miss count are bit-identical at any thread count.
+  /// Logically const: it changes what a lookup costs, never what it returns.
   void Calibrate(std::span<const std::uint32_t> row_weights,
                  ThreadPool* pool) const;
+
+  /// The key lambda depends on besides (i, j).
+  std::size_t array_bits() const { return array_bits_; }
+  double p_star() const { return p_star_; }
 
   /// Thresholds computed rather than read from the window: the pairs
   /// Calibrate() filled plus every lookup outside them. Hits are not
@@ -74,14 +87,23 @@ class LambdaTable {
   // Direct computation for a pair the window does not hold; counts a miss.
   std::int64_t ComputeMiss(std::uint32_t i, std::uint32_t j) const;
 
+  // lambda_{i,j} for i <= j, given `floor` = lambda_{i,j'} for some j' < j
+  // (or -1 when none is known); counts a miss.
+  std::int32_t CalibrateCell(std::uint32_t i, std::uint32_t j,
+                             std::int64_t floor) const;
+
   std::size_t array_bits_;
   double p_star_;
-  // The calibrated distinct non-zero weights, ascending.
+  double log_p_star_;
+  // Every distinct non-zero weight calibrated so far, ascending.
   mutable std::vector<std::uint32_t> weights_;
-  // window_[(i - low_) * span_ + (j - low_)] = lambda_{i,j}, or -1 for a
-  // pair of in-range weights that were not both observed.
+  // The upper half of the symmetric window over [low_, low_ + span_),
+  // packed by rows: lambda_{i,j} for i <= j sits at
+  // window_[row_start_[i - low_] + (j - low_)], or is -1 for a pair of
+  // in-range weights that were not both calibrated.
   mutable std::uint32_t low_ = 0;
   mutable std::uint32_t span_ = 0;
+  mutable std::vector<std::size_t> row_start_;
   mutable std::vector<std::int32_t> window_;
   mutable std::atomic<std::uint64_t> cache_misses_{0};
 };

@@ -11,16 +11,25 @@
 
 namespace dcs {
 
-Graph BuildCorrelationGraph(const BitMatrix& matrix,
-                            const LambdaTable& lambda,
-                            const GraphBuilderOptions& options) {
-  ScopedStageTimer stage("build_correlation_graph");
+namespace {
+
+// The one pair-scan kernel. Builds the graph under `low` and, when `high`
+// is non-null, the graph under `high` too; `high` must be pointwise >=
+// `low` (its p* is no larger). Returns one graph per table, `low`'s first.
+std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
+                                         const LambdaTable& low,
+                                         const LambdaTable* high,
+                                         const GraphBuilderOptions& options) {
   const std::size_t arrays = options.arrays_per_group;
   DCS_CHECK(arrays > 0);
   DCS_CHECK(matrix.rows() % arrays == 0);
   const std::size_t num_groups = matrix.rows() / arrays;
+  const std::size_t num_tables = high == nullptr ? 1 : 2;
   const bool obs = ObsEnabled();
-  const std::uint64_t misses_before = lambda.cache_misses();
+  auto misses = [&] {
+    return low.cache_misses() + (high == nullptr ? 0 : high->cache_misses());
+  };
+  const std::uint64_t misses_before = misses();
   ThreadPool* pool = options.scan.pool;
 
   // Row weights once; the lambda lookup needs them per pair. Pure per-row
@@ -37,93 +46,140 @@ Graph BuildCorrelationGraph(const BitMatrix& matrix,
               });
   }
 
-  // Sharded lambda calibration: size the table's window to the observed
+  // Sharded lambda calibration: grow each table's window to the observed
   // row weights and fill every pair of them, so each lookup in the scan
-  // below is a window read. A table already calibrated with these weights
+  // below is a window read. A table that has seen these weights before
   // computes nothing here.
   {
     ScopedStageTimer timer("unaligned_lambda_calibrate");
-    lambda.Calibrate(row_ones, pool);
+    low.Calibrate(row_ones, pool);
+    if (high != nullptr) high->Calibrate(row_ones, pool);
   }
-  const std::uint64_t misses_after_calibration = lambda.cache_misses();
+  const std::uint64_t misses_after_calibration = misses();
 
-  // The scan proper. Each shard appends candidate edges to its own buffer;
+  // The scan proper. Each shard appends candidate edges to its own buffers;
   // shards are contiguous ascending ranges of the first group index, so
   // concatenating the buffers in ascending shard order reproduces the
   // serial emission order exactly — no mutex, no ordering leak.
   const PairScanPlan plan = PlanGroupPairScan(num_groups, options.scan);
   using Edge = std::pair<std::uint32_t, std::uint32_t>;
-  std::vector<std::vector<Edge>> shard_edges(plan.shards.size());
-  // Per-shard scratch for the batched kernel counts, and per-shard compare
-  // tallies (summed once at the end — integer sums are merge-order-free).
-  std::vector<std::vector<std::uint32_t>> shard_counts(plan.shards.size());
-  std::vector<std::uint64_t> shard_compares(plan.shards.size(), 0);
+  struct ShardState {
+    std::vector<Edge> edges[2];
+    // Scratch for the batched kernel counts.
+    std::vector<std::uint32_t> counts;
+    // Row-pair compares and `high` reads; integer sums are merge-order-free.
+    std::uint64_t compares = 0;
+    std::uint64_t high_lookups = 0;
+  };
+  std::vector<ShardState> shards(plan.shards.size());
 
   RunGroupPairScan(
       plan, options.scan,
       [&](const ShardRange& shard, std::uint32_t g1, std::uint32_t g2) {
+        ShardState& state = shards[shard.index];
         const std::size_t base1 = g1 * arrays;
         const std::size_t base2 = g2 * arrays;
         // Group 2's rows are contiguous in the matrix, so one batched
         // kernel call per row1 covers the whole inner loop. Thresholds are
-        // still consulted in the original (i, j) order with the same
-        // zero-row skips, so compares and edge choice are unchanged.
+        // still consulted in (i, j) order with the zero-row skips, so each
+        // table's first clearing pair, and with it the edge, is the one a
+        // scan of that table alone would stop at.
         const std::span<const BitVector> group2(&matrix.row(base2), arrays);
-        std::vector<std::uint32_t>& common_counts = shard_counts[shard.index];
-        if (common_counts.size() != arrays) common_counts.resize(arrays);
+        if (state.counts.size() != arrays) state.counts.resize(arrays);
         std::uint64_t compares = 0;
-        for (std::size_t i = 0; i < arrays; ++i) {
-          const BitVector& row1 = matrix.row(base1 + i);
-          const std::uint32_t ones1 = row_ones[base1 + i];
-          if (ones1 == 0) continue;
-          row1.CommonOnesBatch(group2, common_counts);
-          for (std::size_t j = 0; j < arrays; ++j) {
-            const std::uint32_t ones2 = row_ones[base2 + j];
-            if (ones2 == 0) continue;
-            ++compares;
-            const auto common = static_cast<std::int64_t>(common_counts[j]);
-            if (common > lambda.Threshold(ones1, ones2)) {
-              shard_compares[shard.index] += compares;
-              shard_edges[shard.index].emplace_back(g1, g2);
-              return;  // At most one edge per group pair.
+        std::uint64_t high_lookups = 0;
+        bool low_edge = false;
+        [&] {
+          for (std::size_t i = 0; i < arrays; ++i) {
+            const BitVector& row1 = matrix.row(base1 + i);
+            const std::uint32_t ones1 = row_ones[base1 + i];
+            if (ones1 == 0) continue;
+            row1.CommonOnesBatch(group2, state.counts);
+            for (std::size_t j = 0; j < arrays; ++j) {
+              const std::uint32_t ones2 = row_ones[base2 + j];
+              if (ones2 == 0) continue;
+              ++compares;
+              const auto common = static_cast<std::int64_t>(state.counts[j]);
+              if (common <= low.Threshold(ones1, ones2)) continue;
+              if (!low_edge) {
+                low_edge = true;
+                state.edges[0].emplace_back(g1, g2);
+              }
+              if (high == nullptr) return;  // At most one edge per pair.
+              ++high_lookups;
+              if (common > high->Threshold(ones1, ones2)) {
+                state.edges[1].emplace_back(g1, g2);
+                return;  // Both edges found.
+              }
             }
           }
-        }
-        shard_compares[shard.index] += compares;
+        }();
+        state.compares += compares;
+        state.high_lookups += high_lookups;
       });
 
-  Graph graph(num_groups);
+  std::vector<Graph> graphs;
   {
     ScopedStageTimer timer("unaligned_edge_merge");
-    for (const std::vector<Edge>& edges : shard_edges) {
-      for (const auto& [g1, g2] : edges) graph.AddEdge(g1, g2);
+    for (std::size_t t = 0; t < num_tables; ++t) {
+      Graph& graph = graphs.emplace_back(num_groups);
+      for (const ShardState& state : shards) {
+        for (const auto& [g1, g2] : state.edges[t]) graph.AddEdge(g1, g2);
+      }
+      graph.Finalize();
     }
   }
-  graph.Finalize();
 
   if (obs) {
     std::uint64_t compares = 0;
-    for (const std::uint64_t c : shard_compares) compares += c;
-    const std::uint64_t misses = lambda.cache_misses() - misses_before;
-    const std::uint64_t scan_misses =
-        lambda.cache_misses() - misses_after_calibration;
+    std::uint64_t lookups = 0;
+    for (const ShardState& state : shards) {
+      compares += state.compares;
+      lookups += state.compares + state.high_lookups;
+    }
+    std::uint64_t edges = 0;
+    for (const Graph& graph : graphs) edges += graph.num_edges();
+    const std::uint64_t scan_misses = misses() - misses_after_calibration;
     ObsCounter("pairscan.row_pairs_compared").Add(compares);
-    ObsCounter("pairscan.edges_emitted").Add(graph.num_edges());
-    ObsCounter("lambda.cache_misses").Add(misses);
-    ObsCounter("lambda.lookups").Add(compares);
+    ObsCounter("pairscan.edges_emitted").Add(edges);
+    ObsCounter("lambda.cache_misses").Add(misses() - misses_before);
+    ObsCounter("lambda.lookups").Add(lookups);
     ObsCounter("unaligned.lambda_calibrated_entries")
         .Add(misses_after_calibration - misses_before);
     ObsGauge("unaligned.scan_shards")
         .Set(static_cast<double>(plan.shards.size()));
-    if (compares > 0) {
+    if (lookups > 0) {
       // Hit rate of the scan itself; after calibration this should sit at
       // 1.0, so anything lower flags weights the calibration never saw.
       ObsGauge("lambda.cache_hit_rate")
           .Set(1.0 - static_cast<double>(scan_misses) /
-                         static_cast<double>(compares));
+                         static_cast<double>(lookups));
     }
   }
-  return graph;
+  return graphs;
+}
+
+}  // namespace
+
+Graph BuildCorrelationGraph(const BitMatrix& matrix,
+                            const LambdaTable& lambda,
+                            const GraphBuilderOptions& options) {
+  ScopedStageTimer stage("build_correlation_graph");
+  return std::move(
+      ScanCorrelationGraphs(matrix, lambda, nullptr, options).front());
+}
+
+std::pair<Graph, Graph> BuildCorrelationGraphs(
+    const BitMatrix& matrix, const LambdaTable& first,
+    const LambdaTable& second, const GraphBuilderOptions& options) {
+  ScopedStageTimer stage("build_correlation_graphs");
+  // A larger p* means a lower threshold everywhere: scan against it first.
+  const bool first_is_low = first.p_star() >= second.p_star();
+  std::vector<Graph> graphs =
+      first_is_low ? ScanCorrelationGraphs(matrix, first, &second, options)
+                   : ScanCorrelationGraphs(matrix, second, &first, options);
+  if (!first_is_low) std::swap(graphs[0], graphs[1]);
+  return {std::move(graphs[0]), std::move(graphs[1])};
 }
 
 }  // namespace dcs

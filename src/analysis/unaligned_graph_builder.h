@@ -2,6 +2,7 @@
 #define DCS_ANALYSIS_UNALIGNED_GRAPH_BUILDER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bit_matrix.h"
@@ -28,7 +29,8 @@ struct GraphBuilderOptions {
 /// arrays_per_group) belong to group g, exactly how FlowSplitSketch and the
 /// analysis center's vertical merge lay them out. Row weights are
 /// precomputed once; the hypergeometric thresholds come from `lambda`,
-/// which is calibrated up front over the observed weights.
+/// which is calibrated up front over the observed weights (a table kept
+/// from an earlier matrix computes only the weights it has not seen).
 ///
 /// With a pool in `options.scan`, the weight pass, the lambda calibration,
 /// and the pair scan all run sharded; each scan shard buffers its own
@@ -38,6 +40,17 @@ struct GraphBuilderOptions {
 Graph BuildCorrelationGraph(const BitMatrix& matrix,
                             const LambdaTable& lambda,
                             const GraphBuilderOptions& options);
+
+/// The graphs of two lambda tables over one matrix, from one pair scan:
+/// `.first` under `first`, `.second` under `second`, each bit-identical to
+/// BuildCorrelationGraph() with that table alone. The table with the larger
+/// p_star is pointwise <= the other, so each row pair is compared against
+/// it first and the other table is read only when the count clears it; a
+/// group pair stops once both of its edges are found. This is the
+/// unaligned pipeline's ER graph and core graph G' (Section IV-B).
+std::pair<Graph, Graph> BuildCorrelationGraphs(
+    const BitMatrix& matrix, const LambdaTable& first,
+    const LambdaTable& second, const GraphBuilderOptions& options);
 
 }  // namespace dcs
 

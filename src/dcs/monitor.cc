@@ -1,7 +1,9 @@
 #include "dcs/monitor.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "common/bit_matrix.h"
@@ -15,6 +17,22 @@
 #include "obs/stage_timer.h"
 
 namespace dcs {
+
+namespace {
+
+// The table kept in *table when its key is (array_bits, p_star), else a
+// fresh one in its place. Exact compare: p* is recomputed the same way
+// from the same vertex count, so an unchanged key compares equal.
+const LambdaTable& KeptLambdaTable(std::unique_ptr<const LambdaTable>* table,
+                                   std::size_t array_bits, double p_star) {
+  if (*table == nullptr || (*table)->array_bits() != array_bits ||
+      (*table)->p_star() != p_star) {
+    *table = std::make_unique<const LambdaTable>(array_bits, p_star);
+  }
+  return **table;
+}
+
+}  // namespace
 
 DcsMonitor::DcsMonitor(const AlignedPipelineOptions& aligned_options,
                        const UnalignedPipelineOptions& unaligned_options)
@@ -369,7 +387,7 @@ struct DcsMonitor::UnalignedPass {
   UnalignedReport report;
   // Graph vertex id -> (router, group).
   std::vector<GroupRef> group_refs;
-  // G' at core_p1; edgeless unless the ER test fired.
+  // G' at core_p1; read only when the ER test fired.
   Graph core_graph{0};
   double core_p1 = 0.0;
 };
@@ -394,20 +412,30 @@ DcsMonitor::UnalignedPass DcsMonitor::RunUnalignedPass() const {
     ObsCounter("ingest.degraded_epochs").Increment();
   }
 
-  // One lambda table and one pair scan at null edge probability p1.
+  // Both graphs from one pair scan, against lambda tables kept across
+  // epochs: the ER graph at p1 below the 1/n phase transition, and the
+  // denser core graph G' at core_p1 (Section IV-B).
   GraphBuilderOptions builder = unaligned_options_.builder;
   builder.arrays_per_group = arrays;
-  auto build = [&](double p1, const char* stage) {
-    const LambdaTable lambda(matrix.cols(),
-                             LambdaTable::PStarFromEdgeProb(p1, arrays));
-    ScopedStageTimer timer(stage);
-    return BuildCorrelationGraph(matrix, lambda, builder);
-  };
+  const LambdaTable& er_lambda = KeptLambdaTable(
+      &er_lambda_, matrix.cols(),
+      LambdaTable::PStarFromEdgeProb(
+          unaligned_options_.er_p1_times_n / static_cast<double>(n), arrays));
+  pass.core_p1 = unaligned_options_.core_p1_times_n / static_cast<double>(n);
+  Graph er_graph(0);
+  if (pass.core_p1 < 1.0) {
+    const LambdaTable& core_lambda = KeptLambdaTable(
+        &core_lambda_, matrix.cols(),
+        LambdaTable::PStarFromEdgeProb(pass.core_p1, arrays));
+    std::tie(er_graph, pass.core_graph) =
+        BuildCorrelationGraphs(matrix, er_lambda, core_lambda, builder);
+  } else {
+    // G' needs p1' < 1, i.e. more vertices than core_p1_times_n; with
+    // fewer, the ER test cannot fire at its default threshold.
+    er_graph = BuildCorrelationGraph(matrix, er_lambda, builder);
+  }
 
-  // ER test on the sparse graph (p1 below the 1/n phase transition).
   {
-    const Graph er_graph = build(
-        unaligned_options_.er_p1_times_n / static_cast<double>(n), "er_graph");
     const std::size_t threshold =
         unaligned_options_.er_threshold > 0
             ? unaligned_options_.er_threshold
@@ -419,10 +447,9 @@ DcsMonitor::UnalignedPass DcsMonitor::RunUnalignedPass() const {
     report.common_content_detected = er.pattern_detected;
   }
   if (!report.common_content_detected) return pass;
-
-  // Core finding on the denser graph G' (lambda' from the larger p1).
-  pass.core_p1 = unaligned_options_.core_p1_times_n / static_cast<double>(n);
-  pass.core_graph = build(pass.core_p1, "core_graph");
+  DCS_CHECK(pass.core_p1 < 1.0)
+      << "core_p1_times_n " << unaligned_options_.core_p1_times_n
+      << " needs more than that many vertices, have " << n;
   report.num_edges = pass.core_graph.num_edges();
   return pass;
 }

@@ -1,6 +1,7 @@
 #ifndef DCS_DCS_MONITOR_H_
 #define DCS_DCS_MONITOR_H_
 
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/status.h"
 #include "analysis/analysis_context.h"
 #include "analysis/incremental_weights.h"
+#include "analysis/lambda_table.h"
 #include "dcs/ingest.h"
 #include "dcs/options.h"
 #include "dcs/report.h"
@@ -27,7 +29,10 @@ namespace dcs {
 ///    and expand it (Section IV).
 ///
 /// One monitor instance handles one epoch at a time: add the epoch's
-/// digests, Analyze*, then ClearEpoch().
+/// digests, Analyze*, then ClearEpoch(). Analyze*() calls on one monitor
+/// must not run concurrently with each other or with ingest: they read the
+/// running column counts (AlignedHotWeights) and grow the lambda tables the
+/// monitor keeps across epochs.
 class DcsMonitor {
  public:
   DcsMonitor(const AlignedPipelineOptions& aligned_options,
@@ -119,7 +124,9 @@ class DcsMonitor {
   std::vector<UnalignedReport> AnalyzeUnalignedAll(
       std::size_t max_patterns) const;
 
-  /// Drops all buffered digests.
+  /// Drops all buffered digests and the epoch's ingest state. The ER and
+  /// core lambda tables survive: they depend only on the array width and
+  /// the vertex count, so a steady fleet calibrates them once.
   void ClearEpoch();
 
   /// Digests buffered so far.
@@ -148,8 +155,8 @@ class DcsMonitor {
                             std::vector<GroupRef>* group_refs) const;
 
   // The unaligned analysis both Analyze*() share: stacks the epoch once,
-  // builds the ER graph and tests it, and builds the core graph only when
-  // the test fires.
+  // builds the ER and core graphs in one pair scan, tests the ER graph, and
+  // keeps the core graph only when the test fires.
   UnalignedPass RunUnalignedPass() const;
 
   // Rejection bookkeeping: counts *counter, mirrors it into the ingest.*
@@ -176,6 +183,12 @@ class DcsMonitor {
   IncrementalColumnWeights incremental_weights_;
   std::uint64_t digest_bytes_ = 0;
   std::uint64_t raw_bytes_ = 0;
+  // The ER and core graphs' lambda tables, kept across epochs (ClearEpoch
+  // leaves them) and rebuilt only when their (array bits, p*) key moves.
+  // Each holds at most span^2 cells of 4 bytes, span being the width of
+  // the range of row weights it has seen (at most array bits + 1).
+  mutable std::unique_ptr<const LambdaTable> er_lambda_;
+  mutable std::unique_ptr<const LambdaTable> core_lambda_;
 
   // Hardened-ingestion state, reset by ClearEpoch().
   EpochIngestStats stats_;

@@ -153,9 +153,18 @@ TEST(LambdaTableTest, RepeatedCalibrationComputesNothing) {
   weights.push_back(weights.back());
   table.Calibrate(weights, nullptr);
   EXPECT_EQ(table.cache_misses(), misses);
-  // New weights replace the window: only their pairs are computed.
+  // New weights join the held ones: only the pairs they bring are
+  // computed, each against every weight held so far.
+  const std::vector<std::uint32_t> before = DistinctNonZero(weights);
+  std::vector<std::uint32_t> after = before;
+  after.push_back(100);
+  after.push_back(200);
+  after = DistinctNonZero(after);
+  ASSERT_GT(after.size(), before.size());
   table.Calibrate(std::vector<std::uint32_t>{100, 200}, nullptr);
-  EXPECT_EQ(table.cache_misses(), misses + 3);
+  EXPECT_EQ(table.cache_misses(),
+            misses + after.size() * (after.size() + 1) / 2 -
+                before.size() * (before.size() + 1) / 2);
 }
 
 TEST(LambdaTableTest, PooledCalibrationIsIdenticalAtAnyThreadCount) {
@@ -180,6 +189,87 @@ TEST(LambdaTableTest, PooledCalibrationIsIdenticalAtAnyThreadCount) {
       EXPECT_EQ(pooled.cache_misses() - calibrated,
                 serial.cache_misses() - serial_before)
           << threads << " threads";
+    }
+  }
+}
+
+std::vector<std::uint32_t> WeightRange(std::uint32_t first,
+                                       std::uint32_t last) {
+  std::vector<std::uint32_t> weights;
+  for (std::uint32_t w = first; w <= last; ++w) weights.push_back(w);
+  return weights;
+}
+
+// The row weights of the 4 x 128 x 10 x 1024 unaligned epoch in the
+// benchmark span 196-418: a dense window where every cell is reached by
+// the monotone walk from its left neighbour.
+TEST(LambdaTableTest, MonotoneFillMatchesBisectionOverAWormWindow) {
+  const std::vector<std::uint32_t> weights = WeightRange(190, 420);
+  const std::vector<double> p_stars = PipelinePStars();
+  const LambdaTable er(1024, p_stars[0]);
+  const LambdaTable core(1024, p_stars[1]);
+  ASSERT_LT(er.p_star(), core.p_star());
+  er.Calibrate(weights, nullptr);
+  core.Calibrate(weights, nullptr);
+  const std::uint64_t pairs = weights.size() * (weights.size() + 1) / 2;
+  ASSERT_EQ(er.cache_misses(), pairs);
+  ASSERT_EQ(core.cache_misses(), pairs);
+  for (const std::uint32_t i : weights) {
+    for (const std::uint32_t j : weights) {
+      if (j < i) continue;
+      ASSERT_EQ(er.Threshold(i, j),
+                HypergeomUpperThreshold(er.p_star(), 1024, i, j))
+          << i << "," << j;
+      ASSERT_EQ(core.Threshold(i, j),
+                HypergeomUpperThreshold(core.p_star(), 1024, i, j))
+          << i << "," << j;
+      // The fused scan reads the larger-p* table first and relies on it
+      // being pointwise no higher.
+      ASSERT_LE(core.Threshold(i, j), er.Threshold(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(er.cache_misses(), pairs) << "every lookup was a hit";
+  EXPECT_EQ(core.cache_misses(), pairs) << "every lookup was a hit";
+}
+
+// A table kept across epochs: a second, overlapping weight set grows the
+// window and computes exactly the pairs with at least one new weight, and
+// their union then computes nothing. Identical at any thread count.
+TEST(LambdaTableTest, ExtendingTheWindowComputesOnlyNewPairs) {
+  const std::vector<std::uint32_t> first = WeightRange(250, 330);
+  const std::vector<std::uint32_t> second = WeightRange(190, 290);
+  const std::vector<std::uint32_t> both = WeightRange(190, 330);
+  const auto pairs = [](std::size_t n) { return n * (n + 1) / 2; };
+  for (const double p_star : PipelinePStars()) {
+    const LambdaTable serial(1024, p_star);
+    serial.Calibrate(first, nullptr);
+    ASSERT_EQ(serial.cache_misses(), pairs(first.size()));
+    serial.Calibrate(second, nullptr);
+    ASSERT_EQ(serial.cache_misses(), pairs(both.size())) << "p* " << p_star;
+    serial.Calibrate(both, nullptr);
+    ASSERT_EQ(serial.cache_misses(), pairs(both.size())) << "p* " << p_star;
+    for (const std::uint32_t i : both) {
+      for (const std::uint32_t j : both) {
+        if (j < i) continue;
+        ASSERT_EQ(serial.Threshold(i, j),
+                  HypergeomUpperThreshold(p_star, 1024, i, j))
+            << i << "," << j << " p* " << p_star;
+      }
+    }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      const LambdaTable pooled(1024, p_star);
+      pooled.Calibrate(first, &pool);
+      pooled.Calibrate(second, &pool);
+      pooled.Calibrate(both, &pool);
+      EXPECT_EQ(pooled.cache_misses(), pairs(both.size()))
+          << threads << " threads";
+      for (const std::uint32_t i : both) {
+        for (const std::uint32_t j : both) {
+          ASSERT_EQ(pooled.Threshold(i, j), serial.Threshold(i, j))
+              << i << "," << j << " @ " << threads << " threads";
+        }
+      }
     }
   }
 }

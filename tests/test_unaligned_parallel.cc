@@ -145,6 +145,60 @@ TEST_F(UnalignedParallelTest, SampledGraphBuildMatchesSerial) {
   }
 }
 
+// The fused build scans once for two tables; each of its edge lists must
+// equal a single-table build with that table alone, whichever order the
+// tables come in, sampled or not, on any pool.
+TEST_F(UnalignedParallelTest, FusedBuildMatchesTwoSingleBuilds) {
+  const double p_sparse = 1e-6;
+  const double p_dense = 1e-3;
+  std::vector<ThreadPool*> configs = pools();
+  configs.insert(configs.begin(), nullptr);
+  for (std::uint64_t seed = 41; seed <= 50; ++seed) {
+    Rng rng(seed);
+    BitMatrix matrix = RandomGroupMatrix(48, 4, 512, 0.2, &rng);
+    InjectSignal(&matrix, 4, {1, 9, 17, 25, 33, 41}, 100, &rng);
+    InjectSignal(&matrix, 4, {4, 12, 20, 28}, 45, &rng);
+    for (const double sample_rate : {1.0, 0.25}) {
+      GraphBuilderOptions serial;
+      serial.arrays_per_group = 4;
+      serial.scan.group_sample_rate = sample_rate;
+      serial.scan.sample_seed = seed;
+      const Graph sparse =
+          BuildCorrelationGraph(matrix, LambdaTable(512, p_sparse), serial);
+      const Graph dense =
+          BuildCorrelationGraph(matrix, LambdaTable(512, p_dense), serial);
+      if (sample_rate == 1.0) {
+        ASSERT_GT(dense.num_edges(), sparse.num_edges()) << "seed " << seed;
+        ASSERT_GT(sparse.num_edges(), 0u) << "seed " << seed;
+      }
+      // Tables kept across the configurations below, as a monitor keeps
+      // them across epochs: only the first build calibrates.
+      const LambdaTable kept_sparse(512, p_sparse);
+      const LambdaTable kept_dense(512, p_dense);
+      for (ThreadPool* pool : configs) {
+        GraphBuilderOptions options = serial;
+        options.scan.pool = pool;
+        const std::size_t threads = pool == nullptr ? 0 : pool->num_threads();
+        const auto [s1, d1] =
+            BuildCorrelationGraphs(matrix, kept_sparse, kept_dense, options);
+        const auto [d2, s2] = BuildCorrelationGraphs(
+            matrix, LambdaTable(512, p_dense), LambdaTable(512, p_sparse),
+            options);
+        for (const Graph* g : {&s1, &s2}) {
+          EXPECT_EQ(g->edges(), sparse.edges())
+              << "seed " << seed << ", rate " << sample_rate << ", "
+              << threads << " threads";
+        }
+        for (const Graph* g : {&d1, &d2}) {
+          EXPECT_EQ(g->edges(), dense.edges())
+              << "seed " << seed << ", rate " << sample_rate << ", "
+              << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
 // Two planted clusters: the first becomes the core, the second feeds the
 // survivor expansion and second FindCore, covering every sharded stage of
 // the detector.
@@ -298,9 +352,9 @@ TEST_F(UnalignedParallelTest, MonitorReportsMatchSerial) {
   }
 }
 
-// The unaligned pass builds each graph once: a firing epoch scans the row
-// pairs for the ER graph and for the core graph, whichever Analyze*() asks,
-// and a quiet epoch stops after the ER graph.
+// The unaligned pass scans the row pairs once: the ER graph and the core
+// graph come from the same scan, whichever Analyze*() asks and whether or
+// not the epoch fires.
 TEST_F(UnalignedParallelTest, EachGraphIsScannedOncePerAnalysis) {
   UnalignedPipelineOptions unaligned;
   unaligned.er_threshold = 6;
@@ -325,16 +379,116 @@ TEST_F(UnalignedParallelTest, EachGraphIsScannedOncePerAnalysis) {
     analyze();
     return scans.value() - before;
   };
-  EXPECT_EQ(scans_during([&] { (void)firing.AnalyzeUnalignedAll(3); }), 2u);
+  EXPECT_EQ(scans_during([&] { (void)firing.AnalyzeUnalignedAll(3); }), 1u);
   EXPECT_EQ(scans_during([&] {
               EXPECT_TRUE(firing.AnalyzeUnaligned().common_content_detected);
             }),
-            2u);
+            1u);
   EXPECT_EQ(scans_during([&] {
               EXPECT_TRUE(quiet.AnalyzeUnalignedAll(3).empty());
             }),
             1u);
+  // Fewer vertices than core_p1_times_n leave no valid core graph: the
+  // pass builds the ER graph alone, in one scan.
+  DcsMonitor tiny(AlignedPipelineOptions{}, UnalignedPipelineOptions{});
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    ASSERT_TRUE(tiny.AddDigest(UnalignedDigest(r, 2, 4, 512, &rng)).ok());
+  }
+  EXPECT_EQ(scans_during([&] {
+              EXPECT_FALSE(tiny.AnalyzeUnaligned().common_content_detected);
+            }),
+            1u);
   registry.set_enabled(was_enabled);
+}
+
+// One epoch in the benchmark's unaligned shape (10 arrays of 1024 bits at
+// about 1/4 fill per group), scaled to 16 groups per router. A planted
+// epoch gives groups 0, 5 and 10 of every router 160 shared indices in
+// their first array; `missing` names a router that stays silent.
+std::vector<Digest> WormEpoch(std::uint64_t seed, bool planted,
+                              std::uint32_t missing) {
+  const std::size_t groups = 16;
+  const std::size_t arrays = 10;
+  const std::size_t bits = 1024;
+  Rng rng(seed);
+  std::vector<Digest> digests;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    if (r == missing) continue;
+    Digest digest;
+    digest.router_id = r;
+    digest.kind = DigestKind::kUnaligned;
+    digest.num_groups = static_cast<std::uint32_t>(groups);
+    digest.arrays_per_group = static_cast<std::uint32_t>(arrays);
+    for (std::size_t row = 0; row < groups * arrays; ++row) {
+      BitVector bits_row(bits);
+      std::uint64_t* words = bits_row.mutable_words();
+      for (std::size_t w = 0; w < bits_row.num_words(); ++w) {
+        words[w] = rng.Next() & rng.Next();
+      }
+      digest.rows.push_back(std::move(bits_row));
+    }
+    if (planted) {
+      for (const std::size_t g : {0u, 5u, 10u}) {
+        for (std::size_t k = 0; k < 160; ++k) {
+          digest.rows[g * arrays].Set((k * 797 + seed) % bits);
+        }
+      }
+    }
+    digests.push_back(std::move(digest));
+  }
+  return digests;
+}
+
+// The lambda tables outlive the epoch: one monitor recycled through
+// ClearEpoch() must report exactly what a fresh monitor reports for every
+// epoch, through a change of vertex count (and so of p*) and back, while a
+// repeated epoch calibrates nothing and every analysis scans once.
+TEST_F(UnalignedParallelTest, RecycledMonitorMatchesFreshMonitors) {
+  UnalignedPipelineOptions unaligned;
+  unaligned.er_threshold = 6;
+  unaligned.detector.beta = 9;
+  unaligned.detector.expand_min_edges = 2;
+  const AlignedPipelineOptions aligned;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const Counter& scans = ObsCounter("pairscan.scans");
+  const Counter& entries = ObsCounter("unaligned.lambda_calibrated_entries");
+
+  DcsMonitor recycled(aligned, unaligned, AnalysisContext{&pool2_});
+  std::size_t fired = 0;
+  for (std::uint64_t epoch = 0; epoch < 20; ++epoch) {
+    const std::vector<Digest> digests =
+        WormEpoch(100 + epoch, epoch % 3 == 0, epoch == 9 ? 2u : 4u);
+    DcsMonitor fresh(aligned, unaligned);
+    for (const Digest& d : digests) ASSERT_TRUE(fresh.AddDigest(d).ok());
+    const UnalignedReport expected = fresh.AnalyzeUnaligned();
+    const std::vector<UnalignedReport> expected_all =
+        fresh.AnalyzeUnalignedAll(3);
+    fired += expected.common_content_detected ? 1 : 0;
+
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      recycled.ClearEpoch();
+      for (const Digest& d : digests) ASSERT_TRUE(recycled.AddDigest(d).ok());
+      const std::uint64_t scans_before = scans.value();
+      const std::uint64_t entries_before = entries.value();
+      const UnalignedReport report = recycled.AnalyzeUnaligned();
+      EXPECT_EQ(scans.value() - scans_before, 1u) << "epoch " << epoch;
+      EXPECT_TRUE(report == expected)
+          << "epoch " << epoch << "\n  recycled " << report.ToString()
+          << "\n  fresh    " << expected.ToString();
+      EXPECT_TRUE(recycled.AnalyzeUnalignedAll(3) == expected_all)
+          << "epoch " << epoch;
+      if (repeat == 1) {
+        EXPECT_EQ(entries.value(), entries_before)
+            << "epoch " << epoch << " repeated";
+      }
+    }
+  }
+  registry.set_enabled(was_enabled);
+  // Both branches of the pass are covered.
+  EXPECT_GE(fired, 3u);
+  EXPECT_LE(fired, 17u);
 }
 
 TEST_F(UnalignedParallelTest, DegenerateInputsAreSafeOnPools) {
