@@ -1,13 +1,32 @@
 // Section IV-D: strong-scaling of the aligned analysis pipeline. Times
-// DetectInMatrix — weight screen, pair pass, hopefuls iterations, core
-// scan, all sharded on the ThreadPool — at 1/2/4/8 threads against the
-// serial engine, and asserts the detections are bit-identical before
-// reporting a speedup (a fast wrong answer would be worthless).
+// DetectInMatrix serially and at 1/2/4/8 threads, split into its three
+// stages by the `stage.*` timers: the weight screen and the core scan run
+// sharded on the pool, the k-product search between them runs serially on
+// the calling thread. Every time is the median of 5 runs, the runs of all
+// thread counts interleaved. Every run asserts the detection equals the
+// serial one before a speedup is reported (a fast wrong answer would be
+// worthless).
+//
+// Scenarios:
+//   planted_c<n>   128 rows x n columns of Bernoulli(1/2) noise with a
+//                  40 x 30 planted pattern, n' = 2000, cold screen.
+//   quarter_c<n>   perfbench's aligned_paper_quarter shape: 100 rows at
+//                  1/4 fill with a 40 x 60 pattern, n' = 1000 (500 for the
+//                  smoke width), screen hot-started from column weights.
+//
+// Flags:
+//   --smoke        The small-width scenarios only (the CI perf gate).
+//   --out <path>   Where to write the machine-readable results as JSON
+//                  lines via the obs exporter (default
+//                  BENCH_parallel_detector.json in the working directory).
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/aligned_detector.h"
@@ -16,23 +35,68 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
+#include "obs/exporter.h"
+#include "obs/metrics.h"
 
 namespace {
 
-// Bernoulli(1/2) noise with a planted 40-row x 30-column core, matching the
-// paper's aligned model at measurement scale.
-dcs::BitMatrix PlantedMatrix(std::size_t rows, std::size_t cols,
-                             dcs::Rng* rng) {
-  dcs::BitMatrix matrix(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
+struct Scenario {
+  std::string name;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  bool quarter_fill = false;
+  std::size_t pattern_rows = 0;
+  std::size_t pattern_cols = 0;
+  std::size_t n_prime = 0;
+  std::size_t hopefuls = 0;
+  bool hot_weights = false;
+};
+
+Scenario Planted(std::size_t cols) {
+  Scenario s;
+  s.name = "planted_c" + std::to_string(cols);
+  s.rows = 128;
+  s.cols = cols;
+  s.pattern_rows = 40;
+  s.pattern_cols = 30;
+  s.n_prime = 2000;
+  s.hopefuls = dcs::AlignedDetectorOptions{}.hopefuls;
+  return s;
+}
+
+// Mirrors perfbench/workloads.cc's aligned_paper_quarter (full and smoke).
+Scenario Quarter(std::size_t cols, bool smoke_width) {
+  Scenario s;
+  s.name = "quarter_c" + std::to_string(cols);
+  s.rows = 100;
+  s.cols = cols;
+  s.quarter_fill = true;
+  s.pattern_rows = 40;
+  s.pattern_cols = 60;
+  s.n_prime = smoke_width ? 500 : 1000;
+  s.hopefuls = smoke_width ? 128 : 256;
+  s.hot_weights = true;
+  return s;
+}
+
+// Noise at 1/2 or 1/4 fill with the scenario's pattern planted in
+// scattered rows and columns.
+dcs::BitMatrix PlantedMatrix(const Scenario& s, dcs::Rng* rng) {
+  dcs::BitMatrix matrix(s.rows, s.cols);
+  for (std::size_t r = 0; r < s.rows; ++r) {
     dcs::BitVector& row = matrix.row(r);
     std::uint64_t* words = row.mutable_words();
-    for (std::size_t w = 0; w < row.num_words(); ++w) words[w] = rng->Next();
-    if (cols % 64 != 0) words[row.num_words() - 1] &= (1ULL << (cols % 64)) - 1;
+    for (std::size_t w = 0; w < row.num_words(); ++w) {
+      words[w] = s.quarter_fill ? rng->Next() & rng->Next() : rng->Next();
+    }
+    if (s.cols % 64 != 0) {
+      words[row.num_words() - 1] &= (1ULL << (s.cols % 64)) - 1;
+    }
   }
-  for (std::size_t r = 20; r < 60; ++r) {
-    for (std::size_t c = 0; c < 30; ++c) {
-      matrix.Set(r, (c * 997 + 13) % cols);  // Scattered pattern columns.
+  for (std::size_t k = 0; k < s.pattern_rows; ++k) {
+    const std::size_t r = (k * 7 + 3) % s.rows;
+    for (std::size_t c = 0; c < s.pattern_cols; ++c) {
+      matrix.Set(r, (c * 997 + 13) % s.cols);
     }
   }
   return matrix;
@@ -46,59 +110,155 @@ bool SameDetection(const dcs::AlignedDetection& a,
          a.stop_iteration == b.stop_iteration;
 }
 
+// Seconds recorded into a stage histogram since `before_ns`.
+double StageSeconds(const dcs::LatencyHistogram& hist,
+                    std::uint64_t before_ns) {
+  return static_cast<double>(hist.sum() - before_ns) * 1e-9;
+}
+
+// bench.parallel_detector.<scenario>.t<threads>.<quantity>.
+void RecordGauge(const std::string& scenario, const std::string& threads,
+                 const char* quantity, double value) {
+  dcs::ObsGauge("bench.parallel_detector." + scenario + ".t" + threads + "." +
+                quantity)
+      .Set(value);
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dcs;
+  bool smoke = false;
+  std::string out_path = "BENCH_parallel_detector.json";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out_path = argv[++i];
+    } else {
+      std::printf("usage: %s [--smoke] [--out <path>]\n", argv[0]);
+      return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
+    }
+  }
+
   const BenchScale scale = BenchScaleFromEnv();
   bench::Banner("Section IV-D", "aligned-analysis strong scaling", scale);
 
-  const std::size_t rows = 128;
-  const std::size_t n_prime = 2000;
-  const std::vector<std::size_t> sizes =
-      scale == BenchScale::kPaper
-          ? std::vector<std::size_t>{1u << 20, 4u << 20}
-          : std::vector<std::size_t>{1u << 18, 1u << 20};
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  // Full runs include the smoke scenarios so a committed full snapshot and
+  // a CI --smoke run share metric names for tools/bench_compare.
+  std::vector<Scenario> scenarios = {Planted(1u << 16),
+                                     Quarter(1u << 18, true)};
+  if (!smoke) {
+    scenarios.push_back(Planted(1u << 20));
+    scenarios.push_back(Quarter(1u << 20, false));
+    if (scale == BenchScale::kPaper) scenarios.push_back(Planted(4u << 20));
+  }
+  // 0 = no pool (the serial engine).
+  const std::vector<std::size_t> thread_counts = {0, 1, 2, 4, 8};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (std::size_t threads : thread_counts) {
+    pools.push_back(threads == 0 ? nullptr
+                                 : std::make_unique<ThreadPool>(threads));
+  }
 
-  AlignedDetectorOptions options;
-  options.first_iteration_hopefuls = n_prime;
+  MetricsRegistry::Global().set_enabled(true);
+  const LatencyHistogram& screen_hist = ObsHistogram("stage.weight_screen.ns");
+  const LatencyHistogram& search_hist = ObsHistogram("stage.aligned_detect.ns");
+  const LatencyHistogram& core_hist =
+      ObsHistogram("stage.aligned_core_scan.ns");
+  const Counter& iterations = ObsCounter("detector.aligned.iterations");
 
   Rng rng(bench::EnvSeed("DCS_SEED", 41));
-  TablePrinter table({"columns n", "threads", "detect s", "speedup"});
-  for (std::size_t n : sizes) {
-    const BitMatrix matrix = PlantedMatrix(rows, n, &rng);
+  constexpr int kReps = 5;
+  TablePrinter table({"scenario", "threads", "detect s", "screen s",
+                      "search s", "core scan s", "speedup"});
+  for (const Scenario& s : scenarios) {
+    const BitMatrix matrix = PlantedMatrix(s, &rng);
+    const std::vector<std::uint32_t> weights =
+        s.hot_weights ? matrix.ColumnWeights() : std::vector<std::uint32_t>{};
+    const std::vector<std::uint32_t>* hot = s.hot_weights ? &weights : nullptr;
+    AlignedDetectorOptions options;
+    options.first_iteration_hopefuls = s.n_prime;
+    options.hopefuls = s.hopefuls;
 
-    const AlignedDetector serial(options);
-    double t = bench::NowSeconds();
-    const AlignedDetection reference = serial.DetectInMatrix(matrix, n_prime);
-    const double serial_s = bench::NowSeconds() - t;
-    table.AddRow({std::to_string(n), "serial",
-                  TablePrinter::Fmt(serial_s, 3), "1.00"});
-
-    for (std::size_t threads : thread_counts) {
-      ThreadPool pool(threads);
-      const AlignedDetector parallel(options, AnalysisContext{&pool});
-      t = bench::NowSeconds();
-      const AlignedDetection detection =
-          parallel.DetectInMatrix(matrix, n_prime);
-      const double pool_s = bench::NowSeconds() - t;
-      if (!SameDetection(reference, detection)) {
-        std::fprintf(stderr,
-                     "FATAL: detection diverged at %zu threads, n=%zu\n",
-                     threads, n);
-        return 1;
-      }
-      table.AddRow({std::to_string(n), std::to_string(threads),
-                    TablePrinter::Fmt(pool_s, 3),
-                    TablePrinter::Fmt(serial_s / pool_s, 2)});
+    const std::uint64_t iterations_before = iterations.value();
+    const AlignedDetection reference =
+        AlignedDetector(options).DetectInMatrix(matrix, s.n_prime, hot);
+    const std::uint64_t search_iterations =
+        iterations.value() - iterations_before;
+    if (!reference.pattern_found) {
+      std::fprintf(stderr, "FATAL: serial engine missed the pattern in %s\n",
+                   s.name.c_str());
+      return 1;
     }
+
+    // samples[config][stage] over the repetitions; stage 0 is the whole
+    // DetectInMatrix call.
+    std::vector<std::vector<std::vector<double>>> samples(
+        thread_counts.size(), std::vector<std::vector<double>>(4));
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+        const AlignedDetector detector(options, AnalysisContext{pools[k].get()});
+        const std::uint64_t screen0 = screen_hist.sum();
+        const std::uint64_t search0 = search_hist.sum();
+        const std::uint64_t core0 = core_hist.sum();
+        const double t = bench::NowSeconds();
+        const AlignedDetection detection =
+            detector.DetectInMatrix(matrix, s.n_prime, hot);
+        samples[k][0].push_back(bench::NowSeconds() - t);
+        samples[k][1].push_back(StageSeconds(screen_hist, screen0));
+        samples[k][2].push_back(StageSeconds(search_hist, search0));
+        samples[k][3].push_back(StageSeconds(core_hist, core0));
+        if (!SameDetection(reference, detection)) {
+          std::fprintf(stderr, "FATAL: detection diverged at %zu threads, %s\n",
+                       thread_counts[k], s.name.c_str());
+          return 1;
+        }
+      }
+    }
+
+    const double serial_s = bench::Median(samples[0][0]);
+    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+      const std::string label =
+          thread_counts[k] == 0 ? "serial" : std::to_string(thread_counts[k]);
+      const double detect = bench::Median(samples[k][0]);
+      const double screen = bench::Median(samples[k][1]);
+      const double search = bench::Median(samples[k][2]);
+      const double core = bench::Median(samples[k][3]);
+      const double speedup = serial_s / detect;
+      table.AddRow({s.name, label, TablePrinter::Fmt(detect, 3),
+                    TablePrinter::Fmt(screen, 3), TablePrinter::Fmt(search, 3),
+                    TablePrinter::Fmt(core, 4), TablePrinter::Fmt(speedup, 2)});
+      RecordGauge(s.name, label, "detect_s", detect);
+      RecordGauge(s.name, label, "screen_s", screen);
+      RecordGauge(s.name, label, "search_s", search);
+      RecordGauge(s.name, label, "core_scan_s", core);
+      RecordGauge(s.name, label, "speedup", speedup);
+    }
+    ObsGauge("bench.parallel_detector." + s.name + ".search_iterations")
+        .Set(static_cast<double>(search_iterations));
   }
+  ObsGauge("bench.parallel_detector.host_cpus")
+      .Set(static_cast<double>(std::thread::hardware_concurrency()));
   table.Print(std::cout);
   std::printf(
-      "\nAll detections bit-identical to the serial engine (rows, columns,\n"
-      "weight trajectory, stop iteration). Speedups are bounded by the\n"
-      "machine's core count: on a single-core container every row measures\n"
-      "scheduling overhead, not scaling.\n");
+      "\nMedians of %d runs. Every detection equals the serial engine's\n"
+      "(rows, columns, weight trajectory, stop iteration). The screen and\n"
+      "core scan run on the pool; the search runs serially at every thread\n"
+      "count. Speedups are bounded by the machine's core count (%u here):\n"
+      "on a single core every row measures scheduling overhead, not\n"
+      "scaling.\n",
+      kReps, std::thread::hardware_concurrency());
+
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
+    return 1;
+  }
+  out << SnapshotToJsonLines(snapshot);
+  out.close();
+  std::printf("wrote %zu metrics to %s\n", snapshot.entries.size(),
+              out_path.c_str());
   return 0;
 }

@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
           }
           if (!warm) continue;
           const double d = bench::NowSeconds();
-          const UnalignedDetection detection = DetectUnalignedPattern(
-              core_graph, detector, AnalysisContext{pool.get()});
+          const UnalignedDetection detection =
+              DetectUnalignedPattern(core_graph, detector);
           detect_s.push_back(bench::NowSeconds() - d);
           if (!SameDetection(reference, detection)) {
             std::fprintf(stderr,

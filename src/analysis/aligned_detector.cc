@@ -31,10 +31,9 @@ struct Cand {
   std::uint32_t b = 0;
 };
 
-// The engine's total order: heavier first, ties by smaller (a, b). Because
-// it is total, the top-H of a candidate set is a well-defined *set*, and the
-// union of per-shard top-H lists always contains it — which is what lets
-// the sharded passes merge to bit-identical results at any thread count.
+// The search's total order: heavier first, ties by smaller (a, b). Because
+// it is total, the top-H of a candidate set is a well-defined *set*, so the
+// hopefuls lists do not depend on the order candidates are offered in.
 bool CandBetter(const Cand& x, const Cand& y) {
   if (x.weight != y.weight) return x.weight > y.weight;
   if (x.a != y.a) return x.a < y.a;
@@ -77,24 +76,6 @@ class TopH {
   std::vector<Cand> heap_;
 };
 
-// Concatenates per-shard top lists and keeps the global top `capacity`
-// under the total order. Exact regardless of shard boundaries (see
-// CandBetter).
-std::vector<Cand> MergeTopCands(std::vector<std::vector<Cand>>* shard_cands,
-                                std::size_t capacity) {
-  if (shard_cands->size() == 1) return std::move(shard_cands->front());
-  std::vector<Cand> merged;
-  std::size_t total = 0;
-  for (const std::vector<Cand>& cands : *shard_cands) total += cands.size();
-  merged.reserve(total);
-  for (const std::vector<Cand>& cands : *shard_cands) {
-    merged.insert(merged.end(), cands.begin(), cands.end());
-  }
-  std::sort(merged.begin(), merged.end(), CandBetter);
-  if (merged.size() > capacity) merged.resize(capacity);
-  return merged;
-}
-
 // Candidate buffer size for the batched AND+popcount passes. Candidates are
 // admitted in scan order under the floor current at admission time — a
 // superset of the pairs the unbatched loop would have computed, since the
@@ -126,16 +107,7 @@ AlignedDetection AlignedDetector::Detect(
     const ScreenedColumns& screened) const {
   ScopedStageTimer stage("aligned_detect");
   ObsCounter("detector.aligned.runs").Increment();
-  ThreadPool* pool = context_.pool;
-  // Per-shard task timers, hoisted so hot loops touch only lock-free metric
-  // objects (the name lookup takes the registry mutex once per Detect).
   const bool obs = ObsEnabled();
-  LatencyHistogram* pair_hist =
-      obs && pool != nullptr ? &ObsHistogram("stage.aligned_pair_task.ns")
-                             : nullptr;
-  LatencyHistogram* ext_hist =
-      obs && pool != nullptr ? &ObsHistogram("stage.aligned_extend_task.ns")
-                             : nullptr;
   // Why the search stopped iterating; flushed as a detector.aligned.stop.*
   // counter on every exit path below.
   const char* stop_reason = "exhausted";
@@ -153,49 +125,40 @@ AlignedDetection AlignedDetector::Detect(
     return detection;
   }
 
+  // Scratch for the batched AND+popcount passes below.
+  std::uint32_t cand_ids[kBatchCands];
+  const std::uint64_t* cand_rows[kBatchCands];
+  std::uint32_t cand_weights[kBatchCands];
+
   // --- Iteration b' = 2: all column pairs, keep the heaviest hopefuls.
-  // Sharded over the first column; each shard keeps its own bounded heap
-  // and the merge recovers the exact global top list.
-  const std::vector<ShardRange> pair_shards = ShardsFor(pool, n_cols);
-  std::vector<std::vector<Cand>> shard_pairs(pair_shards.size());
-  RunShards(pool, pair_shards, [&](const ShardRange& shard) {
-    StageStopwatch watch;
-    if (pair_hist != nullptr) watch.Start();
-    TopH heap(options_.first_iteration_hopefuls);
-    std::uint32_t cand_ids[kBatchCands];
-    const std::uint64_t* cand_rows[kBatchCands];
-    std::uint32_t cand_weights[kBatchCands];
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-      const BitVector& ci = screened.columns[i];
-      const std::uint32_t wi = screened.weights[i];
-      std::size_t buffered = 0;
-      const auto flush = [&] {
-        ActiveBitKernels().and_count_batch(ci.words(), cand_rows, buffered,
-                                           ci.num_words(), cand_weights);
-        for (std::size_t k = 0; k < buffered; ++k) {
-          if (cand_weights[k] >= heap.floor_weight()) {
-            heap.Offer({cand_weights[k], static_cast<std::uint32_t>(i),
-                        cand_ids[k]});
-          }
+  TopH pair_heap(options_.first_iteration_hopefuls);
+  for (std::size_t i = 0; i < n_cols; ++i) {
+    const BitVector& ci = screened.columns[i];
+    const std::uint32_t wi = screened.weights[i];
+    std::size_t buffered = 0;
+    const auto flush = [&] {
+      ActiveBitKernels().and_count_batch(ci.words(), cand_rows, buffered,
+                                         ci.num_words(), cand_weights);
+      for (std::size_t k = 0; k < buffered; ++k) {
+        if (cand_weights[k] >= pair_heap.floor_weight()) {
+          pair_heap.Offer({cand_weights[k], static_cast<std::uint32_t>(i),
+                           cand_ids[k]});
         }
-        buffered = 0;
-      };
-      for (std::size_t j = i + 1; j < n_cols; ++j) {
-        // AND weight can't beat min(w_i, w_j); skip hopeless pairs cheaply.
-        if (std::min(wi, screened.weights[j]) < heap.floor_weight()) {
-          continue;
-        }
-        cand_ids[buffered] = static_cast<std::uint32_t>(j);
-        cand_rows[buffered] = screened.columns[j].words();
-        if (++buffered == kBatchCands) flush();
       }
-      if (buffered > 0) flush();
+      buffered = 0;
+    };
+    for (std::size_t j = i + 1; j < n_cols; ++j) {
+      // AND weight can't beat min(w_i, w_j); skip hopeless pairs cheaply.
+      if (std::min(wi, screened.weights[j]) < pair_heap.floor_weight()) {
+        continue;
+      }
+      cand_ids[buffered] = static_cast<std::uint32_t>(j);
+      cand_rows[buffered] = screened.columns[j].words();
+      if (++buffered == kBatchCands) flush();
     }
-    shard_pairs[shard.index] = heap.TakeSorted();
-    if (pair_hist != nullptr) pair_hist->Record(watch.ElapsedNanos());
-  });
-  const std::vector<Cand> pair_cands =
-      MergeTopCands(&shard_pairs, options_.first_iteration_hopefuls);
+    if (buffered > 0) flush();
+  }
+  const std::vector<Cand> pair_cands = pair_heap.TakeSorted();
 
   std::vector<Product> hopefuls;
   hopefuls.reserve(pair_cands.size());
@@ -249,60 +212,43 @@ AlignedDetection AlignedDetector::Detect(
   bool dive_detected = false;
   double prev_weight = static_cast<double>(hopefuls.front().weight);
 
-  // --- Iterations b' >= 3: extend each hopeful by one more column.
-  // Sharded over the hopefuls; every shard ranks its hopefuls' extensions
-  // against all columns into a bounded heap, merged like the pair pass.
+  // --- Iterations b' >= 3: extend each hopeful by one more column,
+  // ranking every extension against all columns in one bounded heap.
   for (std::size_t iter = 3; iter <= options_.max_iterations; ++iter) {
-    const std::vector<ShardRange> ext_shards =
-        ShardsFor(pool, hopefuls.size());
-    std::vector<std::vector<Cand>> shard_exts(ext_shards.size());
-    RunShards(pool, ext_shards, [&](const ShardRange& shard) {
-      StageStopwatch watch;
-      if (ext_hist != nullptr) watch.Start();
-      TopH heap(options_.hopefuls);
-      std::uint32_t cand_ids[kBatchCands];
-      const std::uint64_t* cand_rows[kBatchCands];
-      std::uint32_t cand_weights[kBatchCands];
-      for (std::size_t h = shard.begin; h < shard.end; ++h) {
-        const Product& v = hopefuls[h];
-        if (v.weight < heap.floor_weight()) continue;  // Can only shrink.
-        std::size_t buffered = 0;
-        const auto flush = [&] {
-          ActiveBitKernels().and_count_batch(v.bits.words(), cand_rows,
-                                             buffered, v.bits.num_words(),
-                                             cand_weights);
-          for (std::size_t k = 0; k < buffered; ++k) {
-            if (cand_weights[k] >= heap.floor_weight()) {
-              heap.Offer({cand_weights[k], static_cast<std::uint32_t>(h),
-                          cand_ids[k]});
-            }
+    TopH heap(options_.hopefuls);
+    for (std::size_t h = 0; h < hopefuls.size(); ++h) {
+      const Product& v = hopefuls[h];
+      if (v.weight < heap.floor_weight()) continue;  // Can only shrink.
+      std::size_t buffered = 0;
+      const auto flush = [&] {
+        ActiveBitKernels().and_count_batch(v.bits.words(), cand_rows,
+                                           buffered, v.bits.num_words(),
+                                           cand_weights);
+        for (std::size_t k = 0; k < buffered; ++k) {
+          if (cand_weights[k] >= heap.floor_weight()) {
+            heap.Offer({cand_weights[k], static_cast<std::uint32_t>(h),
+                        cand_ids[k]});
           }
-          buffered = 0;
-        };
-        for (std::uint32_t c = 0; c < n_cols; ++c) {
-          if (std::binary_search(v.cols.begin(), v.cols.end(), c)) continue;
-          if (std::min(v.weight, screened.weights[c]) < heap.floor_weight()) {
-            continue;
-          }
-          cand_ids[buffered] = c;
-          cand_rows[buffered] = screened.columns[c].words();
-          if (++buffered == kBatchCands) flush();
         }
-        if (buffered > 0) flush();
+        buffered = 0;
+      };
+      for (std::uint32_t c = 0; c < n_cols; ++c) {
+        if (std::binary_search(v.cols.begin(), v.cols.end(), c)) continue;
+        if (std::min(v.weight, screened.weights[c]) < heap.floor_weight()) {
+          continue;
+        }
+        cand_ids[buffered] = c;
+        cand_rows[buffered] = screened.columns[c].words();
+        if (++buffered == kBatchCands) flush();
       }
-      shard_exts[shard.index] = heap.TakeSorted();
-      if (ext_hist != nullptr) ext_hist->Record(watch.ElapsedNanos());
-    });
-    const std::vector<Cand> ext_cands =
-        MergeTopCands(&shard_exts, options_.hopefuls);
+      if (buffered > 0) flush();
+    }
 
     // Dedup identical column sets in the canonical order, then materialize
-    // the surviving products' bits (in parallel when they carry enough
-    // rows to be worth the fan-out; each slot is written by one task).
+    // the surviving products' bits.
+    const std::vector<Cand> ext_cands = heap.TakeSorted();
     std::vector<Product> next;
-    std::vector<Cand> kept;
     next.reserve(ext_cands.size());
-    kept.reserve(ext_cands.size());
     std::unordered_set<std::uint64_t> seen;
     for (const Cand& cand : ext_cands) {
       const Product& parent = hopefuls[cand.a];
@@ -311,23 +257,15 @@ AlignedDetection AlignedDetector::Detect(
                   cand.b);
       if (!seen.insert(ColumnSetFingerprint(cols)).second) continue;
       Product product;
+      product.bits.AssignAnd(parent.bits, screened.columns[cand.b]);
       product.cols = std::move(cols);
       product.weight = cand.weight;
       next.push_back(std::move(product));
-      kept.push_back(cand);
     }
     if (next.empty()) {
       stop_reason = "no_extensions";
       break;
     }
-    ThreadPool* const materialize_pool = next.size() >= 64 ? pool : nullptr;
-    RunShards(materialize_pool, ShardsFor(materialize_pool, next.size()),
-              [&](const ShardRange& shard) {
-                for (std::size_t idx = shard.begin; idx < shard.end; ++idx) {
-                  next[idx].bits.AssignAnd(hopefuls[kept[idx].a].bits,
-                                           screened.columns[kept[idx].b]);
-                }
-              });
     hopefuls = std::move(next);
 
     const double cur_weight = static_cast<double>(hopefuls.front().weight);
@@ -407,7 +345,6 @@ AlignedDetection AlignedDetector::Detect(
 std::vector<AlignedDetection> AlignedDetector::DetectMultipleInMatrix(
     const BitMatrix& matrix, std::size_t n_prime, std::size_t max_patterns,
     const std::vector<std::uint32_t>* column_weights) const {
-  ThreadPool* pool = context_.pool;
   std::vector<AlignedDetection> detections;
   BitMatrix working = matrix;
   for (std::size_t round = 0; round < max_patterns; ++round) {
@@ -418,14 +355,11 @@ std::vector<AlignedDetection> AlignedDetector::DetectMultipleInMatrix(
     if (!detection.pattern_found) break;
     ObsCounter("detector.aligned.multi_rounds").Increment();
     // Erase the found pattern's columns so the next round sees only what
-    // remains. Rows are independent, so the erase fans out per row.
-    RunShards(pool, ShardsFor(pool, working.rows()),
-              [&working, &detection](const ShardRange& shard) {
-                for (std::size_t r = shard.begin; r < shard.end; ++r) {
-                  BitVector& row = working.row(r);
-                  for (std::size_t c : detection.columns) row.Clear(c);
-                }
-              });
+    // remains.
+    for (std::size_t r = 0; r < working.rows(); ++r) {
+      BitVector& row = working.row(r);
+      for (std::size_t c : detection.columns) row.Clear(c);
+    }
     detections.push_back(std::move(detection));
   }
   return detections;

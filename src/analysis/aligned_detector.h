@@ -67,14 +67,15 @@ struct AlignedDetection {
 /// grows the core across every remaining column, screened or not (Fig 6
 /// lines 10-14).
 ///
-/// When constructed with an AnalysisContext carrying a pool, the hot passes
-/// run sharded on it (Section IV-D: spread the analysis over many CPUs):
-/// the pair pass and each hopefuls extension keep per-shard bounded heaps
-/// merged under a total order (weight desc, then column ids asc), and the
-/// final core scan shards the matrix's columns. Every merge is
-/// shard-order-invariant, so the detection — rows, columns, and the full
-/// weight trajectory — is bit-identical at any thread count, including the
-/// serial (null pool) engine.
+/// When constructed with an AnalysisContext carrying a pool, the two passes
+/// that stream the whole matrix run sharded on it (Section IV-D): the
+/// weight screen and the final core scan, each over contiguous column
+/// slices concatenated in ascending order. The k-product search itself runs
+/// serially on the calling thread, one bounded heap per pass under a total
+/// order (weight desc, then column ids asc): sharded, it cost CPU without
+/// saving wall time (docs/PARALLELISM.md). The detection — rows, columns,
+/// and the full weight trajectory — is bit-identical at any thread count,
+/// including the serial (null pool) engine.
 class AlignedDetector {
  public:
   explicit AlignedDetector(const AlignedDetectorOptions& options);

@@ -4,30 +4,11 @@
 
 #include "common/distributions.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 
 namespace dcs {
-
-GroupPairCorrelation CorrelateGroups(std::span<const BitVector> rows_a,
-                                     std::span<const BitVector> rows_b) {
-  GroupPairCorrelation best;
-  // Ties break toward the lowest (row_a, row_b) lexicographically: counts
-  // for the whole B group are computed in one batched kernel call, and the
-  // strict `>` scan in ascending (i, j) order keeps the first maximum.
-  std::vector<std::uint32_t> counts(rows_b.size());
-  for (std::uint32_t i = 0; i < rows_a.size(); ++i) {
-    rows_a[i].CommonOnesBatch(rows_b, counts);
-    for (std::uint32_t j = 0; j < rows_b.size(); ++j) {
-      if (counts[j] > best.max_common) {
-        best.max_common = counts[j];
-        best.row_a = i;
-        best.row_b = j;
-      }
-    }
-  }
-  return best;
-}
 
 PairScanPlan PlanGroupPairScan(std::size_t num_groups,
                                const PairScanOptions& options) {
@@ -98,17 +79,6 @@ void RunGroupPairScan(
     ObsCounter("pairscan.groups_scanned").Add(s);
     ObsCounter("pairscan.pairs_visited").Add(s * (s - 1) / 2);
   }
-}
-
-std::vector<std::uint32_t> ForEachGroupPair(
-    std::size_t num_groups, const PairScanOptions& options,
-    const std::function<void(std::uint32_t, std::uint32_t)>& visit) {
-  PairScanPlan plan = PlanGroupPairScan(num_groups, options);
-  RunGroupPairScan(plan, options,
-                   [&](const ShardRange&, std::uint32_t g1, std::uint32_t g2) {
-                     visit(g1, g2);
-                   });
-  return std::move(plan.sampled);
 }
 
 }  // namespace dcs

@@ -3,37 +3,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
-#include "common/bit_vector.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 
 namespace dcs {
 
-/// Pairwise row-correlation statistics between two groups of sketch rows.
-struct GroupPairCorrelation {
-  /// Max over all (row of A) x (row of B) of the number of common 1s.
-  std::uint32_t max_common = 0;
-  /// The row pair achieving it (indices within each group).
-  std::uint32_t row_a = 0;
-  std::uint32_t row_b = 0;
-};
-
-/// Scans all |a| x |b| row pairs; the dominant cost of the unaligned
-/// analysis (Section IV-D: "the vast majority of the computational
-/// complexity ... comes from computing, for any two rows, the number of
-/// indices in which both rows have value 1"). Ties on max_common break
-/// toward the lowest (row_a, row_b) pair in lexicographic order, so the
-/// result is a deterministic function of the inputs.
-GroupPairCorrelation CorrelateGroups(std::span<const BitVector> rows_a,
-                                     std::span<const BitVector> rows_b);
-
-/// Drives a function over all unordered group pairs (g1 < g2), optionally
-/// parallel over g1 (Section IV-D possibility 3) and optionally restricted
-/// to a sampled subset of groups (possibility 2: "sample 10% of the vertices
-/// and find a core only in this subset").
+/// How a pair scan visits the unordered group pairs (g1 < g2) whose rows it
+/// correlates — the dominant cost of the unaligned analysis (Section IV-D:
+/// "the vast majority of the computational complexity ... comes from
+/// computing, for any two rows, the number of indices in which both rows
+/// have value 1"). Optionally parallel over g1 (possibility 3) and
+/// optionally restricted to a sampled subset of groups (possibility 2:
+/// "sample 10% of the vertices and find a core only in this subset").
 struct PairScanOptions {
   /// Parallelize with this pool when set. The callback must then be safe to
   /// invoke concurrently for different g1.
@@ -44,18 +26,14 @@ struct PairScanOptions {
   std::uint64_t sample_seed = 1;
 };
 
-/// Calls visit(g1, g2) for every retained unordered pair. Returns the list
-/// of sampled group ids (all groups when sample_rate == 1, and likewise
-/// when num_groups < 2 — there are no pairs to sample from, so the scan
-/// degenerates gracefully instead of rejecting the request).
-std::vector<std::uint32_t> ForEachGroupPair(
-    std::size_t num_groups, const PairScanOptions& options,
-    const std::function<void(std::uint32_t, std::uint32_t)>& visit);
-
 /// The sampling and sharding decisions of one pair scan, fixed before any
-/// work runs. `shards` partitions [0, sampled.size()) — the first-index
-/// dimension of the triangular pair loop — into contiguous ascending
-/// ranges (one range serially, ShardsFor() ranges on a pool). Because the
+/// work runs. `sampled` lists the groups the scan touches, ascending: all
+/// of them when the sample rate is 1, and likewise when fewer than 2 groups
+/// exist (there are no pairs to sample from, so the scan degenerates
+/// gracefully instead of rejecting the request); otherwise at least 2.
+/// `shards` partitions [0, sampled.size()) — the first-index dimension of
+/// the triangular pair loop — into contiguous ascending ranges (one range
+/// serially, ShardsFor() ranges on a pool). Because the
 /// ranges are contiguous and ascending, per-shard partial results
 /// concatenated in ascending `ShardRange::index` order reproduce the
 /// serial ascending-(g1, g2) visit order exactly; that merge rule is what

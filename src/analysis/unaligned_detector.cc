@@ -12,49 +12,32 @@
 
 namespace dcs {
 
-UnalignedDetection DetectUnalignedPattern(const Graph& graph,
-                                          const UnalignedDetectorOptions& options,
-                                          const AnalysisContext& context) {
+UnalignedDetection DetectUnalignedPattern(
+    const Graph& graph, const UnalignedDetectorOptions& options) {
   DCS_CHECK(graph.finalized());
-  ThreadPool* pool = context.pool;
   UnalignedDetection detection;
 
   // Step 2: find the core by min-degree peeling.
   PeelResult peel;
   {
     ScopedStageTimer peel_timer("find_core");
-    peel = FindCore(graph, options.beta, pool);
+    peel = FindCore(graph, options.beta);
   }
   detection.core = peel.core;
 
-  // Step 3: survivors are outside vertices with >= d edges into the core.
-  // The per-vertex test only reads the graph and the core flags, so shards
-  // are independent; contiguous ascending shards concatenated in shard
-  // order give the same ascending survivor list as the serial loop.
+  // Step 3: survivors are outside vertices with >= d edges into the core,
+  // ascending.
   std::vector<char> in_core(graph.num_vertices(), 0);
   for (Graph::VertexId v : detection.core) in_core[v] = 1;
 
-  auto survives = [&](std::size_t v) {
-    if (in_core[v]) return false;
+  std::vector<Graph::VertexId> survivors;
+  for (Graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
+    if (in_core[v]) continue;
     std::size_t edges_into_core = 0;
-    for (Graph::VertexId w :
-         graph.neighbors(static_cast<Graph::VertexId>(v))) {
+    for (Graph::VertexId w : graph.neighbors(v)) {
       if (in_core[w]) ++edges_into_core;
     }
-    return edges_into_core >= options.expand_min_edges;
-  };
-  std::vector<Graph::VertexId> survivors;
-  const std::vector<ShardRange> shards = ShardsFor(pool, graph.num_vertices());
-  std::vector<std::vector<Graph::VertexId>> shard_survivors(shards.size());
-  RunShards(pool, shards, [&](const ShardRange& shard) {
-    for (std::size_t v = shard.begin; v < shard.end; ++v) {
-      if (survives(v)) {
-        shard_survivors[shard.index].push_back(static_cast<Graph::VertexId>(v));
-      }
-    }
-  });
-  for (const std::vector<Graph::VertexId>& part : shard_survivors) {
-    survivors.insert(survivors.end(), part.begin(), part.end());
+    if (edges_into_core >= options.expand_min_edges) survivors.push_back(v);
   }
 
   // Induce H on the survivors and find a second core in it.
@@ -75,7 +58,7 @@ UnalignedDetection DetectUnalignedPattern(const Graph& graph,
     h.Finalize();
     const std::size_t second_beta =
         options.second_beta > 0 ? options.second_beta : options.beta;
-    PeelResult second = FindCore(h, second_beta, pool);
+    PeelResult second = FindCore(h, second_beta);
     detection.second_core.reserve(second.core.size());
     for (Graph::VertexId v : second.core) {
       detection.second_core.push_back(survivors[v]);
@@ -151,8 +134,7 @@ Graph InducedComplement(const Graph& graph,
 }  // namespace
 
 std::vector<UnalignedDetection> DetectMultipleUnalignedPatterns(
-    const Graph& graph, const MultiPatternOptions& options,
-    const AnalysisContext& context) {
+    const Graph& graph, const MultiPatternOptions& options) {
   DCS_CHECK(graph.finalized());
   std::vector<UnalignedDetection> detections;
   // Vertices removed so far (original ids), sorted.
@@ -163,7 +145,7 @@ std::vector<UnalignedDetection> DetectMultipleUnalignedPatterns(
 
   for (std::size_t round = 0; round < options.max_patterns; ++round) {
     UnalignedDetection detection =
-        DetectUnalignedPattern(*current, options.detector, context);
+        DetectUnalignedPattern(*current, options.detector);
     if (detection.detected.size() < 2) break;
 
     // Significance gate (Eq 2): even the densest size-m subset of a pure

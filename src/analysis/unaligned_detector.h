@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "analysis/analysis_context.h"
 #include "graph/graph.h"
 
 namespace dcs {
@@ -40,20 +39,11 @@ struct UnalignedDetection {
 /// stochastically optimal in the paper's appendix). Step 3 keeps only
 /// outside vertices with >= d edges into the core, re-runs FindCore on the
 /// graph they induce, and reports the union of the two cores. Requires a
-/// finalized graph.
-///
-/// With a pool in `context`, both FindCore passes and the survivor scan run
-/// sharded with total-order merges (docs/PARALLELISM.md); the detection is
-/// bit-identical at any thread count, including a null pool.
-UnalignedDetection DetectUnalignedPattern(const Graph& graph,
-                                          const UnalignedDetectorOptions& options,
-                                          const AnalysisContext& context);
-
-/// Serial-context convenience overload.
-inline UnalignedDetection DetectUnalignedPattern(
-    const Graph& graph, const UnalignedDetectorOptions& options) {
-  return DetectUnalignedPattern(graph, options, AnalysisContext{});
-}
+/// finalized graph. Runs serially: on the graphs the analysis center builds
+/// (one vertex per group) it takes well under a millisecond, so a pool has
+/// nothing to win here (docs/PARALLELISM.md).
+UnalignedDetection DetectUnalignedPattern(
+    const Graph& graph, const UnalignedDetectorOptions& options);
 
 /// Options for iterated multi-content detection.
 struct MultiPatternOptions {
@@ -77,17 +67,9 @@ struct MultiPatternOptions {
 /// core converges on the stronger one and the weaker is peeled away. This
 /// routine therefore iterates: detect, verify the detected set is denser
 /// than chance, delete its vertices from the graph, repeat. Detections are
-/// returned strongest-first; vertices refer to the original graph. The
-/// context's pool reaches every inner detection (see DetectUnalignedPattern).
+/// returned strongest-first; vertices refer to the original graph.
 std::vector<UnalignedDetection> DetectMultipleUnalignedPatterns(
-    const Graph& graph, const MultiPatternOptions& options,
-    const AnalysisContext& context);
-
-/// Serial-context convenience overload.
-inline std::vector<UnalignedDetection> DetectMultipleUnalignedPatterns(
-    const Graph& graph, const MultiPatternOptions& options) {
-  return DetectMultipleUnalignedPatterns(graph, options, AnalysisContext{});
-}
+    const Graph& graph, const MultiPatternOptions& options);
 
 /// Scores a detection against ground truth: fraction of reported vertices
 /// that are not in `truth` (false positive rate of the report) and fraction

@@ -32,18 +32,13 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
   const std::uint64_t misses_before = misses();
   ThreadPool* pool = options.scan.pool;
 
-  // Row weights once; the lambda lookup needs them per pair. Pure per-row
-  // writes, so the sharded pass needs no merge at all.
+  // Row weights once; the lambda lookup needs them per pair.
   std::vector<std::uint32_t> row_ones(matrix.rows());
   {
     ScopedStageTimer timer("unaligned_row_weights");
-    RunShards(pool, ShardsFor(pool, matrix.rows()),
-              [&](const ShardRange& shard) {
-                for (std::size_t r = shard.begin; r < shard.end; ++r) {
-                  row_ones[r] =
-                      static_cast<std::uint32_t>(matrix.row(r).CountOnes());
-                }
-              });
+    for (std::size_t r = 0; r < matrix.rows(); ++r) {
+      row_ones[r] = static_cast<std::uint32_t>(matrix.row(r).CountOnes());
+    }
   }
 
   // Sharded lambda calibration: grow each table's window to the observed

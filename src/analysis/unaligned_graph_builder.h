@@ -32,10 +32,10 @@ struct GraphBuilderOptions {
 /// which is calibrated up front over the observed weights (a table kept
 /// from an earlier matrix computes only the weights it has not seen).
 ///
-/// With a pool in `options.scan`, the weight pass, the lambda calibration,
-/// and the pair scan all run sharded; each scan shard buffers its own
-/// edges and the buffers merge in ascending shard order, so the edge list
-/// (and therefore the graph) is bit-identical at any thread count,
+/// With a pool in `options.scan`, the lambda calibration and the pair scan
+/// run sharded (the row-weight pass is serial); each scan shard buffers its
+/// own edges and the buffers merge in ascending shard order, so the edge
+/// list (and therefore the graph) is bit-identical at any thread count,
 /// including no pool at all (docs/PARALLELISM.md).
 Graph BuildCorrelationGraph(const BitMatrix& matrix,
                             const LambdaTable& lambda,

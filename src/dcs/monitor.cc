@@ -58,11 +58,11 @@ DcsMonitor::DcsMonitor(const AlignedPipelineOptions& aligned_options,
   if (aligned_options.obs.enabled || unaligned_options.obs.enabled) {
     MetricsRegistry::Global().set_enabled(true);
   }
-  // One pool serves both pipelines end to end: the aligned engine takes the
-  // context directly, and the unaligned graph build (row weights, lambda
+  // One pool serves both pipelines: the aligned engine takes the context
+  // directly (screen and core scan), and the unaligned graph build (lambda
   // calibration, pair scan) inherits it here unless the caller already
-  // picked one in the scan options. Peeling and the survivor scan get the
-  // context at the DetectUnalignedPattern call sites.
+  // picked one in the scan options. Peeling and the survivor scan are
+  // serial.
   if (unaligned_options_.builder.scan.pool == nullptr) {
     unaligned_options_.builder.scan.pool = context_.pool;
   }
@@ -484,7 +484,7 @@ std::vector<UnalignedReport> DcsMonitor::AnalyzeUnalignedAll(
   multi.max_patterns = max_patterns;
   multi.p_background = pass.core_p1;
   for (const UnalignedDetection& detection :
-       DetectMultipleUnalignedPatterns(pass.core_graph, multi, context_)) {
+       DetectMultipleUnalignedPatterns(pass.core_graph, multi)) {
     UnalignedReport report = pass.report;  // Shared ER statistics.
     NameDetectedGroups(detection.detected, pass.group_refs, &report);
     reports.push_back(std::move(report));
@@ -498,8 +498,8 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
   UnalignedReport report = std::move(pass.report);
   if (!report.common_content_detected) return report;
 
-  const UnalignedDetection detection = DetectUnalignedPattern(
-      pass.core_graph, unaligned_options_.detector, context_);
+  const UnalignedDetection detection =
+      DetectUnalignedPattern(pass.core_graph, unaligned_options_.detector);
   NameDetectedGroups(detection.detected, pass.group_refs, &report);
   // Per-content breakdown of the detected set (Section II-D).
   ScopedStageTimer separation_timer("cluster_separation");

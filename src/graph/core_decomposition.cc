@@ -12,12 +12,6 @@
 namespace dcs {
 namespace {
 
-// Scans below this size run inline even when a pool is available: the
-// shard bookkeeping would cost more than the scan. Purely a scheduling
-// choice — the partition below is contiguous ascending ranges either way,
-// so results never depend on which path ran.
-constexpr std::size_t kMinParallelScan = 2048;
-
 // Canonical wave peeling for kMinDegree (see docs/PARALLELISM.md).
 //
 // At the current minimum degree d, the set of vertices a min-degree peel
@@ -27,27 +21,17 @@ constexpr std::size_t kMinParallelScan = 2048;
 // degree <= d; round k+1: neighbors dragged to <= d by round k), each round
 // in ascending vertex id. Only the final wave, which would drop the graph
 // below beta, is peeled one vertex at a time under a strict (degree, id)
-// order. Serial and sharded execution run this same algorithm; the sharded
-// scans merge per-shard results in ascending shard order (concatenation of
-// contiguous ranges) or by min(), so the output is bit-identical at any
-// thread count.
-PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
-                              ThreadPool* pool) {
+// order. Every removal before that tail is a whole k-core complement, so
+// the result does not depend on how ties among equal degrees fall.
+PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta) {
   const std::size_t n = graph.num_vertices();
   PeelResult result;
   if (n == 0) return result;
 
-  // Every whole-graph scan below shares one vertex partition.
-  ThreadPool* const vertex_pool = n >= kMinParallelScan ? pool : nullptr;
-  const std::vector<ShardRange> vertex_shards = ShardsFor(vertex_pool, n);
-
-  // Residual degrees, sharded (pure per-vertex writes).
   std::vector<std::size_t> degree(n);
-  RunShards(vertex_pool, vertex_shards, [&](const ShardRange& shard) {
-    for (std::size_t v = shard.begin; v < shard.end; ++v) {
-      degree[v] = graph.degree(static_cast<Graph::VertexId>(v));
-    }
-  });
+  for (std::size_t v = 0; v < n; ++v) {
+    degree[v] = graph.degree(static_cast<Graph::VertexId>(v));
+  }
 
   std::vector<char> removed(n, 0);
   // Cascade-round stamp per vertex: lets the degree update test "was this
@@ -62,41 +46,19 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
   bool tail = false;
 
   while (alive > beta && !tail) {
-    // Minimum residual degree among alive vertices. Per-shard minima merge
-    // with min(), which is insensitive to merge order.
+    // Minimum residual degree among alive vertices.
     std::size_t wave_degree = std::numeric_limits<std::size_t>::max();
-    {
-      std::vector<std::size_t> shard_min(
-          vertex_shards.size(), std::numeric_limits<std::size_t>::max());
-      RunShards(vertex_pool, vertex_shards, [&](const ShardRange& shard) {
-        std::size_t local = std::numeric_limits<std::size_t>::max();
-        for (std::size_t v = shard.begin; v < shard.end; ++v) {
-          if (!removed[v]) local = std::min(local, degree[v]);
-        }
-        shard_min[shard.index] = local;
-      });
-      for (const std::size_t m : shard_min) {
-        wave_degree = std::min(wave_degree, m);
-      }
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!removed[v]) wave_degree = std::min(wave_degree, degree[v]);
     }
     DCS_CHECK(wave_degree != std::numeric_limits<std::size_t>::max());
 
     // Round 0 of the wave: every alive vertex at or below the wave level,
-    // ascending (contiguous shards concatenated in shard order).
+    // ascending.
     frontier.clear();
-    {
-      std::vector<std::vector<Graph::VertexId>> shard_hits(
-          vertex_shards.size());
-      RunShards(vertex_pool, vertex_shards, [&](const ShardRange& shard) {
-        for (std::size_t v = shard.begin; v < shard.end; ++v) {
-          if (!removed[v] && degree[v] <= wave_degree) {
-            shard_hits[shard.index].push_back(
-                static_cast<Graph::VertexId>(v));
-          }
-        }
-      });
-      for (const std::vector<Graph::VertexId>& hits : shard_hits) {
-        frontier.insert(frontier.end(), hits.begin(), hits.end());
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!removed[v] && degree[v] <= wave_degree) {
+        frontier.push_back(static_cast<Graph::VertexId>(v));
       }
     }
 
@@ -118,47 +80,25 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
       removed_this_wave = true;
 
       // Alive vertices adjacent to the removed round, deduplicated and
-      // ascending (sort after a shard-order concatenation).
+      // ascending.
       candidates.clear();
-      {
-        ThreadPool* const scan_pool =
-            frontier.size() >= kMinParallelScan ? pool : nullptr;
-        const std::vector<ShardRange> shards =
-            ShardsFor(scan_pool, frontier.size());
-        std::vector<std::vector<Graph::VertexId>> shard_hits(shards.size());
-        RunShards(scan_pool, shards, [&](const ShardRange& shard) {
-          for (std::size_t i = shard.begin; i < shard.end; ++i) {
-            for (Graph::VertexId w : graph.neighbors(frontier[i])) {
-              if (!removed[w]) shard_hits[shard.index].push_back(w);
-            }
-          }
-        });
-        for (const std::vector<Graph::VertexId>& hits : shard_hits) {
-          candidates.insert(candidates.end(), hits.begin(), hits.end());
+      for (Graph::VertexId v : frontier) {
+        for (Graph::VertexId w : graph.neighbors(v)) {
+          if (!removed[w]) candidates.push_back(w);
         }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
       }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
 
-      // Each candidate loses exactly its edges into the round. One writer
-      // per candidate, so the sharded update has no races and the new
+      // Each candidate loses exactly its edges into the round, so the new
       // degrees are a pure function of (graph, round set).
-      {
-        ThreadPool* const scan_pool =
-            candidates.size() >= kMinParallelScan ? pool : nullptr;
-        const std::vector<ShardRange> shards =
-            ShardsFor(scan_pool, candidates.size());
-        RunShards(scan_pool, shards, [&](const ShardRange& shard) {
-          for (std::size_t i = shard.begin; i < shard.end; ++i) {
-            const Graph::VertexId w = candidates[i];
-            std::size_t lost = 0;
-            for (Graph::VertexId u : graph.neighbors(w)) {
-              if (stamp[u] == round) ++lost;
-            }
-            degree[w] -= lost;
-          }
-        });
+      for (Graph::VertexId w : candidates) {
+        std::size_t lost = 0;
+        for (Graph::VertexId u : graph.neighbors(w)) {
+          if (stamp[u] == round) ++lost;
+        }
+        degree[w] -= lost;
       }
 
       // Next round: candidates dragged to or below the wave level. The
@@ -174,8 +114,7 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
   if (alive > beta) {
     // Strict tail: lazy-deletion min-heap on (degree, id). The graph state
     // here is a pure function of (input graph, beta) — every full wave was
-    // an order-invariant k-core complement — so the tail, though serial, is
-    // reached with identical state at any thread count.
+    // an order-invariant k-core complement.
     using Entry = std::pair<std::size_t, Graph::VertexId>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
     for (std::size_t v = 0; v < n; ++v) {
@@ -270,11 +209,11 @@ PeelResult PeelRandom(const Graph& graph, std::size_t beta, Rng* rng) {
 }  // namespace
 
 PeelResult PeelToSize(const Graph& graph, std::size_t beta,
-                      PeelStrategy strategy, Rng* rng, ThreadPool* pool) {
+                      PeelStrategy strategy, Rng* rng) {
   DCS_CHECK(graph.finalized());
   switch (strategy) {
     case PeelStrategy::kMinDegree:
-      return PeelMinDegreeWaves(graph, beta, pool);
+      return PeelMinDegreeWaves(graph, beta);
     case PeelStrategy::kMaxDegree:
       return PeelMaxDegreeHeap(graph, beta);
     case PeelStrategy::kRandom:

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/graph.h"
 
 namespace dcs {
@@ -46,22 +45,17 @@ struct PeelResult {
 /// removes the full complement of the (d+1)-core (a graph invariant — the
 /// same set under ANY min-degree tie-break), and only the last, partial
 /// wave is peeled one vertex at a time under a strict (degree, id) order.
-/// With a non-null `pool` the per-wave scans (initial degrees, minimum
-/// degree, frontier collection, degree updates) are sharded and merged in
-/// ascending shard order, so the result is bit-identical at any thread
-/// count, including pool == nullptr. Cost is O(V + E) per wave plus an
+/// The waves make the result independent of tie-breaking among equal
+/// degrees (docs/PARALLELISM.md §5). Cost is O(V + E) per wave plus an
 /// O(V) minimum scan per wave.
 ///
-/// `rng` is only used by kRandom and may be null for the other strategies;
-/// `pool` is only used by kMinDegree.
+/// `rng` is only used by kRandom and may be null for the other strategies.
 PeelResult PeelToSize(const Graph& graph, std::size_t beta,
-                      PeelStrategy strategy, Rng* rng,
-                      ThreadPool* pool = nullptr);
+                      PeelStrategy strategy, Rng* rng);
 
 /// Convenience wrapper with the paper's semantics.
-inline PeelResult FindCore(const Graph& graph, std::size_t beta,
-                           ThreadPool* pool = nullptr) {
-  return PeelToSize(graph, beta, PeelStrategy::kMinDegree, nullptr, pool);
+inline PeelResult FindCore(const Graph& graph, std::size_t beta) {
+  return PeelToSize(graph, beta, PeelStrategy::kMinDegree, nullptr);
 }
 
 }  // namespace dcs

@@ -1,6 +1,7 @@
 #include "analysis/aligned_detector.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -125,6 +126,90 @@ TEST(AlignedDetectorTest, ReportedColumnsAreScreenedPatternColumns) {
   EXPECT_GE(genuine * 10, detection.columns.size() * 8);
 }
 
+// The search keeps one bounded heap per pass under a total order (weight
+// desc, then column ids asc), so its trajectory is a pure function of the
+// screened columns. These cases pin it — through every iteration, on pure
+// noise, on a planted pattern, and on input where almost every product
+// weight ties — to the values the engine has always produced.
+
+TEST(AlignedDetectorTest, PureNoiseTrajectoryIsPinned) {
+  SyntheticAlignedOptions opts;
+  opts.m = 150;
+  opts.n = 10000;
+  opts.n_prime = 250;
+  const std::vector<std::vector<std::size_t>> expected = {
+      {73, 52, 42, 33, 27, 22, 19, 17, 15, 14, 13, 12, 11, 10, 10,
+       9,  8,  8,  8,  7,  7,  7,  7,  6,  6,  6,  6,  6,  6},
+      {68, 51, 38, 31, 26, 22, 20, 17, 15, 13, 12, 11, 11, 10, 9,
+       9,  8,  8,  8,  7,  7,  7,  7,  7,  6,  6,  6,  6,  6},
+      {67, 50, 39, 30, 26, 22, 20, 17, 14, 13, 12, 11, 10, 10, 9,
+       9,  8,  8,  8,  8,  7,  7,  7,  7,  7,  6,  6,  6,  6},
+  };
+  const std::size_t expected_stop[] = {12, 8, 8};
+  const AlignedDetector detector(SmallDetectorOptions());
+  for (std::uint64_t seed = 20; seed <= 22; ++seed) {
+    Rng rng(seed);
+    const SyntheticScreened s = SampleScreenedAligned(opts, &rng);
+    const AlignedDetection detection = detector.Detect(s.screened);
+    EXPECT_FALSE(detection.pattern_found) << "seed " << seed;
+    EXPECT_EQ(detection.weight_trajectory, expected[seed - 20])
+        << "seed " << seed;
+    EXPECT_EQ(detection.stop_iteration, expected_stop[seed - 20])
+        << "seed " << seed;
+  }
+}
+
+TEST(AlignedDetectorTest, FullTrajectoryIsPinned) {
+  // record_full_trajectory runs every iteration up to the cap.
+  AlignedDetectorOptions opts = SmallDetectorOptions();
+  opts.record_full_trajectory = true;
+  Rng rng(3);
+  const SyntheticScreened s = SampleScreenedAligned(PlantedCase(), &rng);
+  const AlignedDetection detection = AlignedDetector(opts).Detect(s.screened);
+  ASSERT_TRUE(detection.pattern_found);
+  EXPECT_EQ(detection.weight_trajectory,
+            (std::vector<std::size_t>{89, 69, 59, 53, 48, 46, 44, 42, 42, 41,
+                                      40, 32, 26, 22, 19, 17, 15, 13, 12, 11,
+                                      10, 10, 9,  9,  8,  8,  8,  7,  7}));
+  EXPECT_EQ(detection.stop_iteration, 12u);
+  EXPECT_EQ(detection.columns,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(detection.rows,
+            (std::vector<std::uint32_t>{
+                2,   10,  19,  20,  33,  35,  41,  52,  66,  69,
+                70,  87,  89,  93,  94,  103, 108, 111, 114, 116,
+                119, 120, 127, 131, 141, 157, 159, 160, 164, 166,
+                169, 170, 172, 177, 182, 186, 188, 194, 195, 196}));
+}
+
+TEST(AlignedDetectorTest, TieHeavyTrajectoryIsPinned) {
+  // Twelve rows make almost every product weight collide, so the total
+  // order's column-id tie-breaks decide the hopefuls lists.
+  const std::size_t m = 12;
+  const std::size_t n = 600;
+  Rng rng(77);
+  BitMatrix matrix(m, n);
+  for (std::size_t r = 0; r < m; ++r) {
+    BitVector& row = matrix.row(r);
+    std::uint64_t* words = row.mutable_words();
+    for (std::size_t w = 0; w < row.num_words(); ++w) words[w] = rng.Next();
+    if (n % 64 != 0) words[row.num_words() - 1] &= (1ULL << (n % 64)) - 1;
+  }
+  AlignedDetectorOptions opts = SmallDetectorOptions();
+  opts.record_full_trajectory = true;  // Keep iterating through the ties.
+  const AlignedDetector detector(opts);
+  const AlignedDetection detection = detector.DetectInMatrix(matrix, 128);
+  EXPECT_FALSE(detection.pattern_found);
+  EXPECT_EQ(detection.weight_trajectory,
+            (std::vector<std::size_t>{10, 9, 9, 8, 8, 7, 7, 7, 7, 7,
+                                      7,  7, 6, 6, 6, 6, 6, 5, 5, 5,
+                                      5,  5, 5, 5, 5, 5, 5, 5, 5}));
+  EXPECT_EQ(detection.stop_iteration, 2u);
+  const AlignedDetection again = detector.DetectInMatrix(matrix, 128);
+  EXPECT_EQ(again.weight_trajectory, detection.weight_trajectory);
+  EXPECT_EQ(again.stop_iteration, detection.stop_iteration);
+}
+
 TEST(AlignedDetectorTest, DegenerateInputsAreSafe) {
   AlignedDetector detector(SmallDetectorOptions());
   ScreenedColumns empty;
@@ -192,7 +277,8 @@ BitMatrix PlantedAtFill(std::size_t m, std::size_t n, double fill,
   for (std::size_t i = 0; i < pattern_cols; ++i) {
     std::swap(cols[i], cols[i + rng->UniformInt(n - i)]);
   }
-  planted_cols->assign(cols.begin(), cols.begin() + pattern_cols);
+  planted_cols->assign(
+      cols.begin(), cols.begin() + static_cast<std::ptrdiff_t>(pattern_cols));
   std::sort(planted_cols->begin(), planted_cols->end());
   for (std::size_t i = 0; i < pattern_rows; ++i) {
     for (std::size_t c : *planted_cols) matrix.Set(rows[i], c);

@@ -1,9 +1,10 @@
-// Differential determinism suite for the parallel aligned-analysis engine:
-// Detect / DetectInMatrix / DetectMultipleInMatrix must return bit-identical
-// results — rows, columns, the full weight trajectory, and the stop
-// iteration — for the serial engine (no pool) and for pools of 1, 2, and 8
-// threads. The serial engine is the reference greedy ASID search of Figs 5
-// and 6; the sharded passes merge under a total order, so any divergence
+// Differential determinism suite for the pooled aligned-analysis stages:
+// DetectInMatrix / DetectMultipleInMatrix must return bit-identical results
+// — rows, columns, the full weight trajectory, and the stop iteration — for
+// the serial engine (no pool) and for pools of 1, 2, and 8 threads. The
+// weight screen and the final core scan shard over column slices and merge
+// in ascending order; the k-product search between them runs serially (its
+// own tie-breaks are pinned in test_aligned_detector.cc). Any divergence
 // here is a scheduling leak into the detection output.
 
 #include <cstdint>
@@ -52,70 +53,6 @@ class AlignedParallelTest : public ::testing::Test {
   ThreadPool pool2_;
   ThreadPool pool8_;
 };
-
-TEST_F(AlignedParallelTest, DetectOnScreenedColumns) {
-  SyntheticAlignedOptions opts;
-  opts.m = 200;
-  opts.n = 20000;
-  opts.n_prime = 300;
-  opts.pattern_rows = 40;
-  opts.pattern_cols = 14;
-  const AlignedDetector serial(SmallDetectorOptions());
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    const SyntheticScreened s = SampleScreenedAligned(opts, &rng);
-    const AlignedDetection reference = serial.Detect(s.screened);
-    EXPECT_FALSE(reference.weight_trajectory.empty());
-    for (ThreadPool* pool : pools()) {
-      const AlignedDetector parallel(SmallDetectorOptions(),
-                                     AnalysisContext{pool});
-      ExpectSameDetection(reference, parallel.Detect(s.screened),
-                          pool->num_threads());
-    }
-  }
-}
-
-TEST_F(AlignedParallelTest, DetectOnPureNoise) {
-  SyntheticAlignedOptions opts;
-  opts.m = 150;
-  opts.n = 10000;
-  opts.n_prime = 250;
-  const AlignedDetector serial(SmallDetectorOptions());
-  for (std::uint64_t seed = 20; seed <= 22; ++seed) {
-    Rng rng(seed);
-    const SyntheticScreened s = SampleScreenedAligned(opts, &rng);
-    const AlignedDetection reference = serial.Detect(s.screened);
-    EXPECT_FALSE(reference.pattern_found);
-    for (ThreadPool* pool : pools()) {
-      const AlignedDetector parallel(SmallDetectorOptions(),
-                                     AnalysisContext{pool});
-      ExpectSameDetection(reference, parallel.Detect(s.screened),
-                          pool->num_threads());
-    }
-  }
-}
-
-TEST_F(AlignedParallelTest, DetectWithFullTrajectory) {
-  // record_full_trajectory exercises every iteration up to the cap, so the
-  // trajectories compare across the longest possible run.
-  SyntheticAlignedOptions opts;
-  opts.m = 200;
-  opts.n = 20000;
-  opts.n_prime = 300;
-  opts.pattern_rows = 40;
-  opts.pattern_cols = 14;
-  AlignedDetectorOptions detector_opts = SmallDetectorOptions();
-  detector_opts.record_full_trajectory = true;
-  Rng rng(3);
-  const SyntheticScreened s = SampleScreenedAligned(opts, &rng);
-  const AlignedDetection reference =
-      AlignedDetector(detector_opts).Detect(s.screened);
-  for (ThreadPool* pool : pools()) {
-    const AlignedDetector parallel(detector_opts, AnalysisContext{pool});
-    ExpectSameDetection(reference, parallel.Detect(s.screened),
-                        pool->num_threads());
-  }
-}
 
 TEST_F(AlignedParallelTest, DetectInMatrixWithCoreScanExpansion) {
   // Pattern columns beyond the screen cutoff force the final core scan to

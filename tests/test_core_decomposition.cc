@@ -1,9 +1,13 @@
 #include "graph/core_decomposition.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "graph/er_random.h"
 
 namespace dcs {
@@ -137,6 +141,210 @@ TEST(PeelStrategyTest, DeterministicForDegreeStrategies) {
   const PeelResult b = PeelToSize(g, 6, PeelStrategy::kMinDegree, nullptr);
   EXPECT_EQ(a.core, b.core);
   EXPECT_EQ(a.removal_order, b.removal_order);
+}
+
+// ---------- Wave peel on tie-heavy graphs ----------
+//
+// The min-degree peel removes whole k-core complements (sets that do not
+// depend on how degree ties fall) and only the final partial wave under a
+// strict (degree, id) order. The fixtures below maximize ties; each pins
+// the peel's removal order (by length and fingerprint), wave count and
+// strict-tail count, so any change to the order shows here.
+
+// All vertices degree 2 — every peel decision is a tie.
+Graph Cycle(std::size_t n) {
+  Graph g(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    g.AddEdge(static_cast<Graph::VertexId>(v),
+              static_cast<Graph::VertexId>((v + 1) % n));
+  }
+  g.Finalize();
+  return g;
+}
+
+// Two-dimensional grid: interior degree 4, edges 3, corners 2 — tie-heavy
+// cascades whose waves sweep inward.
+Graph Grid(std::size_t rows, std::size_t cols) {
+  Graph g(rows * cols);
+  auto id = [cols](std::size_t r, std::size_t c) {
+    return static_cast<Graph::VertexId>(r * cols + c);
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) g.AddEdge(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) g.AddEdge(id(r, c), id(r + 1, c));
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+// Every vertex has degree `left` or `right` — one giant bucket per side.
+Graph CompleteBipartite(std::size_t left, std::size_t right) {
+  Graph g(left + right);
+  for (std::size_t a = 0; a < left; ++a) {
+    for (std::size_t b = 0; b < right; ++b) {
+      g.AddEdge(static_cast<Graph::VertexId>(a),
+                static_cast<Graph::VertexId>(left + b));
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+// Sparse ER noise, optionally with a planted clique on the first
+// `clique` vertices.
+Graph ErGraph(std::size_t n, double p, std::uint64_t seed,
+              std::size_t clique) {
+  Rng rng(seed);
+  Graph g(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      if (rng.Bernoulli(p)) {
+        g.AddEdge(static_cast<Graph::VertexId>(u),
+                  static_cast<Graph::VertexId>(v));
+      }
+    }
+  }
+  for (std::size_t u = 0; u < clique; ++u) {
+    for (std::size_t v = u + 1; v < clique; ++v) {
+      g.AddEdge(static_cast<Graph::VertexId>(u),
+                static_cast<Graph::VertexId>(v));
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+// FNV-1a over the little-endian bytes of each vertex id.
+std::uint64_t OrderFingerprint(const std::vector<Graph::VertexId>& order) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (Graph::VertexId v : order) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// The peel must partition the vertices: core ∪ removal_order = V, disjoint.
+void ExpectPartition(const PeelResult& result, std::size_t n,
+                     std::size_t beta) {
+  EXPECT_EQ(result.core.size() + result.removal_order.size(), n);
+  if (n > beta) {
+    EXPECT_EQ(result.core.size(), beta);
+  }
+  std::vector<char> seen(n, 0);
+  for (Graph::VertexId v : result.core) {
+    EXPECT_EQ(seen[v], 0);
+    seen[v] = 1;
+  }
+  for (Graph::VertexId v : result.removal_order) {
+    EXPECT_EQ(seen[v], 0);
+    seen[v] = 1;
+  }
+}
+
+struct PinnedPeel {
+  std::size_t beta;
+  std::uint64_t order_fingerprint;
+  std::size_t waves;
+  std::size_t tail_removals;
+};
+
+void ExpectPinnedPeels(const Graph& g, const std::vector<PinnedPeel>& pins) {
+  for (const PinnedPeel& pin : pins) {
+    const PeelResult result = FindCore(g, pin.beta);
+    ExpectPartition(result, g.num_vertices(), pin.beta);
+    EXPECT_EQ(OrderFingerprint(result.removal_order), pin.order_fingerprint)
+        << "beta " << pin.beta;
+    EXPECT_EQ(result.waves, pin.waves) << "beta " << pin.beta;
+    EXPECT_EQ(result.tail_removals, pin.tail_removals) << "beta " << pin.beta;
+  }
+}
+
+TEST(WavePeelTest, CycleAllDecisionsAreTies) {
+  ExpectPinnedPeels(Cycle(5000), {{0, 0x87583885f1a6a053ULL, 1, 0},
+                                  {100, 0x8f39cdab85faa0cfULL, 0, 4900},
+                                  {2500, 0x8c85cf80bb72692fULL, 0, 2500},
+                                  {4999, 0x315446a086a23133ULL, 0, 1}});
+}
+
+TEST(WavePeelTest, GridCascadingWaves) {
+  ExpectPinnedPeels(Grid(70, 70), {{0, 0x8543b910b9801b67ULL, 1, 0},
+                                   {50, 0xb9b299d8df0ccf46ULL, 1, 10},
+                                   {1000, 0xdc45dfd572fec7fcULL, 1, 12}});
+}
+
+TEST(WavePeelTest, CompleteBipartiteTwoGiantBuckets) {
+  ExpectPinnedPeels(CompleteBipartite(60, 60),
+                    {{10, 0xed41805fec6682d7ULL, 0, 110},
+                     {30, 0x565a079de5538607ULL, 0, 90},
+                     {90, 0x93233ba8bc453597ULL, 0, 30}});
+}
+
+TEST(WavePeelTest, SparseRandomGraphs) {
+  const std::vector<std::vector<PinnedPeel>> pins = {
+      {{0, 0x9e2c184cb78eb977ULL, 3, 0},
+       {10, 0x14030cf10b075d4cULL, 3, 7},
+       {500, 0x2526f9669dec9916ULL, 3, 60}},
+      {{0, 0xe762abf84345607bULL, 3, 0},
+       {10, 0x6bd81748a51b03c0ULL, 3, 26},
+       {500, 0x957ca688272c33b6ULL, 3, 86}},
+      {{0, 0x8146ca7de33e4413ULL, 3, 0},
+       {10, 0x84be525222341b63ULL, 3, 4},
+       {500, 0xf7e3c3f44b0452e3ULL, 3, 40}},
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectPinnedPeels(ErGraph(3000, 3.0 / 3000.0, seed, 0), pins[seed - 1]);
+  }
+}
+
+TEST(WavePeelTest, PlantedCliqueInNoiseIsTheCore) {
+  // ER noise around a 40-clique: the peel converges on the clique.
+  const std::size_t clique = 40;
+  const Graph g = ErGraph(4096, 2.0 / 4096.0, 7, clique);
+  const PeelResult result = FindCore(g, clique);
+  ASSERT_EQ(result.core.size(), clique);
+  for (std::size_t i = 0; i < clique; ++i) {
+    EXPECT_EQ(result.core[i], static_cast<Graph::VertexId>(i));
+  }
+  ExpectPinnedPeels(g, {{clique, 0x13bfa2034e3bca27ULL, 3, 0}});
+  ExpectPinnedPeels(ErGraph(2500, 4.0 / 2500.0, 11, 20),
+                    {{20, 0xca90e917a715af5bULL, 4, 0}});
+}
+
+TEST(WavePeelTest, StrictTailHandlesOvershootingWave) {
+  // In a cycle the very first wave (degree 2) would cascade through every
+  // vertex, overshooting beta — the whole peel runs in the strict tail.
+  ExpectPinnedPeels(Cycle(64), {{10, 0x5a74206ea4ec5cd2ULL, 0, 54}});
+}
+
+TEST(WavePeelTest, EdgelessGraphPeelsByIdUnderTies) {
+  // Every degree is 0; one wave would remove everything, so the tail rules
+  // and the strict (degree, id) order must remove ascending ids.
+  Graph g(20);
+  g.Finalize();
+  const PeelResult result = FindCore(g, 5);
+  ASSERT_EQ(result.removal_order.size(), 15u);
+  for (std::size_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(result.removal_order[i], static_cast<Graph::VertexId>(i));
+  }
+  ExpectPinnedPeels(g, {{5, 0x903c0fe5f130c9dcULL, 0, 15}});
+}
+
+TEST(WavePeelTest, DegenerateInputsAreSafe) {
+  Graph empty(0);
+  empty.Finalize();
+  EXPECT_TRUE(FindCore(empty, 0).core.empty());
+  Graph one(1);
+  one.Finalize();
+  EXPECT_EQ(FindCore(one, 0).removal_order.size(), 1u);
+  // beta >= n: nothing to peel.
+  const PeelResult whole = FindCore(Cycle(8), 8);
+  EXPECT_EQ(whole.core.size(), 8u);
+  EXPECT_TRUE(whole.removal_order.empty());
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "analysis/correlation.h"
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,151 +12,122 @@
 namespace dcs {
 namespace {
 
-TEST(CorrelateGroupsTest, FindsMaxPairExactly) {
-  std::vector<BitVector> a(3, BitVector(64));
-  std::vector<BitVector> b(2, BitVector(64));
-  // a[1] and b[0] share 5 positions; everything else shares fewer.
-  for (std::size_t i = 0; i < 5; ++i) {
-    a[1].Set(i);
-    b[0].Set(i);
+using Pair = std::pair<std::uint32_t, std::uint32_t>;
+
+// Runs `plan` and returns every visited pair, in visit order within each
+// shard and shards concatenated in ascending index order (the merge rule
+// the graph builder uses).
+std::vector<Pair> VisitedPairs(const PairScanPlan& plan,
+                               const PairScanOptions& options) {
+  std::vector<std::vector<Pair>> per_shard(plan.shards.size());
+  RunGroupPairScan(plan, options,
+                   [&](const ShardRange& shard, std::uint32_t a,
+                       std::uint32_t b) {
+                     per_shard[shard.index].emplace_back(a, b);
+                   });
+  std::vector<Pair> pairs;
+  for (const std::vector<Pair>& part : per_shard) {
+    pairs.insert(pairs.end(), part.begin(), part.end());
   }
-  a[0].Set(60);
-  b[1].Set(60);
-  const GroupPairCorrelation best = CorrelateGroups(a, b);
-  EXPECT_EQ(best.max_common, 5u);
-  EXPECT_EQ(best.row_a, 1u);
-  EXPECT_EQ(best.row_b, 0u);
+  return pairs;
 }
 
-TEST(CorrelateGroupsTest, DisjointRowsGiveZero) {
-  std::vector<BitVector> a(2, BitVector(32));
-  std::vector<BitVector> b(2, BitVector(32));
-  a[0].Set(1);
-  b[0].Set(2);
-  EXPECT_EQ(CorrelateGroups(a, b).max_common, 0u);
-}
-
-TEST(ForEachGroupPairTest, SerialCoversAllPairsOnce) {
-  std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
-  PairScanOptions opts;
-  const auto sampled = ForEachGroupPair(
-      6, opts, [&](std::uint32_t a, std::uint32_t b) {
-        EXPECT_LT(a, b);
-        EXPECT_TRUE(seen.emplace(a, b).second);
-      });
+TEST(PairScanPlanTest, SerialCoversAllPairsOnce) {
+  const PairScanOptions opts;
+  const PairScanPlan plan = PlanGroupPairScan(6, opts);
+  EXPECT_EQ(plan.sampled.size(), 6u);
+  ASSERT_EQ(plan.shards.size(), 1u);
+  std::set<Pair> seen;
+  for (const Pair& pair : VisitedPairs(plan, opts)) {
+    EXPECT_LT(pair.first, pair.second);
+    EXPECT_TRUE(seen.insert(pair).second);
+  }
   EXPECT_EQ(seen.size(), 15u);
-  EXPECT_EQ(sampled.size(), 6u);
 }
 
-TEST(ForEachGroupPairTest, ParallelCoversSamePairs) {
+TEST(PairScanPlanTest, PooledPlanCoversTheSerialPairsInOrder) {
   ThreadPool pool(3);
-  PairScanOptions opts;
-  opts.pool = &pool;
+  PairScanOptions pooled;
+  pooled.pool = &pool;
+  const PairScanPlan plan = PlanGroupPairScan(10, pooled);
+  EXPECT_GT(plan.shards.size(), 1u);
+  // Concurrent visits from distinct shards, guarded like any shared sink.
   Mutex mu;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
-  ForEachGroupPair(10, opts, [&](std::uint32_t a, std::uint32_t b) {
-    MutexLock lock(&mu);
-    EXPECT_TRUE(seen.emplace(a, b).second);
-  });
+  std::set<Pair> seen;
+  RunGroupPairScan(plan, pooled,
+                   [&](const ShardRange&, std::uint32_t a, std::uint32_t b) {
+                     MutexLock lock(&mu);
+                     EXPECT_TRUE(seen.emplace(a, b).second);
+                   });
   EXPECT_EQ(seen.size(), 45u);
+
+  // Shard-order concatenation reproduces the serial visit order exactly.
+  const PairScanOptions serial;
+  EXPECT_EQ(VisitedPairs(plan, pooled),
+            VisitedPairs(PlanGroupPairScan(10, serial), serial));
 }
 
-TEST(ForEachGroupPairTest, SamplingRestrictsPairs) {
+TEST(PairScanPlanTest, SamplingRestrictsPairs) {
   PairScanOptions opts;
   opts.group_sample_rate = 0.4;
   opts.sample_seed = 3;
-  std::set<std::uint32_t> groups_seen;
-  std::size_t pairs = 0;
-  const auto sampled =
-      ForEachGroupPair(100, opts, [&](std::uint32_t a, std::uint32_t b) {
-        groups_seen.insert(a);
-        groups_seen.insert(b);
-        ++pairs;
-      });
+  const PairScanPlan plan = PlanGroupPairScan(100, opts);
+  const std::vector<std::uint32_t>& sampled = plan.sampled;
   EXPECT_EQ(sampled.size(), 40u);
-  EXPECT_EQ(pairs, 40u * 39 / 2);
-  for (std::uint32_t g : groups_seen) {
-    EXPECT_TRUE(std::binary_search(sampled.begin(), sampled.end(), g));
+  EXPECT_TRUE(std::is_sorted(sampled.begin(), sampled.end()));
+  const std::vector<Pair> pairs = VisitedPairs(plan, opts);
+  EXPECT_EQ(pairs.size(), 40u * 39 / 2);
+  for (const Pair& pair : pairs) {
+    EXPECT_TRUE(std::binary_search(sampled.begin(), sampled.end(),
+                                   pair.first));
+    EXPECT_TRUE(std::binary_search(sampled.begin(), sampled.end(),
+                                   pair.second));
   }
 }
 
-TEST(CorrelateGroupsTest, TieBreaksTowardLowestRowPair) {
-  // Three identical rows on each side: every pair shares the same 4
-  // positions, so the max is achieved 9 ways. The contract pins the result
-  // to the lexicographically lowest (row_a, row_b) = (0, 0).
-  std::vector<BitVector> a(3, BitVector(128));
-  for (BitVector& row : a) {
-    for (std::size_t i = 0; i < 4; ++i) row.Set(i * 17);
-  }
-  std::vector<BitVector> b = a;
-  const GroupPairCorrelation best = CorrelateGroups(a, b);
-  EXPECT_EQ(best.max_common, 4u);
-  EXPECT_EQ(best.row_a, 0u);
-  EXPECT_EQ(best.row_b, 0u);
+TEST(PairScanPlanTest, SampledPlanKeepsAtLeastTwoGroups) {
+  // 1 % of 50 rounds down to 0; the keep floor of 2 still leaves a pair.
+  PairScanOptions opts;
+  opts.group_sample_rate = 0.01;
+  const PairScanPlan plan = PlanGroupPairScan(50, opts);
+  EXPECT_EQ(plan.sampled.size(), 2u);
+  EXPECT_EQ(VisitedPairs(plan, opts).size(), 1u);
 }
 
-TEST(CorrelateGroupsTest, TieBreakPrefersEarlierBRowWithinSameARow) {
-  // b[1] and b[2] tie; b[0] loses. Lowest row_b among the winners must win.
-  std::vector<BitVector> a(1, BitVector(64));
-  std::vector<BitVector> b(3, BitVector(64));
-  for (std::size_t i = 0; i < 6; ++i) a[0].Set(i);
-  b[0].Set(0);
-  for (std::size_t i = 0; i < 3; ++i) {
-    b[1].Set(i);
-    b[2].Set(i + 3);
-  }
-  const GroupPairCorrelation best = CorrelateGroups(a, b);
-  EXPECT_EQ(best.max_common, 3u);
-  EXPECT_EQ(best.row_a, 0u);
-  EXPECT_EQ(best.row_b, 1u);
-}
-
-TEST(ForEachGroupPairTest, SamplingWithTooFewGroupsDoesNotAbort) {
+TEST(PairScanPlanTest, SamplingWithTooFewGroupsDoesNotAbort) {
   // Regression: with sampling on, the sampler used to ask for max(keep, 2)
   // groups even when fewer than 2 existed, tripping the k <= n contract of
   // SampleWithoutReplacement and aborting the process.
   PairScanOptions opts;
   opts.group_sample_rate = 0.1;
-  std::size_t pairs = 0;
-  const auto none =
-      ForEachGroupPair(0, opts, [&](std::uint32_t, std::uint32_t) {
-        ++pairs;
-      });
-  EXPECT_TRUE(none.empty());
-  EXPECT_EQ(pairs, 0u);
+  const PairScanPlan none = PlanGroupPairScan(0, opts);
+  EXPECT_TRUE(none.sampled.empty());
+  EXPECT_TRUE(VisitedPairs(none, opts).empty());
 
-  const auto one =
-      ForEachGroupPair(1, opts, [&](std::uint32_t, std::uint32_t) {
-        ++pairs;
-      });
-  EXPECT_EQ(one, std::vector<std::uint32_t>{0});
-  EXPECT_EQ(pairs, 0u);
+  const PairScanPlan one = PlanGroupPairScan(1, opts);
+  EXPECT_EQ(one.sampled, std::vector<std::uint32_t>{0});
+  EXPECT_TRUE(VisitedPairs(one, opts).empty());
 }
 
-TEST(ForEachGroupPairTest, SamplingTwoGroupsKeepsBoth) {
+TEST(PairScanPlanTest, SamplingTwoGroupsKeepsBoth) {
   // The smallest population where sampling is possible: the keep floor of 2
   // must clamp to the population, not overshoot it.
   PairScanOptions opts;
   opts.group_sample_rate = 0.1;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> visited;
-  const auto sampled =
-      ForEachGroupPair(2, opts, [&](std::uint32_t a, std::uint32_t b) {
-        visited.emplace_back(a, b);
-      });
-  EXPECT_EQ(sampled, (std::vector<std::uint32_t>{0, 1}));
-  ASSERT_EQ(visited.size(), 1u);
-  EXPECT_EQ(visited[0], std::make_pair(0u, 1u));
+  const PairScanPlan plan = PlanGroupPairScan(2, opts);
+  EXPECT_EQ(plan.sampled, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(VisitedPairs(plan, opts), (std::vector<Pair>{{0u, 1u}}));
 }
 
-TEST(ForEachGroupPairTest, SamplingIsDeterministicBySeed) {
+TEST(PairScanPlanTest, SamplingIsDeterministicBySeed) {
   PairScanOptions opts;
   opts.group_sample_rate = 0.3;
   opts.sample_seed = 5;
-  const auto a = ForEachGroupPair(50, opts, [](std::uint32_t, std::uint32_t) {});
-  const auto b = ForEachGroupPair(50, opts, [](std::uint32_t, std::uint32_t) {});
+  const std::vector<std::uint32_t> a = PlanGroupPairScan(50, opts).sampled;
+  const std::vector<std::uint32_t> b = PlanGroupPairScan(50, opts).sampled;
   EXPECT_EQ(a, b);
   opts.sample_seed = 6;
-  const auto c = ForEachGroupPair(50, opts, [](std::uint32_t, std::uint32_t) {});
+  const std::vector<std::uint32_t> c = PlanGroupPairScan(50, opts).sampled;
   EXPECT_NE(a, c);
 }
 

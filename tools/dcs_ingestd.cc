@@ -7,7 +7,7 @@
 // line per closed epoch as reports stream out.
 //
 //   dcs_ingestd (--uds /tmp/dcs.sock | --tcp-port N [N=0: ephemeral, port
-//       printed on stdout]) [--threads 1] [--server-threads <threads>]
+//       printed on stdout]) [--threads 1]
 //       [--ring-capacity 8]
 //       [--shed-policy block|drop-oldest|degrade] [--analysis-budget 1]
 //       [--expected-routers 0] [--bitmap-bits 8192] [--n-prime 128]
@@ -156,33 +156,16 @@ Status BuildRingOptions(const Flags& flags, EpochRingOptions* out) {
 Status CmdServe(const Flags& flags) {
   const std::int64_t threads = flags.GetInt("threads", 1);
   if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
+  // One pool for the whole daemon. The poll round fans connection reads
+  // and frame parsing out on it, the dispatcher decodes on it, and the
+  // ring's analysis uses it; the stages never overlap (all run inside the
+  // poll round), and the single ordered offer stage keeps the report
+  // stream unchanged (the loopback differential suite is the proof).
   std::unique_ptr<ThreadPool> pool;
   AnalysisContext context;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
     context.pool = pool.get();
-  }
-  // --server-threads N > 1 fans connection reads + frame parsing out on a
-  // worker pool per poll round; decoded digests still funnel through the
-  // single ordered offer stage, so the report stream is unchanged (the
-  // loopback differential suite is the proof). Defaults to --threads, so
-  // one flag scales the whole daemon; the analysis pool doubles as the
-  // read pool (the stages never overlap — both run inside the poll round).
-  const std::int64_t server_threads =
-      flags.GetInt("server-threads", threads);
-  if (server_threads < 1) {
-    return Status::InvalidArgument("--server-threads must be >= 1");
-  }
-  std::unique_ptr<ThreadPool> server_pool;
-  ThreadPool* read_pool = nullptr;
-  if (server_threads > 1) {
-    if (server_threads == threads) {
-      read_pool = pool.get();
-    } else {
-      server_pool =
-          std::make_unique<ThreadPool>(static_cast<std::size_t>(server_threads));
-      read_pool = server_pool.get();
-    }
   }
   EpochRingOptions ring_options;
   DCS_RETURN_IF_ERROR(BuildRingOptions(flags, &ring_options));
@@ -194,7 +177,7 @@ Status CmdServe(const Flags& flags) {
   std::uint64_t emitted = 0;
   const IngestServer* server_ptr = nullptr;
   IngestServerOptions server_options;
-  server_options.pool = read_pool;
+  server_options.pool = pool.get();
   server_options.max_rejects_per_connection =
       static_cast<std::uint64_t>(flags.GetInt("max-rejects", 64));
   // Streams reports as their epochs close; stops on signal, --max-epochs,
