@@ -1,130 +1,76 @@
-// Differential determinism suite for the sharded min-degree peel: FindCore
-// must return bit-identical results — core, removal_order, wave and tail
-// counts — for the serial path (no pool) and for pools of 1, 2, and 8
-// threads, on graphs built to maximize degree ties. The canonical wave
-// algorithm removes whole k-core complements (order-invariant sets) and
-// only the final partial wave under a strict (degree, id) order, so any
-// divergence here is a scheduling leak into the peel.
+// Min-degree peels on pool workers. FindCore runs serially inside one call,
+// but the thread that calls it may be any pool worker, and several peels may
+// run at once (one per shard of a RunShards batch), on distinct graphs or on
+// one shared const graph. Each peel must stay a pure function of
+// (graph, beta): core, removal_order, wave and tail counts bit-identical to
+// the same call on the test thread, whatever pool ran it and whatever ran
+// beside it. Under ThreadSanitizer this also shows the peel keeps no shared
+// mutable state. The graphs maximize degree ties (peel_fixtures.h).
 
 #include <cstddef>
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/core_decomposition.h"
 #include "graph/graph.h"
+#include "peel_fixtures.h"
 
 namespace dcs {
 namespace {
 
-// All vertices degree 2 — every peel decision is a tie.
-Graph Cycle(std::size_t n) {
-  Graph g(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    g.AddEdge(static_cast<Graph::VertexId>(v),
-              static_cast<Graph::VertexId>((v + 1) % n));
-  }
-  g.Finalize();
-  return g;
+using peel_fixtures::CompleteBipartite;
+using peel_fixtures::Cycle;
+using peel_fixtures::ErGraph;
+using peel_fixtures::Grid;
+
+struct PeelCase {
+  const Graph* graph;
+  std::size_t beta;
+};
+
+// Runs every case as its own shard, so on a pool the peels run concurrently.
+std::vector<PeelResult> PeelAll(ThreadPool* pool,
+                                const std::vector<PeelCase>& cases) {
+  std::vector<PeelResult> results(cases.size());
+  RunShards(pool, MakeShards(cases.size(), cases.size()),
+            [&](const ShardRange& shard) {
+              for (std::size_t i = shard.begin; i < shard.end; ++i) {
+                results[i] = FindCore(*cases[i].graph, cases[i].beta);
+              }
+            });
+  return results;
 }
 
-// Two-dimensional grid: interior degree 4, edges 3, corners 2 — tie-heavy
-// cascades whose waves sweep inward.
-Graph Grid(std::size_t rows, std::size_t cols) {
-  Graph g(rows * cols);
-  auto id = [cols](std::size_t r, std::size_t c) {
-    return static_cast<Graph::VertexId>(r * cols + c);
-  };
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.AddEdge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.AddEdge(id(r, c), id(r + 1, c));
-    }
-  }
-  g.Finalize();
-  return g;
-}
-
-// Every vertex has degree `left` or `right` — one giant bucket per side.
-Graph CompleteBipartite(std::size_t left, std::size_t right) {
-  Graph g(left + right);
-  for (std::size_t a = 0; a < left; ++a) {
-    for (std::size_t b = 0; b < right; ++b) {
-      g.AddEdge(static_cast<Graph::VertexId>(a),
-                static_cast<Graph::VertexId>(left + b));
-    }
-  }
-  g.Finalize();
-  return g;
-}
-
-// Sparse ER noise, optionally with a planted clique on the first
-// `clique` vertices.
-Graph ErGraph(std::size_t n, double p, std::uint64_t seed,
-              std::size_t clique) {
-  Rng rng(seed);
-  Graph g(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t v = u + 1; v < n; ++v) {
-      if (rng.Bernoulli(p)) {
-        g.AddEdge(static_cast<Graph::VertexId>(u),
-                  static_cast<Graph::VertexId>(v));
-      }
-    }
-  }
-  for (std::size_t u = 0; u < clique; ++u) {
-    for (std::size_t v = u + 1; v < clique; ++v) {
-      g.AddEdge(static_cast<Graph::VertexId>(u),
-                static_cast<Graph::VertexId>(v));
-    }
-  }
-  g.Finalize();
-  return g;
-}
-
-void ExpectSamePeel(const PeelResult& serial, const PeelResult& pooled,
-                    std::size_t num_threads) {
-  EXPECT_EQ(serial.core, pooled.core) << num_threads << " threads";
-  EXPECT_EQ(serial.removal_order, pooled.removal_order)
-      << num_threads << " threads";
-  EXPECT_EQ(serial.waves, pooled.waves) << num_threads << " threads";
-  EXPECT_EQ(serial.tail_removals, pooled.tail_removals)
-      << num_threads << " threads";
-}
-
-// The peel must partition the vertices: core ∪ removal_order = V, disjoint.
-void ExpectPartition(const PeelResult& result, std::size_t n,
-                     std::size_t beta) {
-  EXPECT_EQ(result.core.size() + result.removal_order.size(), n);
-  if (n > beta) {
-    EXPECT_EQ(result.core.size(), beta);
-  }
-  std::vector<char> seen(n, 0);
-  for (Graph::VertexId v : result.core) {
-    EXPECT_EQ(seen[v], 0);
-    seen[v] = 1;
-  }
-  for (Graph::VertexId v : result.removal_order) {
-    EXPECT_EQ(seen[v], 0);
-    seen[v] = 1;
-  }
+void ExpectSamePeel(const PeelResult& expected, const PeelResult& actual,
+                    const std::string& where) {
+  EXPECT_EQ(expected.core, actual.core) << where;
+  EXPECT_EQ(expected.removal_order, actual.removal_order) << where;
+  EXPECT_EQ(expected.waves, actual.waves) << where;
+  EXPECT_EQ(expected.tail_removals, actual.tail_removals) << where;
 }
 
 class PeelingParallelTest : public ::testing::Test {
  protected:
   PeelingParallelTest() : pool1_(1), pool2_(2), pool8_(8) {}
 
-  std::vector<ThreadPool*> pools() { return {&pool1_, &pool2_, &pool8_}; }
-
-  void ExpectDeterministicAcrossPools(const Graph& g, std::size_t beta) {
-    const PeelResult reference = FindCore(g, beta);
-    ExpectPartition(reference, g.num_vertices(), beta);
-    for (ThreadPool* pool : pools()) {
-      ExpectSamePeel(reference, FindCore(g, beta, pool),
-                     pool->num_threads());
+  // Every case peeled concurrently on pools of 1, 2 and 8 threads must
+  // match the same case peeled on the test thread.
+  void ExpectPoolsMatchCaller(const std::vector<PeelCase>& cases) {
+    std::vector<PeelResult> reference;
+    for (const PeelCase& c : cases) {
+      reference.push_back(FindCore(*c.graph, c.beta));
+    }
+    for (ThreadPool* pool : {&pool1_, &pool2_, &pool8_}) {
+      const std::vector<PeelResult> pooled = PeelAll(pool, cases);
+      ASSERT_EQ(pooled.size(), cases.size());
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        ExpectSamePeel(reference[i], pooled[i],
+                       "case " + std::to_string(i) + ", " +
+                           std::to_string(pool->num_threads()) + " threads");
+      }
     }
   }
 
@@ -133,84 +79,63 @@ class PeelingParallelTest : public ::testing::Test {
   ThreadPool pool8_;
 };
 
-TEST_F(PeelingParallelTest, CycleAllDecisionsAreTies) {
-  // 5000 vertices crosses the peel's inline-execution threshold, so the
-  // pooled runs genuinely shard the scans.
-  const Graph g = Cycle(5000);
-  for (std::size_t beta : {std::size_t{0}, std::size_t{100},
-                           std::size_t{2500}, std::size_t{4999}}) {
-    ExpectDeterministicAcrossPools(g, beta);
-  }
+TEST_F(PeelingParallelTest, TieHeavyGraphsPeelAlikeOnEveryPool) {
+  const Graph cycle = Cycle(5000);
+  const Graph grid = Grid(70, 70);
+  const Graph bipartite = CompleteBipartite(60, 60);
+  const Graph er1 = ErGraph(3000, 3.0 / 3000.0, 1, 0);
+  const Graph er2 = ErGraph(3000, 3.0 / 3000.0, 2, 0);
+  const Graph er3 = ErGraph(3000, 3.0 / 3000.0, 3, 0);
+  ExpectPoolsMatchCaller({{&cycle, 0},      {&cycle, 100},
+                          {&cycle, 2500},   {&cycle, 4999},
+                          {&grid, 0},       {&grid, 50},
+                          {&grid, 1000},    {&bipartite, 10},
+                          {&bipartite, 30}, {&bipartite, 90},
+                          {&er1, 0},        {&er1, 10},
+                          {&er1, 500},      {&er2, 10},
+                          {&er3, 500}});
 }
 
-TEST_F(PeelingParallelTest, GridCascadingWaves) {
-  const Graph g = Grid(70, 70);
-  for (std::size_t beta : {std::size_t{0}, std::size_t{50},
-                           std::size_t{1000}}) {
-    ExpectDeterministicAcrossPools(g, beta);
+TEST_F(PeelingParallelTest, OneSharedGraphPeeledConcurrently) {
+  // Sixteen peels of the same const graph at once, half of them to a
+  // different beta, so concurrent calls read one adjacency structure.
+  const Graph g = ErGraph(2500, 4.0 / 2500.0, 11, 20);
+  std::vector<PeelCase> cases;
+  for (std::size_t i = 0; i < 16; ++i) {
+    cases.push_back({&g, i % 2 == 0 ? std::size_t{20} : std::size_t{200}});
   }
+  ExpectPoolsMatchCaller(cases);
 }
 
-TEST_F(PeelingParallelTest, CompleteBipartiteTwoGiantBuckets) {
-  const Graph g = CompleteBipartite(60, 60);
-  for (std::size_t beta : {std::size_t{10}, std::size_t{30},
-                           std::size_t{90}}) {
-    ExpectDeterministicAcrossPools(g, beta);
-  }
-}
-
-TEST_F(PeelingParallelTest, SparseRandomGraphs) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Graph g = ErGraph(3000, 3.0 / 3000.0, seed, 0);
-    for (std::size_t beta : {std::size_t{0}, std::size_t{10},
-                             std::size_t{500}}) {
-      ExpectDeterministicAcrossPools(g, beta);
-    }
-  }
-}
-
-TEST_F(PeelingParallelTest, PlantedCliqueSurvivesOnEveryPool) {
-  // Above the inline threshold, with ER noise around a 40-clique: the peel
-  // must converge on the clique identically on every pool.
+TEST_F(PeelingParallelTest, PlantedCliqueSurvivesOnEveryWorker) {
+  // ER noise around a 40-clique: every concurrent peel converges on it.
   const std::size_t clique = 40;
   const Graph g = ErGraph(4096, 2.0 / 4096.0, 7, clique);
-  const PeelResult reference = FindCore(g, clique);
-  ASSERT_EQ(reference.core.size(), clique);
-  for (std::size_t i = 0; i < clique; ++i) {
-    EXPECT_EQ(reference.core[i], static_cast<Graph::VertexId>(i));
+  const std::vector<PeelCase> cases(8, PeelCase{&g, clique});
+  for (const PeelResult& result : PeelAll(&pool8_, cases)) {
+    ASSERT_EQ(result.core.size(), clique);
+    for (std::size_t i = 0; i < clique; ++i) {
+      EXPECT_EQ(result.core[i], static_cast<Graph::VertexId>(i));
+    }
   }
-  for (ThreadPool* pool : pools()) {
-    ExpectSamePeel(reference, FindCore(g, clique, pool),
-                   pool->num_threads());
-  }
+  ExpectPoolsMatchCaller(cases);
 }
 
-TEST_F(PeelingParallelTest, StrictTailHandlesOvershootingWave) {
-  // In a cycle the very first wave (degree 2) would cascade through every
-  // vertex, overshooting beta — the whole peel runs in the strict tail.
-  const Graph g = Cycle(64);
-  const PeelResult reference = FindCore(g, 10);
-  EXPECT_EQ(reference.waves, 0u);
-  EXPECT_EQ(reference.tail_removals, 54u);
-  ExpectPartition(reference, 64, 10);
-  for (ThreadPool* pool : pools()) {
-    ExpectSamePeel(reference, FindCore(g, 10, pool), pool->num_threads());
-  }
-}
-
-TEST_F(PeelingParallelTest, EdgelessGraphPeelsByIdUnderTies) {
-  // Every degree is 0; one wave would remove everything, so the tail rules
-  // and the strict (degree, id) order must remove ascending ids.
-  Graph g(20);
-  g.Finalize();
-  const PeelResult reference = FindCore(g, 5);
-  ASSERT_EQ(reference.removal_order.size(), 15u);
+TEST_F(PeelingParallelTest, StrictTailAndEdgelessPeelsOnEveryPool) {
+  // A 64-cycle to 10 runs wholly in the strict tail; an edgeless graph
+  // peels by ascending id.
+  const Graph cycle = Cycle(64);
+  Graph edgeless(20);
+  edgeless.Finalize();
+  const std::vector<PeelResult> results =
+      PeelAll(&pool8_, {{&cycle, 10}, {&edgeless, 5}});
+  EXPECT_EQ(results[0].waves, 0u);
+  EXPECT_EQ(results[0].tail_removals, 54u);
+  ASSERT_EQ(results[1].removal_order.size(), 15u);
   for (std::size_t i = 0; i < 15; ++i) {
-    EXPECT_EQ(reference.removal_order[i], static_cast<Graph::VertexId>(i));
+    EXPECT_EQ(results[1].removal_order[i], static_cast<Graph::VertexId>(i));
   }
-  for (ThreadPool* pool : pools()) {
-    ExpectSamePeel(reference, FindCore(g, 5, pool), pool->num_threads());
-  }
+  ExpectPoolsMatchCaller({{&cycle, 10}, {&edgeless, 5}});
 }
 
 TEST_F(PeelingParallelTest, DegenerateInputsAreSafeOnPools) {
@@ -219,21 +144,15 @@ TEST_F(PeelingParallelTest, DegenerateInputsAreSafeOnPools) {
   Graph one(1);
   one.Finalize();
   const Graph cycle = Cycle(8);
-  for (ThreadPool* pool : pools()) {
-    EXPECT_TRUE(FindCore(empty, 0, pool).core.empty());
-    EXPECT_EQ(FindCore(one, 0, pool).removal_order.size(), 1u);
+  for (ThreadPool* pool : {&pool1_, &pool2_, &pool8_}) {
+    const std::vector<PeelResult> results =
+        PeelAll(pool, {{&empty, 0}, {&one, 0}, {&cycle, 8}});
+    EXPECT_TRUE(results[0].core.empty());
+    EXPECT_EQ(results[1].removal_order.size(), 1u);
     // beta >= n: nothing to peel.
-    const PeelResult whole = FindCore(cycle, 8, pool);
-    EXPECT_EQ(whole.core.size(), 8u);
-    EXPECT_TRUE(whole.removal_order.empty());
+    EXPECT_EQ(results[2].core.size(), 8u);
+    EXPECT_TRUE(results[2].removal_order.empty());
   }
-}
-
-TEST_F(PeelingParallelTest, RepeatedRunsAreIdentical) {
-  const Graph g = ErGraph(2500, 4.0 / 2500.0, 11, 20);
-  const PeelResult first = FindCore(g, 20, &pool8_);
-  const PeelResult second = FindCore(g, 20, &pool8_);
-  ExpectSamePeel(first, second, pool8_.num_threads());
 }
 
 }  // namespace
