@@ -342,29 +342,6 @@ AlignedDetection AlignedDetector::Detect(
   return detection;
 }
 
-std::vector<AlignedDetection> AlignedDetector::DetectMultipleInMatrix(
-    const BitMatrix& matrix, std::size_t n_prime, std::size_t max_patterns,
-    const std::vector<std::uint32_t>* column_weights) const {
-  std::vector<AlignedDetection> detections;
-  BitMatrix working = matrix;
-  for (std::size_t round = 0; round < max_patterns; ++round) {
-    // Hot-start weights describe the unmodified matrix, so they are only
-    // valid before the first erase.
-    AlignedDetection detection = DetectInMatrix(
-        working, n_prime, round == 0 ? column_weights : nullptr);
-    if (!detection.pattern_found) break;
-    ObsCounter("detector.aligned.multi_rounds").Increment();
-    // Erase the found pattern's columns so the next round sees only what
-    // remains.
-    for (std::size_t r = 0; r < working.rows(); ++r) {
-      BitVector& row = working.row(r);
-      for (std::size_t c : detection.columns) row.Clear(c);
-    }
-    detections.push_back(std::move(detection));
-  }
-  return detections;
-}
-
 AlignedDetection AlignedDetector::DetectInMatrix(
     const BitMatrix& matrix, std::size_t n_prime,
     const std::vector<std::uint32_t>* column_weights) const {

@@ -96,19 +96,7 @@ class AlignedDetector {
       const BitMatrix& matrix, std::size_t n_prime,
       const std::vector<std::uint32_t>* column_weights = nullptr) const;
 
-  /// Iterated detection for multiple common contents in one epoch
-  /// (Section II-D): detect, erase the found pattern's columns from a
-  /// working copy, repeat until nothing significant remains or
-  /// `max_patterns` is hit. Patterns are returned in detection order.
-  /// `column_weights` (same contract as DetectInMatrix) only accelerates
-  /// the first round: erasing a pattern invalidates the counts, so later
-  /// rounds rescan.
-  std::vector<AlignedDetection> DetectMultipleInMatrix(
-      const BitMatrix& matrix, std::size_t n_prime, std::size_t max_patterns,
-      const std::vector<std::uint32_t>* column_weights = nullptr) const;
-
   const AlignedDetectorOptions& options() const { return options_; }
-  const AnalysisContext& context() const { return context_; }
 
  private:
   AlignedDetectorOptions options_;

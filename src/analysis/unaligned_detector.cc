@@ -1,11 +1,9 @@
 #include "analysis/unaligned_detector.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/stats_math.h"
 #include "graph/core_decomposition.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
@@ -89,96 +87,6 @@ UnalignedDetection DetectUnalignedPattern(
         .Set(static_cast<double>(detection.core.size()));
   }
   return detection;
-}
-
-namespace {
-
-// Number of edges of `graph` with both endpoints in sorted `vertices`.
-std::size_t InducedEdgeCount(const Graph& graph,
-                             const std::vector<Graph::VertexId>& vertices) {
-  std::size_t count = 0;
-  for (Graph::VertexId v : vertices) {
-    for (Graph::VertexId w : graph.neighbors(v)) {
-      if (w > v &&
-          std::binary_search(vertices.begin(), vertices.end(), w)) {
-        ++count;
-      }
-    }
-  }
-  return count;
-}
-
-// Induced subgraph on the complement of `removed` (sorted), with
-// `mapping[new_id] = old_id`.
-Graph InducedComplement(const Graph& graph,
-                        const std::vector<Graph::VertexId>& removed,
-                        std::vector<Graph::VertexId>* mapping) {
-  mapping->clear();
-  std::vector<std::uint32_t> new_id(graph.num_vertices(), UINT32_MAX);
-  for (Graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (!std::binary_search(removed.begin(), removed.end(), v)) {
-      new_id[v] = static_cast<std::uint32_t>(mapping->size());
-      mapping->push_back(v);
-    }
-  }
-  Graph sub(mapping->size());
-  for (const auto& [u, v] : graph.edges()) {
-    if (new_id[u] != UINT32_MAX && new_id[v] != UINT32_MAX) {
-      sub.AddEdge(new_id[u], new_id[v]);
-    }
-  }
-  sub.Finalize();
-  return sub;
-}
-
-}  // namespace
-
-std::vector<UnalignedDetection> DetectMultipleUnalignedPatterns(
-    const Graph& graph, const MultiPatternOptions& options) {
-  DCS_CHECK(graph.finalized());
-  std::vector<UnalignedDetection> detections;
-  // Vertices removed so far (original ids), sorted.
-  std::vector<Graph::VertexId> removed;
-  const Graph* current = &graph;
-  Graph working(0);
-  std::vector<Graph::VertexId> mapping;  // current id -> original id.
-
-  for (std::size_t round = 0; round < options.max_patterns; ++round) {
-    UnalignedDetection detection =
-        DetectUnalignedPattern(*current, options.detector);
-    if (detection.detected.size() < 2) break;
-
-    // Significance gate (Eq 2): even the densest size-m subset of a pure
-    // null graph must beat this bound with probability <= alpha.
-    const std::size_t edges = InducedEdgeCount(*current, detection.detected);
-    const auto m = static_cast<std::int64_t>(detection.detected.size());
-    const std::int64_t pairs = m * (m - 1) / 2;
-    const double log_fp =
-        LogChoose(static_cast<double>(current->num_vertices()),
-                  static_cast<double>(m)) +
-        LogBinomSf(static_cast<std::int64_t>(edges) - 1, pairs,
-                   options.p_background);
-    if (log_fp > std::log(options.significance_alpha)) break;
-
-    // Map back to original ids (round 0 is already in original ids).
-    if (round > 0) {
-      auto remap = [&](std::vector<Graph::VertexId>* ids) {
-        for (Graph::VertexId& v : *ids) v = mapping[v];
-        std::sort(ids->begin(), ids->end());
-      };
-      remap(&detection.core);
-      remap(&detection.second_core);
-      remap(&detection.detected);
-    }
-    removed.insert(removed.end(), detection.detected.begin(),
-                   detection.detected.end());
-    std::sort(removed.begin(), removed.end());
-    detections.push_back(std::move(detection));
-
-    working = InducedComplement(graph, removed, &mapping);
-    current = &working;
-  }
-  return detections;
 }
 
 DetectionScore ScoreDetection(const std::vector<Graph::VertexId>& detected,

@@ -45,32 +45,6 @@ struct UnalignedDetection {
 UnalignedDetection DetectUnalignedPattern(
     const Graph& graph, const UnalignedDetectorOptions& options);
 
-/// Options for iterated multi-content detection.
-struct MultiPatternOptions {
-  UnalignedDetectorOptions detector;
-  /// Stop after this many patterns.
-  std::size_t max_patterns = 4;
-  /// Significance gate between rounds: min-degree peeling always returns
-  /// *some* core, so a detected set S only counts as a pattern when the
-  /// union bound C(n,|S|) P[Binomial(|S|(|S|-1)/2, p_background) >= E(S)]
-  /// (the paper's Eq 2, which prices in the selection of the densest
-  /// subset) is below this level. Pure-noise cores score ~e^{+40}; genuine
-  /// patterns score ~e^{-1000}.
-  double significance_alpha = 1e-6;
-  /// Background (null) edge probability of the graph, used by the gate.
-  double p_background = 1e-4;
-};
-
-/// \brief Finds several common contents in one epoch (Section II-D).
-///
-/// FindCore is winner-take-all: with two contents present, the min-degree
-/// core converges on the stronger one and the weaker is peeled away. This
-/// routine therefore iterates: detect, verify the detected set is denser
-/// than chance, delete its vertices from the graph, repeat. Detections are
-/// returned strongest-first; vertices refer to the original graph.
-std::vector<UnalignedDetection> DetectMultipleUnalignedPatterns(
-    const Graph& graph, const MultiPatternOptions& options);
-
 /// Scores a detection against ground truth: fraction of reported vertices
 /// that are not in `truth` (false positive rate of the report) and fraction
 /// of `truth` missed (false negative rate). Both vectors must be sorted.

@@ -307,30 +307,6 @@ const std::vector<std::uint32_t>* DcsMonitor::AlignedHotWeights() const {
   return &incremental_weights_.weights();
 }
 
-std::vector<AlignedReport> DcsMonitor::AnalyzeAlignedAll(
-    std::size_t max_patterns) const {
-  std::vector<AlignedReport> reports;
-  if (aligned_routers_.size() < 2) return reports;
-  const EpochCalibration calibration = AlignedCalibration();
-  AlignedDetector detector(aligned_options_.detector, context_);
-  for (const AlignedDetection& detection : detector.DetectMultipleInMatrix(
-           aligned_rows_, aligned_options_.n_prime, max_patterns,
-           AlignedHotWeights())) {
-    AlignedReport report;
-    report.calibration = calibration;
-    report.matrix_rows = aligned_rows_.rows();
-    report.matrix_cols = aligned_rows_.cols();
-    report.common_content_detected = true;
-    for (std::uint32_t row : detection.rows) {
-      report.routers.push_back(aligned_routers_[row]);
-    }
-    std::sort(report.routers.begin(), report.routers.end());
-    report.signature_columns = detection.columns;
-    reports.push_back(std::move(report));
-  }
-  return reports;
-}
-
 AlignedReport DcsMonitor::AnalyzeAligned() const {
   ScopedStageTimer epoch_timer("analyze_aligned");
   ObsCounter("monitor.epochs_analyzed.aligned").Increment();
@@ -382,32 +358,24 @@ void DcsMonitor::BuildUnalignedMatrix(
   }
 }
 
-struct DcsMonitor::UnalignedPass {
-  // Calibration, ER outcome, vertex and core-edge counts; no groups yet.
-  UnalignedReport report;
-  // Graph vertex id -> (router, group).
-  std::vector<GroupRef> group_refs;
-  // G' at core_p1; read only when the ER test fired.
-  Graph core_graph{0};
-  double core_p1 = 0.0;
-};
-
-DcsMonitor::UnalignedPass DcsMonitor::RunUnalignedPass() const {
+UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
+  ScopedStageTimer epoch_timer("analyze_unaligned");
   ObsCounter("monitor.epochs_analyzed.unaligned").Increment();
-  UnalignedPass pass;
-  UnalignedReport& report = pass.report;
+  UnalignedReport report;
   report.calibration = UnalignedCalibration();
-  if (unaligned_.empty()) return pass;
+  if (unaligned_.empty()) return report;
 
   BitMatrix matrix;
+  // Graph vertex id -> (router, group).
+  std::vector<GroupRef> group_refs;
   {
     ScopedStageTimer timer("stack_matrix");
-    BuildUnalignedMatrix(&matrix, &pass.group_refs);
+    BuildUnalignedMatrix(&matrix, &group_refs);
   }
   const std::size_t arrays = unaligned_.front().arrays_per_group;
-  const std::size_t n = pass.group_refs.size();
+  const std::size_t n = group_refs.size();
   report.num_vertices = n;
-  if (n < 2) return pass;
+  if (n < 2) return report;
   if (report.calibration.degraded) {
     ObsCounter("ingest.degraded_epochs").Increment();
   }
@@ -421,13 +389,15 @@ DcsMonitor::UnalignedPass DcsMonitor::RunUnalignedPass() const {
       &er_lambda_, matrix.cols(),
       LambdaTable::PStarFromEdgeProb(
           unaligned_options_.er_p1_times_n / static_cast<double>(n), arrays));
-  pass.core_p1 = unaligned_options_.core_p1_times_n / static_cast<double>(n);
+  const double core_p1 =
+      unaligned_options_.core_p1_times_n / static_cast<double>(n);
   Graph er_graph(0);
-  if (pass.core_p1 < 1.0) {
+  Graph core_graph(0);
+  if (core_p1 < 1.0) {
     const LambdaTable& core_lambda = KeptLambdaTable(
         &core_lambda_, matrix.cols(),
-        LambdaTable::PStarFromEdgeProb(pass.core_p1, arrays));
-    std::tie(er_graph, pass.core_graph) =
+        LambdaTable::PStarFromEdgeProb(core_p1, arrays));
+    std::tie(er_graph, core_graph) =
         BuildCorrelationGraphs(matrix, er_lambda, core_lambda, builder);
   } else {
     // G' needs p1' < 1, i.e. more vertices than core_p1_times_n; with
@@ -446,69 +416,30 @@ DcsMonitor::UnalignedPass DcsMonitor::RunUnalignedPass() const {
     report.er_threshold = threshold;
     report.common_content_detected = er.pattern_detected;
   }
-  if (!report.common_content_detected) return pass;
-  DCS_CHECK(pass.core_p1 < 1.0)
+  if (!report.common_content_detected) return report;
+  DCS_CHECK(core_p1 < 1.0)
       << "core_p1_times_n " << unaligned_options_.core_p1_times_n
       << " needs more than that many vertices, have " << n;
-  report.num_edges = pass.core_graph.num_edges();
-  return pass;
-}
-
-namespace {
-
-// Names the detected vertices' groups and their distinct routers.
-void NameDetectedGroups(const std::vector<Graph::VertexId>& detected,
-                        const std::vector<GroupRef>& group_refs,
-                        UnalignedReport* report) {
-  for (Graph::VertexId v : detected) {
-    report->groups.push_back(group_refs[v]);
-    report->routers.push_back(group_refs[v].router_id);
-  }
-  std::sort(report->routers.begin(), report->routers.end());
-  report->routers.erase(
-      std::unique(report->routers.begin(), report->routers.end()),
-      report->routers.end());
-}
-
-}  // namespace
-
-std::vector<UnalignedReport> DcsMonitor::AnalyzeUnalignedAll(
-    std::size_t max_patterns) const {
-  ScopedStageTimer epoch_timer("analyze_unaligned");
-  std::vector<UnalignedReport> reports;
-  const UnalignedPass pass = RunUnalignedPass();
-  if (!pass.report.common_content_detected) return reports;
-
-  MultiPatternOptions multi;
-  multi.detector = unaligned_options_.detector;
-  multi.max_patterns = max_patterns;
-  multi.p_background = pass.core_p1;
-  for (const UnalignedDetection& detection :
-       DetectMultipleUnalignedPatterns(pass.core_graph, multi)) {
-    UnalignedReport report = pass.report;  // Shared ER statistics.
-    NameDetectedGroups(detection.detected, pass.group_refs, &report);
-    reports.push_back(std::move(report));
-  }
-  return reports;
-}
-
-UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
-  ScopedStageTimer epoch_timer("analyze_unaligned");
-  UnalignedPass pass = RunUnalignedPass();
-  UnalignedReport report = std::move(pass.report);
-  if (!report.common_content_detected) return report;
+  report.num_edges = core_graph.num_edges();
 
   const UnalignedDetection detection =
-      DetectUnalignedPattern(pass.core_graph, unaligned_options_.detector);
-  NameDetectedGroups(detection.detected, pass.group_refs, &report);
+      DetectUnalignedPattern(core_graph, unaligned_options_.detector);
+  for (Graph::VertexId v : detection.detected) {
+    report.groups.push_back(group_refs[v]);
+    report.routers.push_back(group_refs[v].router_id);
+  }
+  std::sort(report.routers.begin(), report.routers.end());
+  report.routers.erase(
+      std::unique(report.routers.begin(), report.routers.end()),
+      report.routers.end());
   // Per-content breakdown of the detected set (Section II-D).
   ScopedStageTimer separation_timer("cluster_separation");
   for (const std::vector<Graph::VertexId>& cluster :
-       SeparateClusters(pass.core_graph, detection.detected,
+       SeparateClusters(core_graph, detection.detected,
                         unaligned_options_.separation)) {
     std::vector<GroupRef> refs;
     refs.reserve(cluster.size());
-    for (Graph::VertexId v : cluster) refs.push_back(pass.group_refs[v]);
+    for (Graph::VertexId v : cluster) refs.push_back(group_refs[v]);
     report.clusters.push_back(std::move(refs));
   }
   return report;

@@ -29,10 +29,10 @@ namespace dcs {
 ///    and expand it (Section IV).
 ///
 /// One monitor instance handles one epoch at a time: add the epoch's
-/// digests, Analyze*, then ClearEpoch(). Analyze*() calls on one monitor
-/// must not run concurrently with each other or with ingest: they read the
-/// running column counts (AlignedHotWeights) and grow the lambda tables the
-/// monitor keeps across epochs.
+/// digests, call AnalyzeAligned() or AnalyzeUnaligned(), then ClearEpoch().
+/// Analysis calls on one monitor must not run concurrently with each other
+/// or with ingest: they read the running column counts (AlignedHotWeights)
+/// and grow the lambda tables the monitor keeps across epochs.
 class DcsMonitor {
  public:
   DcsMonitor(const AlignedPipelineOptions& aligned_options,
@@ -64,7 +64,7 @@ class DcsMonitor {
   /// policy analyzes an overloaded epoch with cheaper options, then
   /// restores. Ingested digests are untouched; the pool-inheritance rule of
   /// the constructor is re-applied. Thresholds (EpochCalibration) are
-  /// recomputed from the new options at the next Analyze*() call, so a
+  /// recomputed from the new options at the next analysis call, so a
   /// degraded analysis states the evidence bar it was actually held to.
   void set_analysis_options(const AlignedPipelineOptions& aligned_options,
                             const UnalignedPipelineOptions& unaligned_options);
@@ -102,7 +102,8 @@ class DcsMonitor {
   }
 
   /// Thresholds recomputed for the routers that actually reported — what
-  /// Analyze*() stamps into report.calibration. Callable directly for
+  /// AnalyzeAligned() and AnalyzeUnaligned() stamp into
+  /// report.calibration. Callable directly for
   /// operator dashboards.
   EpochCalibration AlignedCalibration() const;
   EpochCalibration UnalignedCalibration() const;
@@ -110,21 +111,11 @@ class DcsMonitor {
   /// Runs the aligned pipeline over all aligned digests received.
   AlignedReport AnalyzeAligned() const;
 
-  /// Iterated aligned analysis for several common contents in one epoch
-  /// (Section II-D): one report per detected pattern, strongest first.
-  std::vector<AlignedReport> AnalyzeAlignedAll(
-      std::size_t max_patterns) const;
-
-  /// Runs the unaligned pipeline over all unaligned digests received.
+  /// Runs the unaligned pipeline over all unaligned digests received:
+  /// stacks the epoch once, builds the ER and core graphs in one pair scan,
+  /// gates the epoch on the ER test, then finds the core on the core graph
+  /// and separates it into per-content clusters (Section II-D).
   UnalignedReport AnalyzeUnaligned() const;
-
-  /// Iterated unaligned analysis (Section II-D): detects up to max_patterns
-  /// distinct contents by detect-erase-repeat on the core graph, each gated
-  /// by the Eq-2 union bound. Returns one report per content, strongest
-  /// first; the ER test still gates the whole epoch (empty result when it
-  /// does not fire).
-  std::vector<UnalignedReport> AnalyzeUnalignedAll(
-      std::size_t max_patterns) const;
 
   /// Drops all buffered digests and the epoch's ingest state. The ER and
   /// core lambda tables survive: they depend only on the array width and
@@ -149,17 +140,10 @@ class DcsMonitor {
   }
 
  private:
-  struct UnalignedPass;
-
   // Stacks the unaligned digests group-major in router-id order and fills
   // the (router, group) identity of every graph vertex.
   void BuildUnalignedMatrix(BitMatrix* matrix,
                             std::vector<GroupRef>* group_refs) const;
-
-  // The unaligned analysis both Analyze*() share: stacks the epoch once,
-  // builds the ER and core graphs in one pair scan, tests the ER graph, and
-  // keeps the core graph only when the test fires.
-  UnalignedPass RunUnalignedPass() const;
 
   // Rejection bookkeeping: counts *counter, mirrors it into the ingest.*
   // metrics, optionally quarantines the sender, and returns `reason`.

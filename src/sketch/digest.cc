@@ -44,32 +44,4 @@ void Digest::ResealChecksum(std::vector<std::uint8_t>* bytes) {
   }
 }
 
-bool Digest::PeekHeader(const std::vector<std::uint8_t>& bytes,
-                        std::uint32_t* router_id, std::uint64_t* epoch_id) {
-  if (bytes.size() < DigestWireLayout::kEpochIdOffset + 8) return false;
-  const auto read_u32 = [&bytes](std::size_t at) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
-    }
-    return v;
-  };
-  if (read_u32(DigestWireLayout::kMagicOffset) != DigestWireLayout::kMagic) {
-    return false;
-  }
-  if (router_id != nullptr) {
-    *router_id = read_u32(DigestWireLayout::kRouterIdOffset);
-  }
-  if (epoch_id != nullptr) {
-    std::uint64_t epoch = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      epoch |= static_cast<std::uint64_t>(
-                   bytes[DigestWireLayout::kEpochIdOffset + i])
-               << (8 * i);
-    }
-    *epoch_id = epoch;
-  }
-  return true;
-}
-
 }  // namespace dcs

@@ -97,13 +97,6 @@ struct Digest {
   /// survive.
   static void ResealChecksum(std::vector<std::uint8_t>* bytes);
 
-  /// Best-effort read of the claimed router/epoch identity from an encoded
-  /// header *without* verifying the checksum — for quarantine accounting of
-  /// messages that fail Decode. Returns false when the buffer is too short
-  /// or the magic does not match; the values are untrusted either way.
-  [[nodiscard]] static bool PeekHeader(const std::vector<std::uint8_t>& bytes,
-                         std::uint32_t* router_id, std::uint64_t* epoch_id);
-
   /// Field-by-field equality, rows included (used by the round-trip
   /// property tests).
   friend bool operator==(const Digest&, const Digest&) = default;

@@ -1,11 +1,11 @@
 // Differential determinism suite for the pooled aligned-analysis stages:
-// DetectInMatrix / DetectMultipleInMatrix must return bit-identical results
-// — rows, columns, the full weight trajectory, and the stop iteration — for
-// the serial engine (no pool) and for pools of 1, 2, and 8 threads. The
-// weight screen and the final core scan shard over column slices and merge
-// in ascending order; the k-product search between them runs serially (its
-// own tie-breaks are pinned in test_aligned_detector.cc). Any divergence
-// here is a scheduling leak into the detection output.
+// DetectInMatrix must return bit-identical results — rows, columns, the
+// full weight trajectory, and the stop iteration — for the serial engine
+// (no pool) and for pools of 1, 2, and 8 threads. The weight screen and the
+// final core scan shard over column slices and merge in ascending order;
+// the k-product search between them runs serially (its own tie-breaks are
+// pinned in test_aligned_detector.cc). Any divergence here is a scheduling
+// leak into the detection output.
 
 #include <cstdint>
 #include <vector>
@@ -83,53 +83,6 @@ TEST_F(AlignedParallelTest, DetectInMatrixWithCoreScanExpansion) {
   }
 }
 
-// Bernoulli(1/2) noise with two disjoint all-1 blocks planted, for the
-// multi-pattern detect-erase-repeat loop.
-BitMatrix TwoPatternMatrix(Rng* rng) {
-  const std::size_t m = 100;
-  const std::size_t n = 2000;
-  BitMatrix matrix(m, n);
-  for (std::size_t r = 0; r < m; ++r) {
-    BitVector& row = matrix.row(r);
-    std::uint64_t* words = row.mutable_words();
-    for (std::size_t w = 0; w < row.num_words(); ++w) words[w] = rng->Next();
-    if (n % 64 != 0) words[row.num_words() - 1] &= (1ULL << (n % 64)) - 1;
-  }
-  // Pattern A: rows 5..49, columns 100..117.
-  for (std::size_t r = 5; r < 50; ++r) {
-    for (std::size_t c = 100; c < 118; ++c) matrix.Set(r, c);
-  }
-  // Pattern B: rows 55..94, columns 1500..1515.
-  for (std::size_t r = 55; r < 95; ++r) {
-    for (std::size_t c = 1500; c < 1516; ++c) matrix.Set(r, c);
-  }
-  return matrix;
-}
-
-TEST_F(AlignedParallelTest, DetectMultipleInMatrix) {
-  const std::size_t n_prime = 200;
-  const AlignedDetector serial(SmallDetectorOptions());
-  for (std::uint64_t seed = 40; seed <= 42; ++seed) {
-    Rng rng(seed);
-    const BitMatrix matrix = TwoPatternMatrix(&rng);
-    const std::vector<AlignedDetection> reference =
-        serial.DetectMultipleInMatrix(matrix, n_prime, 4);
-    ASSERT_GE(reference.size(), 2u) << "seed " << seed;
-    for (ThreadPool* pool : pools()) {
-      const AlignedDetector parallel(SmallDetectorOptions(),
-                                     AnalysisContext{pool});
-      const std::vector<AlignedDetection> detections =
-          parallel.DetectMultipleInMatrix(matrix, n_prime, 4);
-      ASSERT_EQ(detections.size(), reference.size())
-          << "seed " << seed << ", " << pool->num_threads() << " threads";
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        ExpectSameDetection(reference[i], detections[i],
-                            pool->num_threads());
-      }
-    }
-  }
-}
-
 TEST_F(AlignedParallelTest, TieHeavyScreenedInput) {
   // A handful of rows makes almost every product weight collide, so the
   // total-order tie-breaks (not weights) decide the hopefuls lists.
@@ -162,7 +115,6 @@ TEST_F(AlignedParallelTest, DegenerateInputsAreSafeOnPools) {
     BitMatrix tiny(2, 2);
     tiny.Set(0, 0);
     EXPECT_FALSE(detector.DetectInMatrix(tiny, 2).pattern_found);
-    EXPECT_TRUE(detector.DetectMultipleInMatrix(tiny, 2, 3).empty());
   }
 }
 

@@ -2,8 +2,8 @@
 // digests, not of the order they arrived in. Over the wire, the order across
 // router connections is whatever the server reads first, so every order of
 // the same digests must give the same report — through a one-shot
-// DcsMonitor (AnalyzeAligned, AnalyzeUnaligned, AnalyzeUnalignedAll) and
-// through the EpochRing. All 24 orders of 4 routers are tried, and seeded
+// DcsMonitor (AnalyzeAligned, AnalyzeUnaligned) and through the EpochRing,
+// whose analyses must also equal the monitor's. All 24 orders of 4 routers are tried, and seeded
 // shuffles of 30; each router ships an aligned and an unaligned digest.
 
 #include <algorithm>
@@ -104,34 +104,19 @@ UnalignedPipelineOptions Unaligned() {
   return unaligned;
 }
 
-// Everything a one-shot monitor reports for the digests, taken in `order`.
-struct MonitorReports {
-  DcsReport epoch;
-  std::vector<UnalignedReport> unaligned_all;
-  friend bool operator==(const MonitorReports&,
-                         const MonitorReports&) = default;
-};
-
-void PrintTo(const MonitorReports& reports, std::ostream* os) {
-  PrintTo(reports.epoch, os);
-  for (const UnalignedReport& report : reports.unaligned_all) {
-    *os << " " << report.ToJson();
-  }
-}
-
-MonitorReports ViaMonitor(const std::vector<Digest>& digests,
-                          const std::vector<std::size_t>& order) {
+// What a one-shot monitor reports for the digests, taken in `order`.
+DcsReport ViaMonitor(const std::vector<Digest>& digests,
+                     const std::vector<std::size_t>& order) {
   DcsMonitor monitor(Aligned(), Unaligned());
   for (std::size_t at : order) {
     EXPECT_TRUE(monitor.AddDigest(digests[at]).ok());
   }
-  MonitorReports reports;
-  reports.epoch.aligned = monitor.AnalyzeAligned();
-  reports.epoch.unaligned = monitor.AnalyzeUnaligned();
-  reports.epoch.digests_accepted = monitor.ingest_stats().accepted;
-  reports.epoch.observed_routers = monitor.ingest_stats().observed_routers;
-  reports.unaligned_all = monitor.AnalyzeUnalignedAll(3);
-  return reports;
+  DcsReport report;
+  report.aligned = monitor.AnalyzeAligned();
+  report.unaligned = monitor.AnalyzeUnaligned();
+  report.digests_accepted = monitor.ingest_stats().accepted;
+  report.observed_routers = monitor.ingest_stats().observed_routers;
+  return report;
 }
 
 DcsReport ViaRing(const std::vector<Digest>& digests,
@@ -163,20 +148,23 @@ std::vector<std::size_t> DigestOrder(
 }
 
 // Reference reports (router order) that actually detect, or the
-// differential would be vacuous.
-void ExpectDetects(const MonitorReports& reference, bool aligned) {
-  EXPECT_EQ(reference.epoch.aligned.common_content_detected, aligned);
-  EXPECT_TRUE(reference.epoch.unaligned.common_content_detected);
-  EXPECT_FALSE(reference.epoch.unaligned.groups.empty());
-  EXPECT_FALSE(reference.unaligned_all.empty());
+// differential would be vacuous, and that the ring analyzes like the
+// one-shot monitor.
+void ExpectDetects(const DcsReport& reference, const DcsReport& ring,
+                   bool aligned) {
+  EXPECT_EQ(reference.aligned.common_content_detected, aligned);
+  EXPECT_TRUE(reference.unaligned.common_content_detected);
+  EXPECT_FALSE(reference.unaligned.groups.empty());
+  EXPECT_EQ(ring.aligned, reference.aligned);
+  EXPECT_EQ(ring.unaligned, reference.unaligned);
 }
 
 TEST(ArrivalOrderTest, EveryOrderOfFourRoutersGivesOneReport) {
   const std::vector<Digest> digests = EpochDigests(4, 3, 0, 41);
   std::vector<std::uint32_t> routers = {0, 1, 2, 3};
-  const MonitorReports reference = ViaMonitor(digests, DigestOrder(routers));
+  const DcsReport reference = ViaMonitor(digests, DigestOrder(routers));
   const DcsReport ring_reference = ViaRing(digests, DigestOrder(routers));
-  ExpectDetects(reference, /*aligned=*/false);
+  ExpectDetects(reference, ring_reference, /*aligned=*/false);
   std::size_t orders = 0;
   do {
     const std::vector<std::size_t> order = DigestOrder(routers);
@@ -193,9 +181,9 @@ TEST(ArrivalOrderTest, ShufflesOfThirtyRoutersGiveOneReport) {
   const std::vector<Digest> digests = EpochDigests(30, 20, 60, 43);
   std::vector<std::uint32_t> routers(30);
   std::iota(routers.begin(), routers.end(), 0u);
-  const MonitorReports reference = ViaMonitor(digests, DigestOrder(routers));
+  const DcsReport reference = ViaMonitor(digests, DigestOrder(routers));
   const DcsReport ring_reference = ViaRing(digests, DigestOrder(routers));
-  ExpectDetects(reference, /*aligned=*/true);
+  ExpectDetects(reference, ring_reference, /*aligned=*/true);
   Rng rng(7);
   for (int shuffle = 0; shuffle < 10; ++shuffle) {
     for (std::size_t i = routers.size() - 1; i > 0; --i) {

@@ -144,62 +144,5 @@ TEST(ClusterSeparationTest, WideCoreMixedClusterIsSeparated) {
       << c1_second;
 }
 
-TEST(MultiPatternUnalignedTest, IterativeDetectionFindsBothContents) {
-  // With a tight core (beta = 45), FindCore is winner-take-all: one pass
-  // returns only the stronger content. The iterated API removes it and
-  // finds the second.
-  const TwoContentGraph tc = MakeTwoContentGraph(3);
-  MultiPatternOptions options;
-  options.detector.beta = 45;
-  options.detector.expand_min_edges = 2;
-  options.p_background = 8.2 / 8000.0;
-  const auto detections =
-      DetectMultipleUnalignedPatterns(tc.graph, options);
-  ASSERT_GE(detections.size(), 2u);
-  // First detection dominated by one content, second by the other.
-  const bool first_is_a =
-      Overlap(detections[0].detected, tc.first) >
-      Overlap(detections[0].detected, tc.second);
-  const auto& stronger = first_is_a ? tc.first : tc.second;
-  const auto& weaker = first_is_a ? tc.second : tc.first;
-  EXPECT_GT(Overlap(detections[0].detected, stronger), 40u);
-  EXPECT_GT(Overlap(detections[1].detected, weaker), 30u);
-}
-
-TEST(MultiPatternUnalignedTest, StopsOnPureNoise) {
-  Rng rng(9);
-  const std::size_t n = 5000;
-  const Graph g = SampleErGraph(n, 8.2 / static_cast<double>(n), &rng);
-  MultiPatternOptions options;
-  options.detector.beta = 30;
-  options.p_background = 8.2 / static_cast<double>(n);
-  EXPECT_TRUE(DetectMultipleUnalignedPatterns(g, options).empty());
-}
-
-TEST(MultiPatternUnalignedTest, SinglePatternSingleDetection) {
-  Rng rng(10);
-  const std::size_t n = 8000;
-  const double p1 = 8.2 / static_cast<double>(n);
-  const PlantedGraph planted = SamplePlantedGraph(n, p1, 80, 0.25, &rng);
-  MultiPatternOptions options;
-  options.detector.beta = 40;
-  options.detector.expand_min_edges = 2;
-  options.p_background = p1;
-  const auto detections =
-      DetectMultipleUnalignedPatterns(planted.graph, options);
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_GT(Overlap(detections[0].detected, planted.pattern_vertices), 50u);
-}
-
-TEST(MultiPatternUnalignedTest, MaxPatternsCapRespected) {
-  const TwoContentGraph tc = MakeTwoContentGraph(11);
-  MultiPatternOptions options;
-  options.detector.beta = 45;
-  options.detector.expand_min_edges = 2;
-  options.p_background = 8.2 / 8000.0;
-  options.max_patterns = 1;
-  EXPECT_EQ(DetectMultipleUnalignedPatterns(tc.graph, options).size(), 1u);
-}
-
 }  // namespace
 }  // namespace dcs

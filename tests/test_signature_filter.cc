@@ -130,41 +130,5 @@ TEST(MonitorEncodedDigestTest, AddEncodedRoundTrip) {
   EXPECT_EQ(monitor.num_aligned_digests(), 1u);
 }
 
-TEST(MonitorMultiPatternTest, AnalyzeAlignedAllFindsTwoContents) {
-  ScenarioOptions scenario;
-  scenario.num_routers = 26;
-  scenario.background_packets_per_router = 4000;
-  PlantedContent first;
-  first.content_id = 1;
-  first.content_bytes = 536 * 15;
-  for (std::uint32_t r = 0; r < 18; ++r) first.router_ids.push_back(r);
-  first.aligned = true;
-  PlantedContent second = first;
-  second.content_id = 2;
-  second.router_ids.clear();
-  for (std::uint32_t r = 8; r < 26; ++r) second.router_ids.push_back(r);
-  scenario.planted = {first, second};
-  ContentCatalog catalog(33);
-  const auto traces = SynthesizeScenario(scenario, catalog);
-
-  AlignedPipelineOptions options;
-  options.sketch = SketchOptions();
-  options.n_prime = 160;
-  options.detector.first_iteration_hopefuls = 160;
-  options.detector.hopefuls = 80;
-  DcsMonitor monitor(options, UnalignedPipelineOptions{});
-  for (std::uint32_t r = 0; r < scenario.num_routers; ++r) {
-    AlignedCollector collector(r, options.sketch);
-    const auto epochs = traces[r].SplitIntoEpochs(traces[r].size());
-    ASSERT_TRUE(monitor.AddDigest(collector.ProcessEpoch(epochs[0])).ok());
-  }
-  const auto reports = monitor.AnalyzeAlignedAll(4);
-  ASSERT_GE(reports.size(), 2u);
-  for (const AlignedReport& report : reports) {
-    EXPECT_TRUE(report.common_content_detected);
-    EXPECT_GE(report.routers.size(), 14u);
-  }
-}
-
 }  // namespace
 }  // namespace dcs

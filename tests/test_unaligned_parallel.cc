@@ -266,8 +266,6 @@ TEST_F(UnalignedParallelTest, MonitorReportsMatchSerial) {
     }
     const UnalignedReport reference = serial.AnalyzeUnaligned();
     EXPECT_TRUE(reference.common_content_detected) << "seed " << seed;
-    const std::vector<UnalignedReport> reference_multi =
-        serial.AnalyzeUnalignedAll(3);
     for (ThreadPool* pool : pools()) {
       DcsMonitor pooled(aligned, unaligned, AnalysisContext{pool});
       for (const Digest& d : digests) {
@@ -275,21 +273,12 @@ TEST_F(UnalignedParallelTest, MonitorReportsMatchSerial) {
       }
       ExpectSameReport(reference, pooled.AnalyzeUnaligned(),
                        pool->num_threads());
-      const std::vector<UnalignedReport> pooled_multi =
-          pooled.AnalyzeUnalignedAll(3);
-      ASSERT_EQ(pooled_multi.size(), reference_multi.size())
-          << "seed " << seed << ", " << pool->num_threads() << " threads";
-      for (std::size_t i = 0; i < reference_multi.size(); ++i) {
-        ExpectSameReport(reference_multi[i], pooled_multi[i],
-                         pool->num_threads());
-      }
     }
   }
 }
 
-// The unaligned pass scans the row pairs once: the ER graph and the core
-// graph come from the same scan, whichever Analyze*() asks and whether or
-// not the epoch fires.
+// The unaligned analysis scans the row pairs once: the ER graph and the
+// core graph come from the same scan, whether or not the epoch fires.
 TEST_F(UnalignedParallelTest, EachGraphIsScannedOncePerAnalysis) {
   UnalignedPipelineOptions unaligned;
   unaligned.er_threshold = 6;
@@ -314,17 +303,16 @@ TEST_F(UnalignedParallelTest, EachGraphIsScannedOncePerAnalysis) {
     analyze();
     return scans.value() - before;
   };
-  EXPECT_EQ(scans_during([&] { (void)firing.AnalyzeUnalignedAll(3); }), 1u);
   EXPECT_EQ(scans_during([&] {
               EXPECT_TRUE(firing.AnalyzeUnaligned().common_content_detected);
             }),
             1u);
   EXPECT_EQ(scans_during([&] {
-              EXPECT_TRUE(quiet.AnalyzeUnalignedAll(3).empty());
+              EXPECT_FALSE(quiet.AnalyzeUnaligned().common_content_detected);
             }),
             1u);
   // Fewer vertices than core_p1_times_n leave no valid core graph: the
-  // pass builds the ER graph alone, in one scan.
+  // analysis builds the ER graph alone, in one scan.
   DcsMonitor tiny(AlignedPipelineOptions{}, UnalignedPipelineOptions{});
   for (std::uint32_t r = 0; r < 2; ++r) {
     ASSERT_TRUE(tiny.AddDigest(UnalignedDigest(r, 2, 4, 512, &rng)).ok());
@@ -398,8 +386,6 @@ TEST_F(UnalignedParallelTest, RecycledMonitorMatchesFreshMonitors) {
     DcsMonitor fresh(aligned, unaligned);
     for (const Digest& d : digests) ASSERT_TRUE(fresh.AddDigest(d).ok());
     const UnalignedReport expected = fresh.AnalyzeUnaligned();
-    const std::vector<UnalignedReport> expected_all =
-        fresh.AnalyzeUnalignedAll(3);
     fired += expected.common_content_detected ? 1 : 0;
 
     for (int repeat = 0; repeat < 2; ++repeat) {
@@ -412,8 +398,6 @@ TEST_F(UnalignedParallelTest, RecycledMonitorMatchesFreshMonitors) {
       EXPECT_TRUE(report == expected)
           << "epoch " << epoch << "\n  recycled " << report.ToString()
           << "\n  fresh    " << expected.ToString();
-      EXPECT_TRUE(recycled.AnalyzeUnalignedAll(3) == expected_all)
-          << "epoch " << epoch;
       if (repeat == 1) {
         EXPECT_EQ(entries.value(), entries_before)
             << "epoch " << epoch << " repeated";
@@ -421,7 +405,7 @@ TEST_F(UnalignedParallelTest, RecycledMonitorMatchesFreshMonitors) {
     }
   }
   registry.set_enabled(was_enabled);
-  // Both branches of the pass are covered.
+  // Both branches of the analysis are covered.
   EXPECT_GE(fired, 3u);
   EXPECT_LE(fired, 17u);
 }

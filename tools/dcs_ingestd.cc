@@ -25,19 +25,21 @@
 // Spins the full loopback pipeline in-process (server on an ephemeral UDS,
 // a sender shipping synthesized digests, reports drained) and exits 0 on
 // success — the ctest smoke that the daemon wiring works end to end.
+//
+// An unknown flag, or a non-integer value for an integer flag, exits 2
+// after printing the usage line.
 
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "analysis/analysis_context.h"
 #include "common/thread_pool.h"
 #include "dcs/epoch_ring.h"
@@ -53,40 +55,16 @@
 namespace dcs {
 namespace {
 
-// Same minimal --name value / --switch parser as dcs_workbench.
-class Flags {
- public:
-  Status Parse(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        return Status::InvalidArgument("unexpected argument: " + arg);
-      }
-      arg = arg.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "";  // Boolean switch.
-      }
-    }
-    return Status::Ok();
-  }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
-
-  std::string Get(const std::string& name, const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::int64_t GetInt(const std::string& name, std::int64_t fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
+constexpr FlagSpec kIngestdFlags[] = {
+    {"uds", FlagKind::kString},           {"tcp-port", FlagKind::kInt},
+    {"threads", FlagKind::kInt},          {"ring-capacity", FlagKind::kInt},
+    {"shed-policy", FlagKind::kString},   {"analysis-budget", FlagKind::kInt},
+    {"expected-routers", FlagKind::kInt}, {"bitmap-bits", FlagKind::kInt},
+    {"n-prime", FlagKind::kInt},          {"beta", FlagKind::kInt},
+    {"er-threshold", FlagKind::kInt},     {"max-epochs", FlagKind::kInt},
+    {"exit-on-idle", FlagKind::kSwitch},  {"max-rejects", FlagKind::kInt},
+    {"metrics-out", FlagKind::kString},   {"self-test", FlagKind::kSwitch},
+    {"help", FlagKind::kSwitch},
 };
 
 std::sig_atomic_t volatile g_signalled = 0;
@@ -364,10 +342,11 @@ void PrintUsage() {
 
 int Main(int argc, char** argv) {
   Flags flags;
-  const Status parse_status = flags.Parse(argc, argv, 1);
+  const Status parse_status = flags.Parse(argc, argv, 1, kIngestdFlags);
   if (!parse_status.ok()) {
     std::fprintf(stderr, "%s\n", parse_status.ToString().c_str());
-    return 1;
+    PrintUsage();
+    return 2;
   }
   if (flags.Has("help")) {
     PrintUsage();

@@ -61,16 +61,20 @@
 //                         metric summary table after the command finishes.
 //   --metrics-out <path>  Like --metrics, but dump the snapshot as JSON
 //                         lines to <path> instead of a table.
+//
+// A flag the command does not know, or a non-integer value for an integer
+// flag, exits 2 after printing the usage line.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <map>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "dcs/dcs.h"
 #include "netio/digest_sender.h"
 #include "obs/exporter.h"
@@ -82,43 +86,39 @@
 namespace dcs {
 namespace {
 
-// ----------------------------------------------------------------------
-// Minimal flag parsing: --name value pairs plus boolean --name switches.
-// ----------------------------------------------------------------------
-
-class Flags {
- public:
-  Status Parse(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        return Status::InvalidArgument("unexpected argument: " + arg);
-      }
-      arg = arg.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "";  // Boolean switch.
-      }
-    }
-    return Status::Ok();
-  }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
-
-  std::string Get(const std::string& name, const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::int64_t GetInt(const std::string& name, std::int64_t fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
+// The flags each command knows, besides the --metrics pair all accept.
+constexpr FlagSpec kSynthesizeFlags[] = {
+    {"out-dir", FlagKind::kString},      {"routers", FlagKind::kInt},
+    {"packets", FlagKind::kInt},         {"seed", FlagKind::kInt},
+    {"no-content", FlagKind::kSwitch},   {"content-id", FlagKind::kInt},
+    {"content-packets", FlagKind::kInt}, {"content-routers", FlagKind::kInt},
+    {"unaligned", FlagKind::kSwitch},    {"instances", FlagKind::kInt},
+    {"catalog-seed", FlagKind::kInt},
+};
+constexpr FlagSpec kCollectFlags[] = {
+    {"in-dir", FlagKind::kString}, {"out-dir", FlagKind::kString},
+    {"mode", FlagKind::kString},   {"seed", FlagKind::kInt},
+    {"groups", FlagKind::kInt},    {"bitmap-bits", FlagKind::kInt},
+};
+constexpr FlagSpec kAnalyzeFlags[] = {
+    {"in-dir", FlagKind::kString},        {"mode", FlagKind::kString},
+    {"bitmap-bits", FlagKind::kInt},      {"n-prime", FlagKind::kInt},
+    {"er-threshold", FlagKind::kInt},     {"beta", FlagKind::kInt},
+    {"expand-min-edges", FlagKind::kInt}, {"threads", FlagKind::kInt},
+    {"expected-routers", FlagKind::kInt}, {"fault-plan", FlagKind::kString},
+    {"expected-epoch", FlagKind::kInt},   {"ring-epochs", FlagKind::kInt},
+    {"ring-capacity", FlagKind::kInt},    {"shed-policy", FlagKind::kString},
+    {"epoch-stride", FlagKind::kInt},
+};
+constexpr FlagSpec kSendFlags[] = {
+    {"in-dir", FlagKind::kString},    {"uds", FlagKind::kString},
+    {"tcp-port", FlagKind::kInt},     {"host", FlagKind::kString},
+    {"codec", FlagKind::kString},     {"epochs", FlagKind::kInt},
+    {"epoch-stride", FlagKind::kInt}, {"coalesce-bytes", FlagKind::kInt},
+};
+constexpr FlagSpec kMetricsFlags[] = {
+    {"metrics", FlagKind::kSwitch},
+    {"metrics-out", FlagKind::kString},
 };
 
 std::string TracePath(const std::string& dir, std::uint32_t router) {
@@ -560,15 +560,15 @@ Status CmdDemo() {
   Flags synth;
   char arg_out[] = "--out-dir";
   char* synth_argv[] = {arg_out, const_cast<char*>(dir.c_str())};
-  DCS_RETURN_IF_ERROR(synth.Parse(2, synth_argv, 0));
+  DCS_RETURN_IF_ERROR(synth.Parse(2, synth_argv, 0, kSynthesizeFlags));
   DCS_RETURN_IF_ERROR(CmdSynthesize(synth));
   char arg_in[] = "--in-dir";
   char* dir_argv[] = {arg_in, const_cast<char*>(dir.c_str())};
   Flags collect;
-  DCS_RETURN_IF_ERROR(collect.Parse(2, dir_argv, 0));
+  DCS_RETURN_IF_ERROR(collect.Parse(2, dir_argv, 0, kCollectFlags));
   DCS_RETURN_IF_ERROR(CmdCollect(collect));
   Flags analyze;
-  DCS_RETURN_IF_ERROR(analyze.Parse(2, dir_argv, 0));
+  DCS_RETURN_IF_ERROR(analyze.Parse(2, dir_argv, 0, kAnalyzeFlags));
   return CmdAnalyze(analyze);
 }
 
@@ -601,39 +601,50 @@ void PrintUsage() {
       "see the comment block at the top of tools/dcs_workbench.cc\n");
 }
 
+struct Command {
+  const char* name;
+  std::span<const FlagSpec> flags;
+  Status (*run)(const Flags& flags);
+};
+
+constexpr Command kCommands[] = {
+    {"synthesize", kSynthesizeFlags, CmdSynthesize},
+    {"collect", kCollectFlags, CmdCollect},
+    {"analyze", kAnalyzeFlags, CmdAnalyze},
+    {"send", kSendFlags, CmdSend},
+    {"demo", {}, [](const Flags&) { return CmdDemo(); }},
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     PrintUsage();
     return 1;
   }
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
+  const std::string name = argv[1];
+  if (name == "--help" || name == "-h" || name == "help") {
     PrintUsage();
     return 0;
   }
-  Flags flags;
-  const Status parse_status = flags.Parse(argc, argv, 2);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n", parse_status.ToString().c_str());
-    return 1;
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (name == candidate.name) command = &candidate;
   }
-  const bool metrics = flags.Has("metrics") || flags.Has("metrics-out");
-  if (metrics) MetricsRegistry::Global().set_enabled(true);
-  Status status;
-  if (command == "synthesize") {
-    status = CmdSynthesize(flags);
-  } else if (command == "collect") {
-    status = CmdCollect(flags);
-  } else if (command == "analyze") {
-    status = CmdAnalyze(flags);
-  } else if (command == "send") {
-    status = CmdSend(flags);
-  } else if (command == "demo") {
-    status = CmdDemo();
-  } else {
+  if (command == nullptr) {
     PrintUsage();
     return 1;
   }
+  std::vector<FlagSpec> known(command->flags.begin(), command->flags.end());
+  known.insert(known.end(), std::begin(kMetricsFlags), std::end(kMetricsFlags));
+  Flags flags;
+  const Status parse_status = flags.Parse(argc, argv, 2, known);
+  if (!parse_status.ok()) {
+    std::fprintf(stderr, "%s\n", parse_status.ToString().c_str());
+    PrintUsage();
+    return 2;
+  }
+  const bool metrics = flags.Has("metrics") || flags.Has("metrics-out");
+  if (metrics) MetricsRegistry::Global().set_enabled(true);
+  Status status = command->run(flags);
   if (status.ok() && metrics) status = DumpMetrics(flags);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
