@@ -11,9 +11,9 @@ namespace dcs {
 /// should be spread over many CPUs; this context carries the pool that does
 /// it. One context serves both pipelines of an epoch: the aligned engine
 /// uses it for the weight screen and the core scan, and the monitor copies
-/// the pool into the unaligned PairScanOptions (λ calibration and the pair
-/// scan) when none was set there. Every other stage runs serially. A null
-/// pool means run serially; every pooled stage is sharded with a
+/// the pool into the unaligned GraphBuilderOptions::scan (λ calibration and
+/// the pair scan) when none was set there. Every other stage runs serially.
+/// A null pool means run serially; every pooled stage is sharded with a
 /// deterministic merge, so results are bit-identical at any thread count,
 /// including null.
 struct AnalysisContext {

@@ -52,11 +52,11 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
   }
   const std::uint64_t misses_after_calibration = misses();
 
-  // The scan proper. Each shard appends candidate edges to its own buffers;
-  // shards are contiguous ascending ranges of the first group index, so
-  // concatenating the buffers in ascending shard order reproduces the
-  // serial emission order exactly — no mutex, no ordering leak.
-  const PairScanPlan plan = PlanGroupPairScan(num_groups, options.scan);
+  // The scan proper: every unordered group pair (g1 < g2), sharded over
+  // contiguous ascending ranges of g1. Each shard appends candidate edges
+  // to its own buffers, so concatenating the buffers in ascending shard
+  // order reproduces the serial ascending-(g1, g2) emission order exactly —
+  // no mutex, no ordering leak, the same graph at any thread count.
   using Edge = std::pair<std::uint32_t, std::uint32_t>;
   struct ShardState {
     std::vector<Edge> edges[2];
@@ -66,52 +66,68 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
     std::uint64_t compares = 0;
     std::uint64_t high_lookups = 0;
   };
-  std::vector<ShardState> shards(plan.shards.size());
+  const std::vector<ShardRange> ranges = ShardsFor(pool, num_groups);
+  std::vector<ShardState> shards(ranges.size());
+  // Hoisted so the shards touch only the lock-free histogram (the name
+  // lookup takes the registry mutex once per scan, not per task).
+  LatencyHistogram* task_hist =
+      obs && pool != nullptr ? &ObsHistogram("stage.pairscan_task.ns")
+                             : nullptr;
 
-  RunGroupPairScan(
-      plan, options.scan,
-      [&](const ShardRange& shard, std::uint32_t g1, std::uint32_t g2) {
-        ShardState& state = shards[shard.index];
-        const std::size_t base1 = g1 * arrays;
-        const std::size_t base2 = g2 * arrays;
-        // Group 2's rows are contiguous in the matrix, so one batched
-        // kernel call per row1 covers the whole inner loop. Thresholds are
-        // still consulted in (i, j) order with the zero-row skips, so each
-        // table's first clearing pair, and with it the edge, is the one a
-        // scan of that table alone would stop at.
-        const std::span<const BitVector> group2(&matrix.row(base2), arrays);
-        if (state.counts.size() != arrays) state.counts.resize(arrays);
-        std::uint64_t compares = 0;
-        std::uint64_t high_lookups = 0;
-        bool low_edge = false;
-        [&] {
-          for (std::size_t i = 0; i < arrays; ++i) {
-            const BitVector& row1 = matrix.row(base1 + i);
-            const std::uint32_t ones1 = row_ones[base1 + i];
-            if (ones1 == 0) continue;
-            row1.CommonOnesBatch(group2, state.counts);
-            for (std::size_t j = 0; j < arrays; ++j) {
-              const std::uint32_t ones2 = row_ones[base2 + j];
-              if (ones2 == 0) continue;
-              ++compares;
-              const auto common = static_cast<std::int64_t>(state.counts[j]);
-              if (common <= low.Threshold(ones1, ones2)) continue;
-              if (!low_edge) {
-                low_edge = true;
-                state.edges[0].emplace_back(g1, g2);
-              }
-              if (high == nullptr) return;  // At most one edge per pair.
-              ++high_lookups;
-              if (common > high->Threshold(ones1, ones2)) {
-                state.edges[1].emplace_back(g1, g2);
-                return;  // Both edges found.
-              }
-            }
+  auto scan_pair = [&](ShardState& state, std::uint32_t g1,
+                       std::uint32_t g2) {
+    const std::size_t base1 = g1 * arrays;
+    const std::size_t base2 = g2 * arrays;
+    // Group 2's rows are contiguous in the matrix, so one batched kernel
+    // call per row1 covers the whole inner loop. Thresholds are still
+    // consulted in (i, j) order with the zero-row skips, so each table's
+    // first clearing pair, and with it the edge, is the one a scan of that
+    // table alone would stop at.
+    const std::span<const BitVector> group2(&matrix.row(base2), arrays);
+    std::uint64_t compares = 0;
+    std::uint64_t high_lookups = 0;
+    bool low_edge = false;
+    [&] {
+      for (std::size_t i = 0; i < arrays; ++i) {
+        const BitVector& row1 = matrix.row(base1 + i);
+        const std::uint32_t ones1 = row_ones[base1 + i];
+        if (ones1 == 0) continue;
+        row1.CommonOnesBatch(group2, state.counts);
+        for (std::size_t j = 0; j < arrays; ++j) {
+          const std::uint32_t ones2 = row_ones[base2 + j];
+          if (ones2 == 0) continue;
+          ++compares;
+          const auto common = static_cast<std::int64_t>(state.counts[j]);
+          if (common <= low.Threshold(ones1, ones2)) continue;
+          if (!low_edge) {
+            low_edge = true;
+            state.edges[0].emplace_back(g1, g2);
           }
-        }();
-        state.compares += compares;
-        state.high_lookups += high_lookups;
-      });
+          if (high == nullptr) return;  // At most one edge per pair.
+          ++high_lookups;
+          if (common > high->Threshold(ones1, ones2)) {
+            state.edges[1].emplace_back(g1, g2);
+            return;  // Both edges found.
+          }
+        }
+      }
+    }();
+    state.compares += compares;
+    state.high_lookups += high_lookups;
+  };
+  RunShards(pool, ranges, [&](const ShardRange& range) {
+    StageStopwatch watch;
+    if (task_hist != nullptr) watch.Start();
+    ShardState& state = shards[range.index];
+    state.counts.resize(arrays);
+    for (std::size_t g1 = range.begin; g1 < range.end; ++g1) {
+      for (std::size_t g2 = g1 + 1; g2 < num_groups; ++g2) {
+        scan_pair(state, static_cast<std::uint32_t>(g1),
+                  static_cast<std::uint32_t>(g2));
+      }
+    }
+    if (task_hist != nullptr) task_hist->Record(watch.ElapsedNanos());
+  });
 
   std::vector<Graph> graphs;
   {
@@ -135,6 +151,10 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
     std::uint64_t edges = 0;
     for (const Graph& graph : graphs) edges += graph.num_edges();
     const std::uint64_t scan_misses = misses() - misses_after_calibration;
+    const std::uint64_t n = num_groups;
+    ObsCounter("pairscan.scans").Increment();
+    ObsCounter("pairscan.groups_scanned").Add(n);
+    ObsCounter("pairscan.pairs_visited").Add(n * (n - 1) / 2);
     ObsCounter("pairscan.row_pairs_compared").Add(compares);
     ObsCounter("pairscan.edges_emitted").Add(edges);
     ObsCounter("lambda.cache_misses").Add(misses() - misses_before);
@@ -142,7 +162,7 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
     ObsCounter("unaligned.lambda_calibrated_entries")
         .Add(misses_after_calibration - misses_before);
     ObsGauge("unaligned.scan_shards")
-        .Set(static_cast<double>(plan.shards.size()));
+        .Set(static_cast<double>(ranges.size()));
     if (lookups > 0) {
       // Hit rate of the scan itself; after calibration this should sit at
       // 1.0, so anything lower flags weights the calibration never saw.

@@ -6,18 +6,28 @@
 #include <vector>
 
 #include "common/bit_matrix.h"
-#include "analysis/correlation.h"
+#include "common/thread_pool.h"
 #include "analysis/lambda_table.h"
 #include "graph/graph.h"
 
 namespace dcs {
+
+/// How the pair scan runs — the dominant cost of the unaligned analysis
+/// (Section IV-D: "the vast majority of the computational complexity ...
+/// comes from computing, for any two rows, the number of indices in which
+/// both rows have value 1"). The scan always covers every group pair.
+struct PairScanOptions {
+  /// Shard the λ calibration and the pair scan over this pool when set
+  /// (Section IV-D, possibility 3); serial when null.
+  ThreadPool* pool = nullptr;
+};
 
 /// Parameters for converting the stacked sketch matrix into a correlation
 /// graph (Section IV-B).
 struct GraphBuilderOptions {
   /// Rows per group (the paper's 10 offset arrays).
   std::size_t arrays_per_group = 10;
-  /// Scan controls (parallelism, vertex sampling) — Section IV-D.
+  /// Scan parallelism — Section IV-D.
   PairScanOptions scan;
 };
 

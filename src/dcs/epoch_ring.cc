@@ -33,8 +33,6 @@ EpochRing::EpochRing(const EpochRingOptions& options,
   DCS_CHECK(options_.capacity >= 1);
   DCS_CHECK(options_.analysis_budget_per_offer >= 1);
   DCS_CHECK(options_.degraded_n_prime_divisor >= 1);
-  DCS_CHECK(options_.degraded_group_sample_rate > 0.0 &&
-            options_.degraded_group_sample_rate <= 1.0);
 }
 
 std::size_t EpochRing::epochs_in_flight() const {
@@ -59,16 +57,6 @@ AlignedPipelineOptions EpochRing::DegradedAligned() const {
                                    options_.degraded_n_prime_divisor);
   degraded.detector.first_iteration_hopefuls = std::min(
       degraded.detector.first_iteration_hopefuls, degraded.n_prime);
-  return degraded;
-}
-
-UnalignedPipelineOptions EpochRing::DegradedUnaligned() const {
-  UnalignedPipelineOptions degraded = options_.unaligned;
-  // Sample the pair scan: the dominant unaligned cost is the O(groups^2)
-  // correlation pass (Section IV-D explicitly blesses sampling here).
-  degraded.builder.scan.group_sample_rate =
-      std::min(degraded.builder.scan.group_sample_rate,
-               options_.degraded_group_sample_rate);
   return degraded;
 }
 
@@ -130,10 +118,10 @@ void EpochRing::CloseHead(CloseMode mode) {
       report.degraded_analysis = true;
       ++stats_.epochs_degraded;
       ObsCounter("soak.degraded_epochs").Increment();
-      monitor.set_analysis_options(DegradedAligned(), DegradedUnaligned());
+      monitor.set_aligned_options(DegradedAligned());
       report.aligned = monitor.AnalyzeAligned();
+      monitor.set_aligned_options(options_.aligned);
       report.unaligned = monitor.AnalyzeUnaligned();
-      monitor.set_analysis_options(options_.aligned, options_.unaligned);
       break;
     }
     case CloseMode::kAnalyze: {

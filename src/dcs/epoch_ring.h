@@ -27,9 +27,10 @@ enum class ShedPolicy {
   /// Bounded latency; loses the shed epochs' evidence and the k-of-w
   /// window ages at wall-epoch rate through the gaps.
   kDropOldest,
-  /// Analyze overdue epochs with the cheaper degraded options; thresholds
+  /// Analyze overdue epochs with a narrower aligned screen; its thresholds
   /// recalibrate via EpochCalibration so each report states the evidence
-  /// bar it was held to. Bounded-ish latency; reduced sensitivity.
+  /// bar it was held to. The unaligned half runs at full fidelity.
+  /// Bounded-ish latency; reduced aligned sensitivity.
   kDegrade,
 };
 
@@ -59,10 +60,10 @@ struct EpochRingOptions {
   /// shed gap.
   EpochTrackerOptions tracker;
 
-  /// Degrade-mode tuning (kDegrade only): screen width divisor and the
-  /// unaligned pair-scan sampling rate of the cheapened analysis.
+  /// Degrade-mode tuning (kDegrade only): the cheapened analysis screens
+  /// n' / divisor aligned columns. The unaligned half of a degraded epoch
+  /// runs at full fidelity.
   std::size_t degraded_n_prime_divisor = 4;
-  double degraded_group_sample_rate = 0.25;
 };
 
 /// One epoch's complete outcome, in epoch order.
@@ -71,7 +72,8 @@ struct DcsReport {
   /// True when the epoch was shed unanalyzed (kDropOldest overload); the
   /// aligned/unaligned members are then default-constructed.
   bool shed = false;
-  /// True when the epoch was analyzed with the degraded options.
+  /// True when the epoch's aligned half was analyzed with the degraded
+  /// (narrower-screen) options.
   bool degraded_analysis = false;
   AlignedReport aligned;
   UnalignedReport unaligned;
@@ -182,7 +184,6 @@ class EpochRing {
   Slot& OpenSlot(std::uint64_t epoch);
 
   AlignedPipelineOptions DegradedAligned() const;
-  UnalignedPipelineOptions DegradedUnaligned() const;
 
   EpochRingOptions options_;
   AnalysisContext context_;

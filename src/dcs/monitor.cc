@@ -53,11 +53,6 @@ DcsMonitor::DcsMonitor(const AlignedPipelineOptions& aligned_options,
       context_(context),
       ingest_options_(ingest_options) {
   stats_.expected_routers = ingest_options_.expected_routers;
-  // The options only ever switch observability on: another component (or
-  // the workbench --metrics flag) may have enabled the registry already.
-  if (aligned_options.obs.enabled || unaligned_options.obs.enabled) {
-    MetricsRegistry::Global().set_enabled(true);
-  }
   // One pool serves both pipelines: the aligned engine takes the context
   // directly (screen and core scan), and the unaligned graph build (lambda
   // calibration, pair scan) inherits it here unless the caller already
@@ -79,16 +74,9 @@ void DcsMonitor::set_ingest_options(const IngestOptions& options) {
   stats_.expected_routers = options.expected_routers;
 }
 
-void DcsMonitor::set_analysis_options(
-    const AlignedPipelineOptions& aligned_options,
-    const UnalignedPipelineOptions& unaligned_options) {
+void DcsMonitor::set_aligned_options(
+    const AlignedPipelineOptions& aligned_options) {
   aligned_options_ = aligned_options;
-  unaligned_options_ = unaligned_options;
-  // Same pool-inheritance rule as the constructor: one pool per analysis
-  // center unless the scan options brought their own.
-  if (unaligned_options_.builder.scan.pool == nullptr) {
-    unaligned_options_.builder.scan.pool = context_.pool;
-  }
 }
 
 Status DcsMonitor::Reject(std::uint64_t* counter, const char* metric,

@@ -60,14 +60,13 @@ class DcsMonitor {
   void set_ingest_options(const IngestOptions& options);
   const IngestOptions& ingest_options() const { return ingest_options_; }
 
-  /// Swaps the analysis tuning mid-life — the EpochRing's degrade shedding
-  /// policy analyzes an overloaded epoch with cheaper options, then
-  /// restores. Ingested digests are untouched; the pool-inheritance rule of
-  /// the constructor is re-applied. Thresholds (EpochCalibration) are
-  /// recomputed from the new options at the next analysis call, so a
-  /// degraded analysis states the evidence bar it was actually held to.
-  void set_analysis_options(const AlignedPipelineOptions& aligned_options,
-                            const UnalignedPipelineOptions& unaligned_options);
+  /// Swaps the aligned analysis tuning mid-life — the EpochRing's degrade
+  /// shedding policy screens an overloaded epoch's aligned matrix with a
+  /// narrower n', then restores. Ingested digests are untouched.
+  /// Thresholds (EpochCalibration) are recomputed from the new options at
+  /// the next analysis call, so a degraded analysis states the evidence bar
+  /// it was actually held to.
+  void set_aligned_options(const AlignedPipelineOptions& aligned_options);
   const AlignedPipelineOptions& aligned_options() const {
     return aligned_options_;
   }

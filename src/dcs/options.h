@@ -7,7 +7,6 @@
 #include "analysis/cluster_separation.h"
 #include "analysis/unaligned_detector.h"
 #include "analysis/unaligned_graph_builder.h"
-#include "obs/metrics.h"
 #include "sketch/bitmap_sketch.h"
 #include "sketch/flow_split_sketch.h"
 
@@ -27,8 +26,6 @@ struct AlignedPipelineOptions {
   /// analysis time (docs/STREAMING.md). Bit-identical to the cold path;
   /// costs one AccumulateColumnCounts pass per accepted digest.
   bool incremental_weights = false;
-  /// Metrics/stage-timer switches (docs/OBSERVABILITY.md).
-  ObservabilityOptions obs;
 };
 
 /// End-to-end configuration of the unaligned DCS pipeline (Section IV).
@@ -50,10 +47,8 @@ struct UnalignedPipelineOptions {
   UnalignedDetectorOptions detector;
   /// Per-content cluster separation of the detected set (Section II-D).
   ClusterSeparationOptions separation;
-  /// Correlation scan tuning (parallelism, vertex sampling).
+  /// Correlation scan tuning (rows per group, scan parallelism).
   GraphBuilderOptions builder;
-  /// Metrics/stage-timer switches (docs/OBSERVABILITY.md).
-  ObservabilityOptions obs;
 };
 
 /// Returns defaults scaled for a small deployment (used by the examples and

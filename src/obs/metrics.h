@@ -152,8 +152,7 @@ struct MetricsSnapshot {
 /// updates are lock-free; the registry mutex is only taken on registration
 /// and snapshot. Everything is a no-op while disabled (the default), so the
 /// pipeline's instrumentation costs one relaxed load per update site until
-/// someone turns observability on (ObservabilityOptions, workbench
-/// --metrics, or set_enabled directly).
+/// someone turns observability on (set_enabled, or the CLIs' --metrics).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -214,14 +213,6 @@ LatencyHistogram& ObsHistogram(std::string_view name);
 /// instrumentation whose *preparation* is non-trivial (e.g. an O(bits) fill
 /// count at epoch end).
 inline bool ObsEnabled() { return MetricsRegistry::Global().enabled(); }
-
-/// Observability switches carried by the pipeline options (dcs/options.h).
-struct ObservabilityOptions {
-  /// Turns the global registry on when a DcsMonitor is constructed with
-  /// these options. Never turns it off (another component may have
-  /// enabled it).
-  bool enabled = false;
-};
 
 }  // namespace dcs
 

@@ -1,9 +1,10 @@
 // Back-pressure / shedding policy tests for the EpochRing
 // (docs/STREAMING.md): drop-oldest keeps the report stream contiguous and
-// records every missed epoch as an EpochTracker gap; degrade mode analyzes
-// with the cheaper options and recalibrates the evidence bar via
-// EpochCalibration; block analyzes everything and only counts how often it
-// had to; the ingest.* and soak.* metrics count what was dropped.
+// records every missed epoch as an EpochTracker gap; degrade mode screens
+// the aligned matrix narrower, recalibrates that evidence bar via
+// EpochCalibration and leaves the unaligned analysis at full fidelity;
+// block analyzes everything and only counts how often it had to; the
+// ingest.* and soak.* metrics count what was dropped.
 
 #include "dcs/epoch_ring.h"
 
@@ -148,6 +149,100 @@ TEST(BackpressureTest, DegradeModeRecalibratesViaEpochCalibration) {
     ASSERT_TRUE(expected.AddDigest(NoiseDigest(1, r)).ok());
   }
   EXPECT_EQ(reports[1].aligned, expected.AnalyzeAligned());
+}
+
+constexpr std::uint32_t kWormRouters = 4;
+
+// One router's unaligned digest in the benchmark's group shape (10 arrays
+// of 1024 bits at about 1/4 fill), 16 groups. A planted epoch gives groups
+// 0, 5 and 10 of the router 160 shared indices in their first array.
+Digest WormDigest(std::uint64_t epoch, std::uint32_t router, bool planted) {
+  const std::size_t groups = 16;
+  const std::size_t arrays = 10;
+  const std::size_t bits = 1024;
+  Digest digest;
+  digest.router_id = router;
+  digest.epoch_id = epoch;
+  digest.kind = DigestKind::kUnaligned;
+  digest.num_groups = static_cast<std::uint32_t>(groups);
+  digest.arrays_per_group = static_cast<std::uint32_t>(arrays);
+  Rng rng(epoch * 7919 + router * 13 + 5);
+  for (std::size_t r = 0; r < groups * arrays; ++r) {
+    BitVector row(bits);
+    std::uint64_t* words = row.mutable_words();
+    for (std::size_t w = 0; w < row.num_words(); ++w) {
+      words[w] = rng.Next() & rng.Next();
+    }
+    digest.rows.push_back(std::move(row));
+  }
+  if (planted) {
+    for (const std::size_t g : {0u, 5u, 10u}) {
+      for (std::size_t k = 0; k < 160; ++k) {
+        digest.rows[g * arrays].Set((k * 797 + 3) % bits);
+      }
+    }
+  }
+  return digest;
+}
+
+EpochRingOptions WormRing() {
+  EpochRingOptions options = SmallRing(ShedPolicy::kDegrade);
+  options.ingest.expected_routers = kWormRouters;
+  options.unaligned.er_threshold = 6;
+  options.unaligned.detector.beta = 9;
+  options.unaligned.detector.expand_min_edges = 2;
+  return options;
+}
+
+void OfferWormEpoch(EpochRing* ring, std::uint64_t epoch, bool planted) {
+  for (std::uint32_t r = 0; r < kWormRouters; ++r) {
+    ASSERT_TRUE(ring->Offer(WormDigest(epoch, r, planted)).ok());
+  }
+}
+
+TEST(BackpressureTest, DegradeModeAnalyzesUnalignedAtFullFidelity) {
+  const EpochRingOptions options = WormRing();
+  EpochRing ring(options);
+  OfferWormEpoch(&ring, 0, false);
+  OfferWormEpoch(&ring, 1, true);
+  // Advancing to epoch 3 closes head 0 at full fidelity and the planted
+  // head 1 degraded.
+  OfferWormEpoch(&ring, 3, false);
+  ring.Drain();
+
+  const std::vector<DcsReport> reports = ring.TakeReports();
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_FALSE(reports[0].degraded_analysis);
+  ASSERT_TRUE(reports[1].degraded_analysis);
+  EXPECT_EQ(ring.stats().epochs_degraded, 1u);
+
+  // Degrading narrows only the aligned screen: the unaligned half scans
+  // every group pair, so the planted content (12 of 64 groups) is found
+  // and the report is the one-shot monitor's under the ring's full
+  // options.
+  const UnalignedReport& degraded = reports[1].unaligned;
+  EXPECT_TRUE(degraded.common_content_detected);
+  EXPECT_EQ(degraded.num_vertices, 16u * kWormRouters);
+  EXPECT_EQ(degraded.routers, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  IngestOptions pinned = options.ingest;
+  pinned.lock_epoch_to_first = false;
+  pinned.expected_epoch = 1;
+  pinned.max_epoch_skew = 0;
+  DcsMonitor expected(options.aligned, options.unaligned, AnalysisContext{},
+                      pinned);
+  for (std::uint32_t r = 0; r < kWormRouters; ++r) {
+    ASSERT_TRUE(expected.AddDigest(WormDigest(1, r, true)).ok());
+  }
+  const UnalignedReport full = expected.AnalyzeUnaligned();
+  EXPECT_TRUE(degraded == full) << "degraded " << degraded.ToString()
+                                << "\n    full " << full.ToString();
+
+  // The k-of-w tracker recorded the degraded epoch as a detection, not as
+  // a clean epoch; the unplanted epochs stay quiet.
+  EXPECT_FALSE(reports[0].unaligned.common_content_detected);
+  EXPECT_FALSE(reports[3].unaligned.common_content_detected);
+  EXPECT_EQ(ring.tracker().detections_in_window(), 1u);
+  EXPECT_EQ(ring.tracker().gaps_seen(), 0u);
 }
 
 TEST(BackpressureTest, BlockPolicyAnalyzesEverythingAndCountsOverruns) {

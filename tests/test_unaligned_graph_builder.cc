@@ -1,8 +1,13 @@
 #include "analysis/unaligned_graph_builder.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -87,21 +92,38 @@ TEST(GraphBuilderTest, ParallelMatchesSerial) {
   EXPECT_EQ(g1.edges(), g2.edges());
 }
 
-TEST(GraphBuilderTest, SampledScanOnlySeesSampledGroups) {
-  Rng rng(4);
-  BitMatrix matrix = RandomGroupMatrix(50, 2, 256, 0.4, &rng);
-  // Strong global signal among many groups.
-  InjectSignal(&matrix, 2, {0, 5, 10, 15, 20, 25, 30, 35, 40, 45}, 50, &rng);
-  LambdaTable lambda(256, 1e-5);
-  GraphBuilderOptions opts;
-  opts.arrays_per_group = 2;
-  opts.scan.group_sample_rate = 0.4;
-  opts.scan.sample_seed = 9;
-  const Graph graph = BuildCorrelationGraph(matrix, lambda, opts);
-  // Edges only between sampled vertices; fewer than the full 45 signal
-  // pairs.
-  EXPECT_LT(graph.num_edges(), 45u);
-  EXPECT_GT(graph.num_edges(), 0u);
+TEST(GraphBuilderTest, FewerThanThreeGroupsDoNotAbort) {
+  // 0, 1 and 2 groups: no pair, no pair, one pair. Both builds must return
+  // a graph over exactly those groups, serially and on a pool with more
+  // threads than groups.
+  using EdgeList = std::vector<std::pair<Graph::VertexId, Graph::VertexId>>;
+  ThreadPool pool(4);
+  for (ThreadPool* scan_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (std::size_t groups = 0; groups <= 2; ++groups) {
+      Rng rng(6 + groups);
+      BitMatrix matrix = RandomGroupMatrix(groups, 2, 256, 0.2, &rng);
+      if (groups == 2) InjectSignal(&matrix, 2, {0, 1}, 120, &rng);
+      GraphBuilderOptions opts;
+      opts.arrays_per_group = 2;
+      opts.scan.pool = scan_pool;
+      const std::string where = std::to_string(groups) + " groups, " +
+                                (scan_pool == nullptr ? "serial" : "pool");
+      const EdgeList expected_edges =
+          groups == 2 ? EdgeList{{0, 1}} : EdgeList{};
+
+      const Graph single =
+          BuildCorrelationGraph(matrix, LambdaTable(256, 1e-6), opts);
+      EXPECT_EQ(single.num_vertices(), groups) << where;
+      EXPECT_EQ(single.edges(), expected_edges) << where;
+
+      const auto [sparse, dense] = BuildCorrelationGraphs(
+          matrix, LambdaTable(256, 1e-6), LambdaTable(256, 1e-3), opts);
+      EXPECT_EQ(sparse.num_vertices(), groups) << where;
+      EXPECT_EQ(dense.num_vertices(), groups) << where;
+      EXPECT_EQ(sparse.edges(), expected_edges) << where;
+      EXPECT_EQ(dense.edges(), expected_edges) << where;
+    }
+  }
 }
 
 TEST(GraphBuilderTest, LowerFillRowsUseLowerThresholds) {

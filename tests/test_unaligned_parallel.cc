@@ -118,28 +118,9 @@ TEST_F(UnalignedParallelTest, GraphBuildMatchesSerial) {
   }
 }
 
-TEST_F(UnalignedParallelTest, SampledGraphBuildMatchesSerial) {
-  Rng rng(9);
-  BitMatrix matrix = RandomGroupMatrix(80, 3, 256, 0.25, &rng);
-  InjectSignal(&matrix, 3, {0, 10, 20, 30, 40, 50, 60, 70}, 60, &rng);
-  const LambdaTable lambda(256, 1e-5);
-  GraphBuilderOptions serial;
-  serial.arrays_per_group = 3;
-  serial.scan.group_sample_rate = 0.4;
-  serial.scan.sample_seed = 5;
-  const Graph reference = BuildCorrelationGraph(matrix, lambda, serial);
-  for (ThreadPool* pool : pools()) {
-    GraphBuilderOptions parallel = serial;
-    parallel.scan.pool = pool;
-    const Graph pooled = BuildCorrelationGraph(matrix, lambda, parallel);
-    EXPECT_EQ(reference.edges(), pooled.edges())
-        << pool->num_threads() << " threads";
-  }
-}
-
 // The fused build scans once for two tables; each of its edge lists must
 // equal a single-table build with that table alone, whichever order the
-// tables come in, sampled or not, on any pool.
+// tables come in, on any pool.
 TEST_F(UnalignedParallelTest, FusedBuildMatchesTwoSingleBuilds) {
   const double p_sparse = 1e-6;
   const double p_dense = 1e-3;
@@ -150,42 +131,34 @@ TEST_F(UnalignedParallelTest, FusedBuildMatchesTwoSingleBuilds) {
     BitMatrix matrix = RandomGroupMatrix(48, 4, 512, 0.2, &rng);
     InjectSignal(&matrix, 4, {1, 9, 17, 25, 33, 41}, 100, &rng);
     InjectSignal(&matrix, 4, {4, 12, 20, 28}, 45, &rng);
-    for (const double sample_rate : {1.0, 0.25}) {
-      GraphBuilderOptions serial;
-      serial.arrays_per_group = 4;
-      serial.scan.group_sample_rate = sample_rate;
-      serial.scan.sample_seed = seed;
-      const Graph sparse =
-          BuildCorrelationGraph(matrix, LambdaTable(512, p_sparse), serial);
-      const Graph dense =
-          BuildCorrelationGraph(matrix, LambdaTable(512, p_dense), serial);
-      if (sample_rate == 1.0) {
-        ASSERT_GT(dense.num_edges(), sparse.num_edges()) << "seed " << seed;
-        ASSERT_GT(sparse.num_edges(), 0u) << "seed " << seed;
+    GraphBuilderOptions serial;
+    serial.arrays_per_group = 4;
+    const Graph sparse =
+        BuildCorrelationGraph(matrix, LambdaTable(512, p_sparse), serial);
+    const Graph dense =
+        BuildCorrelationGraph(matrix, LambdaTable(512, p_dense), serial);
+    ASSERT_GT(dense.num_edges(), sparse.num_edges()) << "seed " << seed;
+    ASSERT_GT(sparse.num_edges(), 0u) << "seed " << seed;
+    // Tables kept across the configurations below, as a monitor keeps them
+    // across epochs: only the first build calibrates.
+    const LambdaTable kept_sparse(512, p_sparse);
+    const LambdaTable kept_dense(512, p_dense);
+    for (ThreadPool* pool : configs) {
+      GraphBuilderOptions options = serial;
+      options.scan.pool = pool;
+      const std::size_t threads = pool == nullptr ? 0 : pool->num_threads();
+      const auto [s1, d1] =
+          BuildCorrelationGraphs(matrix, kept_sparse, kept_dense, options);
+      const auto [d2, s2] = BuildCorrelationGraphs(
+          matrix, LambdaTable(512, p_dense), LambdaTable(512, p_sparse),
+          options);
+      for (const Graph* g : {&s1, &s2}) {
+        EXPECT_EQ(g->edges(), sparse.edges())
+            << "seed " << seed << ", " << threads << " threads";
       }
-      // Tables kept across the configurations below, as a monitor keeps
-      // them across epochs: only the first build calibrates.
-      const LambdaTable kept_sparse(512, p_sparse);
-      const LambdaTable kept_dense(512, p_dense);
-      for (ThreadPool* pool : configs) {
-        GraphBuilderOptions options = serial;
-        options.scan.pool = pool;
-        const std::size_t threads = pool == nullptr ? 0 : pool->num_threads();
-        const auto [s1, d1] =
-            BuildCorrelationGraphs(matrix, kept_sparse, kept_dense, options);
-        const auto [d2, s2] = BuildCorrelationGraphs(
-            matrix, LambdaTable(512, p_dense), LambdaTable(512, p_sparse),
-            options);
-        for (const Graph* g : {&s1, &s2}) {
-          EXPECT_EQ(g->edges(), sparse.edges())
-              << "seed " << seed << ", rate " << sample_rate << ", "
-              << threads << " threads";
-        }
-        for (const Graph* g : {&d1, &d2}) {
-          EXPECT_EQ(g->edges(), dense.edges())
-              << "seed " << seed << ", rate " << sample_rate << ", "
-              << threads << " threads";
-        }
+      for (const Graph* g : {&d1, &d2}) {
+        EXPECT_EQ(g->edges(), dense.edges())
+            << "seed " << seed << ", " << threads << " threads";
       }
     }
   }

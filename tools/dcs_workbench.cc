@@ -62,8 +62,9 @@
 //   --metrics-out <path>  Like --metrics, but dump the snapshot as JSON
 //                         lines to <path> instead of a table.
 //
-// A flag the command does not know, or a non-integer value for an integer
-// flag, exits 2 after printing the usage line.
+// A missing or unknown command, a flag the command does not know, or a
+// non-integer value for an integer flag exits 2 after printing the usage
+// line.
 
 #include <cstdio>
 #include <filesystem>
@@ -617,8 +618,9 @@ constexpr Command kCommands[] = {
 
 int Main(int argc, char** argv) {
   if (argc < 2) {
+    std::fprintf(stderr, "missing command\n");
     PrintUsage();
-    return 1;
+    return 2;
   }
   const std::string name = argv[1];
   if (name == "--help" || name == "-h" || name == "help") {
@@ -630,8 +632,9 @@ int Main(int argc, char** argv) {
     if (name == candidate.name) command = &candidate;
   }
   if (command == nullptr) {
+    std::fprintf(stderr, "unknown command: %s\n", name.c_str());
     PrintUsage();
-    return 1;
+    return 2;
   }
   std::vector<FlagSpec> known(command->flags.begin(), command->flags.end());
   known.insert(known.end(), std::begin(kMetricsFlags), std::end(kMetricsFlags));
