@@ -5,10 +5,14 @@
 //             here verbatim as the baseline),
 //   scalar  — the portable kernel table (multi-accumulator loops),
 //   active  — whatever ActiveBitKernels() dispatched to on this host
-//             (AVX2 / NEON / scalar; DCS_FORCE_SCALAR=1 pins it to scalar).
-// The headline number is CommonOnesBatch: one row against many rows, tiled
-// so the left operand stays cache-resident — the inner loop of the pair
-// scan and of the aligned extension pass.
+//             (AVX-512 / AVX2 / NEON / scalar; DCS_FORCE_SCALAR=1 pins it
+//             to scalar).
+// The headline number is and_count_batch: one row against many rows, tiled
+// so the left operand stays cache-resident — the inner loop of the aligned
+// extension pass. The tile lines time the unaligned pair scan's shape:
+// and_count_tile over every group pair of 512 groups x 10 rows x 1024
+// bits, in ns per row pair on each tier this host runs, then the whole
+// warm serial scan (BuildCorrelationGraphs) on the active tier.
 
 #include <algorithm>
 #include <bit>
@@ -18,8 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lambda_table.h"
+#include "analysis/unaligned_graph_builder.h"
 #include "bench_util.h"
 #include "common/bit_kernels.h"
+#include "common/bit_matrix.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
 
@@ -127,7 +134,7 @@ int main() {
     table.Print(std::cout);
   }
 
-  // --- CommonOnesBatch: one 4 Mbit row against many (the pair-scan shape).
+  // --- and_count_batch: one 4 Mbit row against many.
   // The seed baseline is the unbatched loop: one SeedAndCount per row.
   {
     TablePrinter table({"rows", "seed ms", "scalar-batch ms",
@@ -173,10 +180,83 @@ int main() {
                     TablePrinter::Fmt(seed_s / active_s, 2)});
       headline = std::max(headline, seed_s / active_s);
     }
-    std::printf("\nCommonOnesBatch (one 4 Mbit row vs many):\n");
+    std::printf("\nand_count_batch (one 4 Mbit row vs many):\n");
     table.Print(std::cout);
-    std::printf("\nheadline: best CommonOnesBatch active/seed speedup "
+    std::printf("\nheadline: best and_count_batch active/seed speedup "
                 "= %.2fx\n", headline);
+  }
+
+  // --- and_count_tile: the unaligned pair scan's 10 x 10 group-pair tiles
+  // of 1024-bit rows, every pair of 512 groups, on each runnable tier.
+  {
+    const std::size_t groups = 512;
+    const std::size_t arrays = 10;
+    const std::size_t bits = 1024;
+    BitMatrix matrix(groups * arrays, bits);
+    std::vector<const std::uint64_t*> rows(matrix.rows());
+    for (std::size_t r = 0; r < matrix.rows(); ++r) {
+      std::uint64_t* words = matrix.row(r).mutable_words();
+      for (std::size_t w = 0; w < matrix.row(r).num_words(); ++w) {
+        words[w] = rng.Next() & rng.Next();  // ~1/4 fill.
+      }
+      rows[r] = words;
+    }
+    const double row_pairs = static_cast<double>(groups * (groups - 1) / 2) *
+                             static_cast<double>(arrays * arrays);
+    std::vector<const BitKernelOps*> tiers = {&ScalarBitKernels()};
+    for (const BitKernelOps* simd : internal::RunnableSimdBitKernels()) {
+      tiers.push_back(simd);
+    }
+    TablePrinter table({"tier", "ns/row pair", "vs scalar"});
+    std::vector<std::uint32_t> tile(arrays * arrays);
+    double scalar_ns = 0.0;
+    for (const BitKernelOps* tier : tiers) {
+      std::vector<double> runs;
+      for (int rep = 0; rep < 5; ++rep) {
+        runs.push_back(SecsPerCall(1, &checksum, [&] {
+          std::uint64_t sum = 0;
+          for (std::size_t g1 = 0; g1 < groups; ++g1) {
+            for (std::size_t g2 = g1 + 1; g2 < groups; ++g2) {
+              tier->and_count_tile(&rows[g1 * arrays], arrays,
+                                   &rows[g2 * arrays], arrays,
+                                   matrix.row(0).num_words(), tile.data());
+              sum += tile[arrays * arrays - 1];
+            }
+          }
+          return sum;
+        }));
+      }
+      const double ns = bench::Median(runs) / row_pairs * 1e9;
+      if (tier == tiers.front()) scalar_ns = ns;
+      table.AddRow({tier->name, TablePrinter::Fmt(ns, 2),
+                    TablePrinter::Fmt(scalar_ns / ns, 2)});
+    }
+    std::printf("\nand_count_tile (10 x 10 tiles of 1024-bit rows, all "
+                "pairs of 512 groups; median of 5):\n");
+    table.Print(std::cout);
+
+    // The whole warm serial scan on the active tier: tile counts, the
+    // row-indexed lambda test, and the walk where a pair clears.
+    const double n = static_cast<double>(groups);
+    const LambdaTable er(bits, LambdaTable::PStarFromEdgeProb(0.665 / n,
+                                                              arrays));
+    const LambdaTable core(bits, LambdaTable::PStarFromEdgeProb(8.2 / n,
+                                                                arrays));
+    GraphBuilderOptions builder;
+    builder.arrays_per_group = arrays;
+    (void)BuildCorrelationGraphs(matrix, er, core, builder);  // Calibrate.
+    std::vector<double> runs;
+    for (int rep = 0; rep < 5; ++rep) {
+      runs.push_back(SecsPerCall(1, &checksum, [&] {
+        const auto graphs = BuildCorrelationGraphs(matrix, er, core, builder);
+        return static_cast<std::uint64_t>(graphs.first.num_edges() +
+                                          graphs.second.num_edges());
+      }));
+    }
+    std::printf("\nwarm serial pair scan (BuildCorrelationGraphs, same "
+                "shape, %s tier): %.2f ns/row pair (median of 5)\n",
+                ActiveBitKernels().name,
+                bench::Median(runs) / row_pairs * 1e9);
   }
 
   std::printf("(checksum %llu)\n",

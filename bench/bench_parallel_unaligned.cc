@@ -5,7 +5,11 @@
 // expansion, second core) -- serially and at 1/2/4/8 threads. The build is
 // timed with a cold lambda pair (fresh tables, as the monitor's first
 // epoch) and a warm one (the same tables again, as every later epoch of
-// the same shape). Each time is the median of 5 runs. Every run asserts
+// the same shape). Each time is the median of 5 runs; the warm build is
+// also reported per row pair (warm_pair_ns: the warm time over
+// C(groups, 2) x arrays^2 row pairs), the unit the pair-scan kernels are
+// tuned in, under the kernel tier the banner names and the snapshot
+// records (kernel_tier.<name> = 1). Every run asserts
 // both graphs equal single-table BuildCorrelationGraph builds and the
 // detection equals the serial one before a speedup is reported (a fast
 // wrong answer would be worthless).
@@ -30,6 +34,7 @@
 #include "analysis/unaligned_detector.h"
 #include "analysis/unaligned_graph_builder.h"
 #include "bench_util.h"
+#include "common/bit_kernels.h"
 #include "common/bit_matrix.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
@@ -102,6 +107,7 @@ int main(int argc, char** argv) {
 
   const BenchScale scale = BenchScaleFromEnv();
   bench::Banner("Section IV-D", "unaligned-analysis strong scaling", scale);
+  std::printf("kernel tier: %s\n", ActiveBitKernels().name);
 
   // Full runs include the smoke scenario (128 groups) so a committed full
   // snapshot and a CI --smoke run share metric names for tools/bench_compare.
@@ -121,8 +127,9 @@ int main(int argc, char** argv) {
   constexpr int kReps = 5;
   const Counter& row_pairs = ObsCounter("pairscan.row_pairs_compared");
   const Counter& entries = ObsCounter("unaligned.lambda_calibrated_entries");
-  TablePrinter table({"groups", "threads", "cold s", "warm s", "detect s",
-                      "total s", "speedup", "row pairs", "lambda cold"});
+  TablePrinter table({"groups", "threads", "cold s", "warm s",
+                      "warm ns/pair", "detect s", "total s", "speedup",
+                      "row pairs", "lambda cold"});
   for (std::size_t groups : group_counts) {
     const std::size_t planted = groups / 16;
     const BitMatrix matrix =
@@ -205,13 +212,20 @@ int main(int argc, char** argv) {
       const double total_s = warm + detect;
       if (threads == 0) serial_total_s = total_s;
       const double speedup = serial_total_s / total_s;
+      // Every row pair of every group pair, compared or skipped as empty.
+      const double all_row_pairs = n * (n - 1.0) / 2.0 *
+                                   static_cast<double>(arrays * arrays);
+      const double warm_pair_ns = warm / all_row_pairs * 1e9;
       table.AddRow({std::to_string(groups), label, TablePrinter::Fmt(cold, 3),
-                    TablePrinter::Fmt(warm, 3), TablePrinter::Fmt(detect, 4),
+                    TablePrinter::Fmt(warm, 3),
+                    TablePrinter::Fmt(warm_pair_ns, 2),
+                    TablePrinter::Fmt(detect, 4),
                     TablePrinter::Fmt(total_s, 3),
                     TablePrinter::Fmt(speedup, 2),
                     std::to_string(warm_pairs), std::to_string(cold_entries)});
       RecordGauge(groups, label, "cold_graphs_s", cold);
       RecordGauge(groups, label, "warm_graphs_s", warm);
+      RecordGauge(groups, label, "warm_pair_ns", warm_pair_ns);
       RecordGauge(groups, label, "detect_s", detect);
       RecordGauge(groups, label, "total_s", total_s);
       RecordGauge(groups, label, "speedup", speedup);
@@ -227,6 +241,11 @@ int main(int argc, char** argv) {
   }
   ObsGauge("bench.parallel_unaligned.host_cpus")
       .Set(static_cast<double>(std::thread::hardware_concurrency()));
+  // The tier the times were taken on, as a name: a snapshot from another
+  // tier shows in tools/bench_compare as a metric only one side has.
+  ObsGauge(std::string("bench.parallel_unaligned.kernel_tier.") +
+           ActiveBitKernels().name)
+      .Set(1.0);
   table.Print(std::cout);
   std::printf(
       "\nMedians of %d runs. Both fused graphs equal single-table builds\n"

@@ -92,39 +92,38 @@ void LambdaTable::Calibrate(std::span<const std::uint32_t> row_weights,
   const std::uint32_t low = weights_.front();
   const std::uint32_t span = weights_.back() - low + 1;
   if (low != low_ || span != span_) {
-    std::vector<std::size_t> row_start(span);
-    for (std::size_t r = 0, at = 0; r < span; at += span - r, ++r) {
-      row_start[r] = at - r;  // Row r holds columns [r, span).
-    }
-    std::vector<std::int32_t> grown(
-        static_cast<std::size_t>(span) * (span + 1) / 2, -1);
+    std::vector<std::int32_t> grown(static_cast<std::size_t>(span) * span,
+                                    -1);
     const std::size_t shift = span_ == 0 ? 0 : low_ - low;
     for (std::size_t r = 0; r < span_; ++r) {
       const auto from =
-          window_.begin() + static_cast<std::ptrdiff_t>(row_start_[r] + r);
-      std::copy(from, from + static_cast<std::ptrdiff_t>(span_ - r),
-                grown.begin() + static_cast<std::ptrdiff_t>(
-                                    row_start[r + shift] + r + shift));
+          window_.begin() + static_cast<std::ptrdiff_t>(r * span_);
+      std::copy(from, from + span_,
+                grown.begin() +
+                    static_cast<std::ptrdiff_t>((r + shift) * span + shift));
     }
     window_ = std::move(grown);
-    row_start_ = std::move(row_start);
     low_ = low;
     span_ = span;
   }
 
   // Old pairs are all filled, so the empty cells among held pairs are
   // exactly the pairs with a new weight. Shard over the first weight and
-  // walk each row (b >= a) in ascending order: a shard touches only its
-  // own rows, and each unordered pair is computed exactly once.
+  // walk each row's upper half (b >= a) in ascending order, writing each
+  // cell and its mirror: a shard reads and writes only its own rows' upper
+  // halves and their mirrors below the diagonal, which no shard reads, so
+  // each unordered pair is computed exactly once.
   RunShards(pool, ShardsFor(pool, weights_.size()),
             [this](const ShardRange& shard) {
               for (std::size_t a = shard.begin; a < shard.end; ++a) {
-                std::int32_t* row = &window_[row_start_[weights_[a] - low_]];
+                const std::size_t row = weights_[a] - low_;
                 std::int64_t floor = -1;
                 for (std::size_t b = a; b < weights_.size(); ++b) {
-                  std::int32_t& cell = row[weights_[b] - low_];
+                  const std::size_t col = weights_[b] - low_;
+                  std::int32_t& cell = window_[row * span_ + col];
                   if (cell < 0) {
                     cell = CalibrateCell(weights_[a], weights_[b], floor);
+                    window_[col * span_ + row] = cell;
                   }
                   floor = cell;
                 }

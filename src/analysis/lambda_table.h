@@ -1,7 +1,6 @@
 #ifndef DCS_ANALYSIS_LAMBDA_TABLE_H_
 #define DCS_ANALYSIS_LAMBDA_TABLE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -36,14 +35,29 @@ class LambdaTable {
   /// lambda_{i,j}; symmetric in (i, j). i, j must be <= array_bits.
   std::int64_t Threshold(std::uint32_t i, std::uint32_t j) const {
     // Unsigned wrap sends weights below the window past `span_` too.
-    const std::uint32_t a = std::min(i, j) - low_;
-    const std::uint32_t b = std::max(i, j) - low_;
+    const std::uint32_t a = i - low_;
+    const std::uint32_t b = j - low_;
     if (a < span_ && b < span_) {
-      const std::int32_t cached = window_[row_start_[a] + b];
+      const std::int32_t cached =
+          window_[static_cast<std::size_t>(a) * span_ + b];
       if (cached >= 0) return cached;
     }
     return ComputeMiss(i, j);
   }
+
+  /// The window row of weight i, or nullptr when i is outside the window:
+  /// row[j - window_low()] is lambda_{i,j} for every weight j in
+  /// [window_low(), window_low() + window_span()), or -1 where Calibrate()
+  /// has not filled the pair. A read counts nothing, so a scan that tests
+  /// a whole row this way counts its own lookups. Valid until the next
+  /// Calibrate().
+  const std::int32_t* WindowRow(std::uint32_t i) const {
+    const std::uint32_t a = i - low_;
+    return a < span_ ? &window_[static_cast<std::size_t>(a) * span_]
+                     : nullptr;
+  }
+  std::uint32_t window_low() const { return low_; }
+  std::uint32_t window_span() const { return span_; }
 
   /// Adds the distinct non-zero values in `row_weights` (zeros are rows the
   /// scan skips) to the weights the table holds, grows the window to span
@@ -97,13 +111,12 @@ class LambdaTable {
   double log_p_star_;
   // Every distinct non-zero weight calibrated so far, ascending.
   mutable std::vector<std::uint32_t> weights_;
-  // The upper half of the symmetric window over [low_, low_ + span_),
-  // packed by rows: lambda_{i,j} for i <= j sits at
-  // window_[row_start_[i - low_] + (j - low_)], or is -1 for a pair of
-  // in-range weights that were not both calibrated.
+  // The symmetric window over [low_, low_ + span_) as a full square:
+  // lambda_{i,j} sits at both window_[(i - low_) * span_ + (j - low_)] and
+  // its mirror, or both are -1 for a pair of in-range weights that were
+  // not both calibrated.
   mutable std::uint32_t low_ = 0;
   mutable std::uint32_t span_ = 0;
-  mutable std::vector<std::size_t> row_start_;
   mutable std::vector<std::int32_t> window_;
   mutable std::atomic<std::uint64_t> cache_misses_{0};
 };

@@ -1,10 +1,10 @@
 #include "analysis/unaligned_graph_builder.h"
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
+#include "common/bit_kernels.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
@@ -12,6 +12,28 @@
 namespace dcs {
 
 namespace {
+
+// Whether any count of the arrays x arrays `tile` exceeds its `low`
+// threshold, tested branch-free: one window row per non-zero row1 (weights
+// `ones1`), indexed by each row2's window column `col2`. Kept out of line:
+// inlined into the scan loop, its pointers and accumulator spill to the
+// stack and the test costs about a quarter more.
+[[gnu::noinline]] bool TileClearsLow(const std::uint32_t* tile,
+                                     const std::uint32_t* ones1,
+                                     const std::uint32_t* col2,
+                                     const LambdaTable& low,
+                                     std::size_t arrays) {
+  bool clears = false;
+  for (std::size_t i = 0; i < arrays; ++i) {
+    if (ones1[i] == 0) continue;
+    const std::int32_t* lambda_row = low.WindowRow(ones1[i]);
+    const std::uint32_t* counts = tile + i * arrays;
+    for (std::size_t j = 0; j < arrays; ++j) {
+      clears |= static_cast<std::int32_t>(counts[j]) > lambda_row[col2[j]];
+    }
+  }
+  return clears;
+}
 
 // The one pair-scan kernel. Builds the graph under `low` and, when `high`
 // is non-null, the graph under `high` too; `high` must be pointwise >=
@@ -52,6 +74,25 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
   }
   const std::uint64_t misses_after_calibration = misses();
 
+  // Per-scan setup for the tile test: each row's word pointer, so a group
+  // pair is counted straight from the matrix; each row's column offset
+  // into `low`'s window rows; and each group's non-zero row count. A zero
+  // row reads column 0: its count is 0, which never clears a calibrated
+  // cell (every lambda is >= 0), and the walk below skips it anyway.
+  const BitKernelOps& kernels = ActiveBitKernels();
+  const std::size_t num_words = (matrix.cols() + 63) / 64;
+  std::vector<const std::uint64_t*> row_words(matrix.rows());
+  std::vector<std::uint32_t> window_col(matrix.rows(), 0);
+  std::vector<std::uint32_t> nonzero_rows(num_groups, 0);
+  for (std::size_t r = 0; r < matrix.rows(); ++r) {
+    row_words[r] = matrix.row(r).words();
+    if (row_ones[r] != 0) {
+      window_col[r] = row_ones[r] - low.window_low();
+      DCS_CHECK(window_col[r] < low.window_span());
+      ++nonzero_rows[r / arrays];
+    }
+  }
+
   // The scan proper: every unordered group pair (g1 < g2), sharded over
   // contiguous ascending ranges of g1. Each shard appends candidate edges
   // to its own buffers, so concatenating the buffers in ascending shard
@@ -60,8 +101,8 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
   using Edge = std::pair<std::uint32_t, std::uint32_t>;
   struct ShardState {
     std::vector<Edge> edges[2];
-    // Scratch for the batched kernel counts.
-    std::vector<std::uint32_t> counts;
+    // The group pair's arrays x arrays common-ones counts, row1-major.
+    std::vector<std::uint32_t> tile;
     // Row-pair compares and `high` reads; integer sums are merge-order-free.
     std::uint64_t compares = 0;
     std::uint64_t high_lookups = 0;
@@ -78,26 +119,33 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
                        std::uint32_t g2) {
     const std::size_t base1 = g1 * arrays;
     const std::size_t base2 = g2 * arrays;
-    // Group 2's rows are contiguous in the matrix, so one batched kernel
-    // call per row1 covers the whole inner loop. Thresholds are still
-    // consulted in (i, j) order with the zero-row skips, so each table's
-    // first clearing pair, and with it the edge, is the one a scan of that
-    // table alone would stop at.
-    const std::span<const BitVector> group2(&matrix.row(base2), arrays);
+    std::uint32_t* tile = state.tile.data();
+    kernels.and_count_tile(&row_words[base1], arrays, &row_words[base2],
+                           arrays, num_words, tile);
+    // Nearly every group pair clears nothing, and then the walk below
+    // would compare every pair of non-zero rows and stop nowhere, so its
+    // compare count is nz1 x nz2.
+    if (!TileClearsLow(tile, &row_ones[base1], &window_col[base2], low,
+                       arrays)) {
+      state.compares += std::uint64_t{nonzero_rows[g1]} * nonzero_rows[g2];
+      return;
+    }
+    // Some pair clears `low`: the exact walk over the tile's counts.
+    // Thresholds are consulted in (i, j) order with the zero-row skips, so
+    // each table's first clearing pair, and with it the edge, is the one a
+    // scan of that table alone would stop at.
     std::uint64_t compares = 0;
     std::uint64_t high_lookups = 0;
     bool low_edge = false;
     [&] {
       for (std::size_t i = 0; i < arrays; ++i) {
-        const BitVector& row1 = matrix.row(base1 + i);
         const std::uint32_t ones1 = row_ones[base1 + i];
         if (ones1 == 0) continue;
-        row1.CommonOnesBatch(group2, state.counts);
         for (std::size_t j = 0; j < arrays; ++j) {
           const std::uint32_t ones2 = row_ones[base2 + j];
           if (ones2 == 0) continue;
           ++compares;
-          const auto common = static_cast<std::int64_t>(state.counts[j]);
+          const auto common = static_cast<std::int64_t>(tile[i * arrays + j]);
           if (common <= low.Threshold(ones1, ones2)) continue;
           if (!low_edge) {
             low_edge = true;
@@ -119,7 +167,7 @@ std::vector<Graph> ScanCorrelationGraphs(const BitMatrix& matrix,
     StageStopwatch watch;
     if (task_hist != nullptr) watch.Start();
     ShardState& state = shards[range.index];
-    state.counts.resize(arrays);
+    state.tile.resize(arrays * arrays);
     for (std::size_t g1 = range.begin; g1 < range.end; ++g1) {
       for (std::size_t g2 = g1 + 1; g2 < num_groups; ++g2) {
         scan_pair(state, static_cast<std::uint32_t>(g1),

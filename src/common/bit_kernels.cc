@@ -101,9 +101,23 @@ void ScalarAndCountBatch(const std::uint64_t* left,
   }
 }
 
+void ScalarAndCountTile(const std::uint64_t* const* left,
+                        std::size_t num_left,
+                        const std::uint64_t* const* right,
+                        std::size_t num_right, std::size_t num_words,
+                        std::uint32_t* out) {
+  for (std::size_t i = 0; i < num_left; ++i) {
+    for (std::size_t j = 0; j < num_right; ++j) {
+      out[i * num_right + j] = static_cast<std::uint32_t>(
+          ScalarAndCount(left[i], right[j], num_words));
+    }
+  }
+}
+
 constexpr BitKernelOps kScalarOps = {
     "scalar",        ScalarCountOnes, ScalarAndCount, ScalarAndInplace,
     ScalarOrInplace, ScalarAndFold,   ScalarOrFold,   ScalarAndCountBatch,
+    ScalarAndCountTile,
 };
 
 // ---------------------------------------------------------------------------
@@ -182,13 +196,13 @@ namespace internal {
 #if !defined(DCS_WITH_SIMD_KERNELS)
 // The SIMD translation unit was omitted from this build
 // (DCS_SCALAR_KERNELS_ONLY=ON); there is no table to dispatch to.
-const BitKernelOps* SimdBitKernels() { return nullptr; }
+std::span<const BitKernelOps* const> RunnableSimdBitKernels() { return {}; }
 #endif
 
 const BitKernelOps& SelectBitKernels(bool force_scalar) {
   if (force_scalar) return kScalarOps;
-  if (const BitKernelOps* simd = SimdBitKernels()) return *simd;
-  return kScalarOps;
+  const std::span<const BitKernelOps* const> simd = RunnableSimdBitKernels();
+  return simd.empty() ? kScalarOps : *simd.back();
 }
 
 }  // namespace internal

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace dcs {
 
@@ -14,8 +15,8 @@ namespace dcs {
 /// computational complexity ... comes from computing, for any two rows, the
 /// number of indices in which both rows have value 1"). This table binds
 /// those primitives to the best implementation the host supports (AVX2 on
-/// x86-64, NEON on AArch64, portable scalar otherwise), selected once at
-/// startup.
+/// x86-64, with an AVX-512 VPOPCNTDQ tile count where the CPU has it; NEON
+/// on AArch64; portable scalar otherwise), selected once at startup.
 ///
 /// Contract: every implementation of an operation returns bit-identical
 /// results to the scalar reference for every input, including ragged word
@@ -28,7 +29,7 @@ namespace dcs {
 /// past a vector's logical size are zero (the BitVector invariant).
 struct BitKernelOps {
   /// Implementation name for logs, benches, and tests: "scalar", "avx2",
-  /// or "neon".
+  /// "avx512" (the AVX2 table with a VPOPCNTDQ tile count) or "neon".
   const char* name;
 
   /// Number of set bits in words[0, num_words).
@@ -65,6 +66,17 @@ struct BitKernelOps {
                           const std::uint64_t* const* rows,
                           std::size_t num_rows, std::size_t num_words,
                           std::uint32_t* out);
+
+  /// Tile AND+popcount: out[i * num_right + j] = and_count(left[i],
+  /// right[j], num_words) for every i < num_left and j < num_right. The
+  /// unaligned pair scan counts one whole group pair (arrays x arrays row
+  /// pairs) per call, straight from the matrix rows; any pointer may be
+  /// unaligned.
+  void (*and_count_tile)(const std::uint64_t* const* left,
+                         std::size_t num_left,
+                         const std::uint64_t* const* right,
+                         std::size_t num_right, std::size_t num_words,
+                         std::uint32_t* out);
 };
 
 /// The portable scalar reference implementation. Always available; the
@@ -94,16 +106,18 @@ namespace internal {
 
 /// The dispatch decision, factored out so tests can exercise both branches
 /// without mutating the process environment: returns ScalarBitKernels()
-/// when force_scalar is set, otherwise the SIMD table if one is compiled in
-/// and the host supports it.
+/// when force_scalar is set, otherwise the best SIMD table the build has
+/// and the host runs.
 const BitKernelOps& SelectBitKernels(bool force_scalar);
 
 /// Defined in src/common/bit_kernels_avx2.cc (the single translation unit
-/// allowed target-specific intrinsics — see tools/dcs_lint). Returns the
-/// SIMD table for this host, or nullptr when the CPU lacks the ISA. When
-/// the build omits that TU (DCS_SCALAR_KERNELS_ONLY=ON), a fallback
-/// definition in bit_kernels.cc returns nullptr unconditionally.
-const BitKernelOps* SimdBitKernels();
+/// allowed target-specific intrinsics — see tools/dcs_lint). Every SIMD
+/// table this host can run, best last: {"avx2"} or {"avx2", "avx512"} on
+/// x86-64 ("avx512" needs AVX-512F and VPOPCNTDQ), {"neon"} on AArch64,
+/// and none when the CPU lacks AVX2. When the build omits that TU
+/// (DCS_SCALAR_KERNELS_ONLY=ON), a fallback definition in bit_kernels.cc
+/// returns none unconditionally.
+std::span<const BitKernelOps* const> RunnableSimdBitKernels();
 
 }  // namespace internal
 

@@ -1,7 +1,10 @@
 // The single translation unit allowed target-specific intrinsics
 // (tools/dcs_lint enforces this). On x86-64 it is compiled with -mavx2 and
 // provides the AVX2 kernel table behind a runtime __builtin_cpu_supports
-// check — nothing here executes on hosts without AVX2. On AArch64 it
+// check — nothing here executes on hosts without AVX2. Its AVX-512 code is
+// confined to functions carrying __attribute__((target(...))), so the
+// file's flags stay -mavx2, and runs only when __builtin_cpu_supports
+// reports AVX-512F and VPOPCNTDQ. On AArch64 it
 // provides the NEON table (NEON is architecturally mandatory there, so no
 // runtime check is needed). Everywhere else it compiles to a stub and the
 // dispatcher falls back to the portable scalar table.
@@ -167,17 +170,149 @@ void Avx2AndCountBatch(const std::uint64_t* left,
   }
 }
 
+void Avx2AndCountTile(const std::uint64_t* const* left, std::size_t num_left,
+                      const std::uint64_t* const* right,
+                      std::size_t num_right, std::size_t num_words,
+                      std::uint32_t* out) {
+  for (std::size_t i = 0; i < num_left; ++i) {
+    Avx2AndCountBatch(left[i], right, num_right, num_words,
+                      out + i * num_right);
+  }
+}
+
+#define DCS_TARGET_AVX512 __attribute__((target("avx512f,avx512vpopcntdq")))
+
+// The AVX-512 intrinsics below are the zero-masked (maskz) forms with a
+// full mask: the unmasked ones trip a false -Wmaybe-uninitialized in
+// GCC 12's headers, and the full mask compiles to the same instruction.
+
+// Lane-wise VPOPCNTQ sums of a & b over a row: `full` words in 8-word
+// vectors, then the ragged tail through a zero-masked load.
+DCS_TARGET_AVX512 inline __m512i LaneCounts(const std::uint64_t* a,
+                                            const std::uint64_t* b,
+                                            std::size_t full,
+                                            __mmask8 tail) {
+  __m512i acc = _mm512_setzero_si512();
+  for (std::size_t w = 0; w < full; w += 8) {
+    const __m512i v = _mm512_and_si512(_mm512_loadu_si512(a + w),
+                                       _mm512_loadu_si512(b + w));
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+  }
+  if (tail != 0) {
+    const __m512i v =
+        _mm512_and_si512(_mm512_maskz_loadu_epi64(tail, a + full),
+                         _mm512_maskz_loadu_epi64(tail, b + full));
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+  }
+  return acc;
+}
+
+// Within each 128-bit chunk: (x's two lanes summed, y's two lanes summed).
+DCS_TARGET_AVX512 inline __m512i AddLanePairs(__m512i x, __m512i y) {
+  return _mm512_add_epi64(_mm512_maskz_unpacklo_epi64(0xff, x, y),
+                          _mm512_maskz_unpackhi_epi64(0xff, x, y));
+}
+
+// One left row against four right rows per step, so the left row's loads
+// are shared and one shuffle tree reduces four pairs; leftover right rows
+// go one at a time.
+DCS_TARGET_AVX512 void Avx512AndCountTile(const std::uint64_t* const* left,
+                                          std::size_t num_left,
+                                          const std::uint64_t* const* right,
+                                          std::size_t num_right,
+                                          std::size_t num_words,
+                                          std::uint32_t* out) {
+  const std::size_t full = num_words & ~std::size_t{7};
+  const auto tail = static_cast<__mmask8>((1u << (num_words - full)) - 1u);
+  // Lanes 0, 1, 4, 5: where the tree below leaves the four sums.
+  const __m512i sum_lanes = _mm512_set_epi64(0, 0, 0, 0, 5, 4, 1, 0);
+  for (std::size_t i = 0; i < num_left; ++i) {
+    const std::uint64_t* a = left[i];
+    std::uint32_t* row_out = out + i * num_right;
+    std::size_t j = 0;
+    for (; j + 4 <= num_right; j += 4) {
+      const std::uint64_t* b0 = right[j];
+      const std::uint64_t* b1 = right[j + 1];
+      const std::uint64_t* b2 = right[j + 2];
+      const std::uint64_t* b3 = right[j + 3];
+      __m512i c0 = _mm512_setzero_si512();
+      __m512i c1 = c0;
+      __m512i c2 = c0;
+      __m512i c3 = c0;
+      for (std::size_t w = 0; w < full; w += 8) {
+        const __m512i av = _mm512_loadu_si512(a + w);
+        c0 = _mm512_add_epi64(c0, _mm512_popcnt_epi64(_mm512_and_si512(
+                                      av, _mm512_loadu_si512(b0 + w))));
+        c1 = _mm512_add_epi64(c1, _mm512_popcnt_epi64(_mm512_and_si512(
+                                      av, _mm512_loadu_si512(b1 + w))));
+        c2 = _mm512_add_epi64(c2, _mm512_popcnt_epi64(_mm512_and_si512(
+                                      av, _mm512_loadu_si512(b2 + w))));
+        c3 = _mm512_add_epi64(c3, _mm512_popcnt_epi64(_mm512_and_si512(
+                                      av, _mm512_loadu_si512(b3 + w))));
+      }
+      if (tail != 0) {
+        const __m512i av = _mm512_maskz_loadu_epi64(tail, a + full);
+        const auto tail_of = [&](const std::uint64_t* b) DCS_TARGET_AVX512 {
+          return _mm512_popcnt_epi64(
+              _mm512_and_si512(av, _mm512_maskz_loadu_epi64(tail, b + full)));
+        };
+        c0 = _mm512_add_epi64(c0, tail_of(b0));
+        c1 = _mm512_add_epi64(c1, tail_of(b1));
+        c2 = _mm512_add_epi64(c2, tail_of(b2));
+        c3 = _mm512_add_epi64(c3, tail_of(b3));
+      }
+      // Chunk k of s01 holds (c0, c1) summed over chunk k's two lanes, and
+      // likewise s23; t then holds both rows' halves, and u their totals:
+      // (c0, c1) in lanes 0-1 and (c2, c3) in lanes 4-5.
+      const __m512i s01 = AddLanePairs(c0, c1);
+      const __m512i s23 = AddLanePairs(c2, c3);
+      const __m512i t = _mm512_add_epi64(
+          _mm512_maskz_shuffle_i64x2(0xff, s01, s23, _MM_SHUFFLE(2, 0, 2, 0)),
+          _mm512_maskz_shuffle_i64x2(0xff, s01, s23, _MM_SHUFFLE(3, 1, 3, 1)));
+      const __m512i u = _mm512_add_epi64(
+          t, _mm512_maskz_shuffle_i64x2(0xff, t, t, _MM_SHUFFLE(2, 3, 0, 1)));
+      // A plain 128-bit store, which later 32-bit loads can forward from.
+      const __m256i sums = _mm512_maskz_cvtepi64_epi32(
+          0xff, _mm512_maskz_permutexvar_epi64(0xff, sum_lanes, u));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(row_out + j),
+                       _mm256_castsi256_si128(sums));
+    }
+    for (; j < num_right; ++j) {
+      const __m512i c = LaneCounts(a, right[j], full, tail);
+      const __m256i half =
+          _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xff, c, 0),
+                           _mm512_maskz_extracti64x4_epi64(0xff, c, 1));
+      row_out[j] = static_cast<std::uint32_t>(HorizontalSum64(half));
+    }
+  }
+}
+
+#undef DCS_TARGET_AVX512
+
 constexpr BitKernelOps kAvx2Ops = {
     "avx2",        Avx2CountOnes, Avx2AndCount, Avx2AndInplace,
     Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountBatch,
+    Avx2AndCountTile,
+};
+
+// The AVX2 table with only the tile count replaced, so every other caller
+// (the aligned path above all) runs exactly the AVX2 code.
+constexpr BitKernelOps kAvx512Ops = {
+    "avx512",      Avx2CountOnes, Avx2AndCount, Avx2AndInplace,
+    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountBatch,
+    Avx512AndCountTile,
 };
 
 }  // namespace
 
 namespace internal {
 
-const BitKernelOps* SimdBitKernels() {
-  return __builtin_cpu_supports("avx2") ? &kAvx2Ops : nullptr;
+std::span<const BitKernelOps* const> RunnableSimdBitKernels() {
+  static constexpr const BitKernelOps* kTables[] = {&kAvx2Ops, &kAvx512Ops};
+  if (!__builtin_cpu_supports("avx2")) return {};
+  const bool avx512 = __builtin_cpu_supports("avx512f") &&
+                      __builtin_cpu_supports("avx512vpopcntdq");
+  return {kTables, avx512 ? 2u : 1u};
 }
 
 }  // namespace internal
@@ -276,16 +411,32 @@ void NeonAndCountBatch(const std::uint64_t* left,
   }
 }
 
+void NeonAndCountTile(const std::uint64_t* const* left, std::size_t num_left,
+                      const std::uint64_t* const* right,
+                      std::size_t num_right, std::size_t num_words,
+                      std::uint32_t* out) {
+  for (std::size_t i = 0; i < num_left; ++i) {
+    for (std::size_t j = 0; j < num_right; ++j) {
+      out[i * num_right + j] = static_cast<std::uint32_t>(
+          NeonAndCount(left[i], right[j], num_words));
+    }
+  }
+}
+
 constexpr BitKernelOps kNeonOps = {
     "neon",        NeonCountOnes, NeonAndCount, NeonAndInplace,
     NeonOrInplace, NeonAndFold,   NeonOrFold,   NeonAndCountBatch,
+    NeonAndCountTile,
 };
 
 }  // namespace
 
 namespace internal {
 
-const BitKernelOps* SimdBitKernels() { return &kNeonOps; }
+std::span<const BitKernelOps* const> RunnableSimdBitKernels() {
+  static constexpr const BitKernelOps* kTables[] = {&kNeonOps};
+  return kTables;
+}
 
 }  // namespace internal
 }  // namespace dcs
@@ -295,7 +446,7 @@ const BitKernelOps* SimdBitKernels() { return &kNeonOps; }
 namespace dcs {
 namespace internal {
 
-const BitKernelOps* SimdBitKernels() { return nullptr; }
+std::span<const BitKernelOps* const> RunnableSimdBitKernels() { return {}; }
 
 }  // namespace internal
 }  // namespace dcs

@@ -21,27 +21,6 @@ std::size_t BitVector::CommonOnes(const BitVector& other) const {
                                       words_.size());
 }
 
-void BitVector::CommonOnesBatch(std::span<const BitVector> others,
-                                std::span<std::uint32_t> out) const {
-  DCS_CHECK(out.size() >= others.size());
-  // The pointer gather is O(rows) against O(rows * words) of counting;
-  // a stack buffer covers the common fan-outs without allocating.
-  constexpr std::size_t kStackRows = 256;
-  const std::uint64_t* stack_rows[kStackRows];
-  std::vector<const std::uint64_t*> heap_rows;
-  const std::uint64_t** rows = stack_rows;
-  if (others.size() > kStackRows) {
-    heap_rows.resize(others.size());
-    rows = heap_rows.data();
-  }
-  for (std::size_t r = 0; r < others.size(); ++r) {
-    DCS_CHECK(others[r].num_bits_ == num_bits_);
-    rows[r] = others[r].words_.data();
-  }
-  ActiveBitKernels().and_count_batch(words_.data(), rows, others.size(),
-                                     words_.size(), out.data());
-}
-
 void BitVector::InPlaceAnd(const BitVector& other) {
   DCS_CHECK(num_bits_ == other.num_bits_);
   ActiveBitKernels().and_inplace(words_.data(), other.words_.data(),

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -65,14 +64,6 @@ class BitVector {
   /// Number of positions where both this and `other` are 1 — the paper's
   /// "common 1s" statistic. Requires equal sizes.
   std::size_t CommonOnes(const BitVector& other) const;
-
-  /// CommonOnes of this against every vector in `others` (all of equal
-  /// size), written to out[i]. One blocked kernel call: the left operand is
-  /// re-read from cache instead of memory on long rows, which is the hot
-  /// loop of the O(groups^2) pair scan. `out` must have at least
-  /// others.size() entries.
-  void CommonOnesBatch(std::span<const BitVector> others,
-                       std::span<std::uint32_t> out) const;
 
   /// this &= other. Requires equal sizes.
   void InPlaceAnd(const BitVector& other);

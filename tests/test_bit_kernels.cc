@@ -1,9 +1,9 @@
 // Differential suite for the runtime-dispatched bit kernels: every table
-// (whatever ActiveBitKernels resolved to on this host, plus the scalar
-// reference) must produce bit-identical results on randomized, ragged, and
-// extreme inputs. This is what lets the analysis pipelines keep their
-// bit-identical-merge determinism guarantee while the instruction mix
-// changes underneath them.
+// this host can run (the scalar reference, and each SIMD table the build
+// has and the CPU supports) must produce bit-identical results on
+// randomized, ragged, and extreme inputs. This is what lets the analysis
+// pipelines keep their bit-identical-merge determinism guarantee while the
+// instruction mix changes underneath them.
 
 #include "common/bit_kernels.h"
 
@@ -53,12 +53,27 @@ const std::size_t kLengths[] = {0,  1,  2,   3,   4,   5,    7,    8,
                                 9,  15, 16,  31,  32,  63,   64,   123,
                                 124, 125, 128, 1000, 2048, 2049, 4100};
 
+// The table named `name` if this host can run it, else nullptr.
+const BitKernelOps* RunnableTable(std::string_view name) {
+  if (name == "scalar") return &ScalarBitKernels();
+  for (const BitKernelOps* table : internal::RunnableSimdBitKernels()) {
+    if (name == table->name) return table;
+  }
+  return nullptr;
+}
+
+// One instantiation per table name; a table the host cannot run (or the
+// build omits) skips.
 class BitKernelTablesTest : public ::testing::TestWithParam<const char*> {
  protected:
-  const BitKernelOps& ops() const {
-    return GetParam() == std::string_view("scalar") ? ScalarBitKernels()
-                                                    : ActiveBitKernels();
+  void SetUp() override {
+    table_ = RunnableTable(GetParam());
+    if (table_ == nullptr) GTEST_SKIP() << GetParam() << " not runnable here";
   }
+  const BitKernelOps& ops() const { return *table_; }
+
+ private:
+  const BitKernelOps* table_ = nullptr;
 };
 
 TEST_P(BitKernelTablesTest, CountOnesMatchesNaive) {
@@ -145,8 +160,7 @@ TEST_P(BitKernelTablesTest, EmptyFoldsAreIdentities) {
 
 TEST_P(BitKernelTablesTest, BatchMatchesPairwise) {
   Rng rng(505);
-  // Crosses the 2048-word tile boundary and the 256-row stack-buffer limit
-  // used by BitVector::CommonOnesBatch's pointer gather.
+  // Crosses the 2048-word tile boundary and the 256-row mark.
   for (std::size_t len : {std::size_t{0}, std::size_t{3}, std::size_t{64},
                           std::size_t{2050}}) {
     for (std::size_t num_rows : {std::size_t{0}, std::size_t{1},
@@ -192,8 +206,75 @@ TEST_P(BitKernelTablesTest, RandomizedBitLengthFuzz) {
   }
 }
 
+// Rows for the tile kernel, each starting one word past a 64-byte
+// boundary so no SIMD load is aligned: row r holds `num_words` random
+// words, except that every fifth row is all zeros and every seventh all
+// ones. Returns the row pointers into `storage`.
+std::vector<const std::uint64_t*> TileRows(
+    Rng* rng, std::size_t num_rows, std::size_t num_words,
+    std::vector<std::uint64_t>* storage) {
+  const std::size_t stride = (num_words + 1 + 7) / 8 * 8;
+  storage->assign(num_rows * stride + 8, 0);
+  std::uint64_t* base = storage->data();
+  while (reinterpret_cast<std::uintptr_t>(base) % 64 != 0) ++base;
+  std::vector<const std::uint64_t*> rows;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    std::uint64_t* row = base + r * stride + 1;
+    for (std::size_t w = 0; w < num_words; ++w) {
+      row[w] = r % 5 == 4 ? 0 : r % 7 == 6 ? ~0ULL : rng->Next();
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST_P(BitKernelTablesTest, TileMatchesPairwise) {
+  Rng rng(909);
+  std::vector<std::size_t> word_counts;
+  for (std::size_t w = 1; w <= 20; ++w) word_counts.push_back(w);
+  word_counts.push_back(64);
+  for (const std::size_t num_words : word_counts) {
+    std::vector<std::uint64_t> left_storage, right_storage;
+    const auto left = TileRows(&rng, 17, num_words, &left_storage);
+    const auto right = TileRows(&rng, 17, num_words, &right_storage);
+    for (std::size_t num_left = 1; num_left <= 17; ++num_left) {
+      for (std::size_t num_right = 1; num_right <= 17; ++num_right) {
+        std::vector<std::uint32_t> out(num_left * num_right, 0xABABABAB);
+        ops().and_count_tile(left.data(), num_left, right.data(), num_right,
+                             num_words, out.data());
+        for (std::size_t i = 0; i < num_left; ++i) {
+          for (std::size_t j = 0; j < num_right; ++j) {
+            std::size_t want = 0;
+            for (std::size_t w = 0; w < num_words; ++w) {
+              want += static_cast<std::size_t>(
+                  std::popcount(left[i][w] & right[j][w]));
+            }
+            ASSERT_EQ(out[i * num_right + j], want)
+                << "words=" << num_words << " tile=" << num_left << "x"
+                << num_right << " i=" << i << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BitKernelTablesTest, EmptyTileWritesNothing) {
+  Rng rng(910);
+  std::vector<std::uint64_t> storage;
+  const auto rows = TileRows(&rng, 3, 16, &storage);
+  std::uint32_t out = 0xABABABAB;
+  ops().and_count_tile(rows.data(), 0, rows.data(), 3, 16, &out);
+  ops().and_count_tile(rows.data(), 3, rows.data(), 0, 16, &out);
+  EXPECT_EQ(out, 0xABABABABu);
+  std::vector<std::uint32_t> zeros(9, 0xABABABAB);
+  ops().and_count_tile(rows.data(), 3, rows.data(), 3, 0, zeros.data());
+  EXPECT_EQ(zeros, std::vector<std::uint32_t>(9, 0));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTables, BitKernelTablesTest,
-                         ::testing::Values("scalar", "active"));
+                         ::testing::Values("scalar", "avx2", "avx512",
+                                           "neon"));
 
 TEST(BitKernelDispatchTest, ForceScalarSelectsScalarTable) {
   EXPECT_STREQ(internal::SelectBitKernels(true).name, "scalar");
@@ -202,16 +283,42 @@ TEST(BitKernelDispatchTest, ForceScalarSelectsScalarTable) {
 TEST(BitKernelDispatchTest, DefaultSelectionIsScalarOrSimd) {
   const BitKernelOps& selected = internal::SelectBitKernels(false);
   const std::string_view name = selected.name;
-  EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "neon")
+  EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "avx512" ||
+              name == "neon")
       << "unexpected table: " << name;
   // When a SIMD table exists and the host supports it, the non-forced
-  // selection must pick it; otherwise it must fall back to scalar.
-  const BitKernelOps* simd = internal::SimdBitKernels();
-  if (simd != nullptr) {
-    EXPECT_EQ(&selected, simd);
+  // selection must pick the best one; otherwise it must fall back to
+  // scalar.
+  const auto simd = internal::RunnableSimdBitKernels();
+  if (!simd.empty()) {
+    EXPECT_EQ(&selected, simd.back());
   } else {
     EXPECT_EQ(&selected, &ScalarBitKernels());
   }
+}
+
+TEST(BitKernelDispatchTest, VpopcntdqHostSelectsAvx512) {
+#if defined(__x86_64__)
+  if (internal::RunnableSimdBitKernels().empty()) {
+    GTEST_SKIP() << "no SIMD table in this build or on this host";
+  }
+  if (!__builtin_cpu_supports("avx512f") ||
+      !__builtin_cpu_supports("avx512vpopcntdq")) {
+    EXPECT_STREQ(internal::SelectBitKernels(false).name, "avx2");
+    GTEST_SKIP() << "host lacks AVX-512 VPOPCNTDQ";
+  }
+  EXPECT_STREQ(internal::SelectBitKernels(false).name, "avx512");
+  EXPECT_STREQ(internal::SelectBitKernels(true).name, "scalar");
+  // Only the tile count differs from the AVX2 table.
+  const BitKernelOps* avx2 = RunnableTable("avx2");
+  const BitKernelOps& avx512 = internal::SelectBitKernels(false);
+  ASSERT_NE(avx2, nullptr);
+  EXPECT_EQ(avx512.and_count, avx2->and_count);
+  EXPECT_EQ(avx512.and_count_batch, avx2->and_count_batch);
+  EXPECT_NE(avx512.and_count_tile, avx2->and_count_tile);
+#else
+  GTEST_SKIP() << "x86-64 only";
+#endif
 }
 
 TEST(BitKernelDispatchTest, ActiveTableIsStable) {

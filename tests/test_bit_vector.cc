@@ -111,26 +111,6 @@ TEST(BitVectorTest, EqualityComparesSizeAndBits) {
   EXPECT_FALSE(a == BitVector(64));
 }
 
-TEST(BitVectorTest, CommonOnesBatchMatchesPairwise) {
-  Rng rng(11);
-  const std::size_t n = 500;
-  BitVector left(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.5)) left.Set(i);
-  }
-  std::vector<BitVector> others(7, BitVector(n));
-  for (BitVector& v : others) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.Bernoulli(0.3)) v.Set(i);
-    }
-  }
-  std::vector<std::uint32_t> counts(others.size(), 0);
-  left.CommonOnesBatch(others, counts);
-  for (std::size_t r = 0; r < others.size(); ++r) {
-    EXPECT_EQ(counts[r], left.CommonOnes(others[r])) << "r=" << r;
-  }
-}
-
 TEST(BitVectorTest, AssignAndEqualsCopyThenAnd) {
   Rng rng(12);
   const std::size_t n = 321;

@@ -274,6 +274,52 @@ TEST(LambdaTableTest, ExtendingTheWindowComputesOnlyNewPairs) {
   }
 }
 
+// The square window after it grows below and then above its first span:
+// both mirror cells of every held pair, read by Threshold() and through
+// WindowRow(), are the direct computation; an unheld weight inside the
+// window reads -1 through its row and misses through Threshold(); a
+// weight outside it has no row.
+TEST(LambdaTableTest, SquareWindowGrowsDownwardAndUpward) {
+  const std::vector<std::uint32_t> middle = {300, 302, 310};
+  const std::vector<std::uint32_t> lower = {200, 240, 301};
+  const std::vector<std::uint32_t> upper = {305, 420};
+  const std::vector<std::uint32_t> held =
+      DistinctNonZero({300, 302, 310, 200, 240, 301, 305, 420});
+  for (const double p_star : PipelinePStars()) {
+    const LambdaTable table(1024, p_star);
+    table.Calibrate(middle, nullptr);
+    EXPECT_EQ(table.window_low(), 300u);
+    EXPECT_EQ(table.window_span(), 11u);
+    table.Calibrate(lower, nullptr);
+    EXPECT_EQ(table.window_low(), 200u);
+    table.Calibrate(upper, nullptr);
+    EXPECT_EQ(table.window_low(), 200u);
+    EXPECT_EQ(table.window_span(), 221u);
+    const std::uint64_t misses = table.cache_misses();
+    ASSERT_EQ(misses, held.size() * (held.size() + 1) / 2);
+    for (const std::uint32_t i : held) {
+      const std::int32_t* row = table.WindowRow(i);
+      ASSERT_NE(row, nullptr) << i;
+      for (const std::uint32_t j : held) {
+        const std::int64_t want = HypergeomUpperThreshold(
+            p_star, 1024, std::min(i, j), std::max(i, j));
+        ASSERT_EQ(table.Threshold(i, j), want) << i << "," << j;
+        ASSERT_EQ(row[j - table.window_low()], want) << i << "," << j;
+      }
+      EXPECT_EQ(row[250 - table.window_low()], -1) << i;
+    }
+    EXPECT_EQ(table.cache_misses(), misses) << "every held pair was a hit";
+    EXPECT_EQ(table.WindowRow(199), nullptr);
+    EXPECT_EQ(table.WindowRow(421), nullptr);
+    EXPECT_EQ(table.WindowRow(0), nullptr);
+    ASSERT_NE(table.WindowRow(250), nullptr);
+    EXPECT_EQ(table.WindowRow(250)[300 - table.window_low()], -1);
+    EXPECT_EQ(table.Threshold(250, 300),
+              HypergeomUpperThreshold(p_star, 1024, 250, 300));
+    EXPECT_EQ(table.cache_misses(), misses + 1);
+  }
+}
+
 TEST(LambdaTableTest, EdgeProbPStarRoundTrip) {
   for (double p1 : {1e-5, 1e-4, 1e-2}) {
     const double p_star = LambdaTable::PStarFromEdgeProb(p1, 10);

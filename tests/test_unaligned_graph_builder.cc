@@ -1,13 +1,16 @@
 #include "analysis/unaligned_graph_builder.h"
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bit_kernels.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace dcs {
 namespace {
@@ -39,6 +42,199 @@ void InjectSignal(BitMatrix* matrix, std::size_t arrays,
     const std::size_t row = g * arrays;  // First array of the group.
     for (std::size_t c : indices) matrix->Set(row, c);
   }
+}
+
+using EdgeList = std::vector<std::pair<Graph::VertexId, Graph::VertexId>>;
+
+// The pair scan as it used to run, brute force: every group pair in
+// ascending (g1, g2) order, one scalar AND+popcount and one Threshold()
+// per row pair, zero rows skipped, and the same early exits (stop at the
+// first pair clearing `low` when there is no `high`; else stop once a pair
+// clears `high`). Counts what the scan's counters count.
+struct WalkReference {
+  EdgeList low_edges;
+  EdgeList high_edges;
+  std::uint64_t compares = 0;
+  std::uint64_t high_lookups = 0;
+  std::uint64_t misses = 0;
+};
+
+WalkReference ReferenceWalk(const BitMatrix& matrix, std::size_t arrays,
+                            const LambdaTable& low, const LambdaTable* high) {
+  WalkReference ref;
+  const std::size_t groups = matrix.rows() / arrays;
+  const std::uint64_t misses_before =
+      low.cache_misses() + (high == nullptr ? 0 : high->cache_misses());
+  const auto and_count = ScalarBitKernels().and_count;
+  const auto ones = [&](std::size_t row) {
+    return static_cast<std::uint32_t>(matrix.row(row).CountOnes());
+  };
+  for (std::size_t g1 = 0; g1 < groups; ++g1) {
+    for (std::size_t g2 = g1 + 1; g2 < groups; ++g2) {
+      bool low_edge = false;
+      bool done = false;
+      for (std::size_t i = 0; i < arrays && !done; ++i) {
+        const std::size_t r1 = g1 * arrays + i;
+        if (ones(r1) == 0) continue;
+        for (std::size_t j = 0; j < arrays && !done; ++j) {
+          const std::size_t r2 = g2 * arrays + j;
+          if (ones(r2) == 0) continue;
+          ++ref.compares;
+          const auto common = static_cast<std::int64_t>(
+              and_count(matrix.row(r1).words(), matrix.row(r2).words(),
+                        matrix.row(r1).num_words()));
+          if (common <= low.Threshold(ones(r1), ones(r2))) continue;
+          const auto edge = std::make_pair(static_cast<Graph::VertexId>(g1),
+                                           static_cast<Graph::VertexId>(g2));
+          if (!low_edge) {
+            low_edge = true;
+            ref.low_edges.push_back(edge);
+          }
+          if (high == nullptr) {
+            done = true;
+            continue;
+          }
+          ++ref.high_lookups;
+          if (common > high->Threshold(ones(r1), ones(r2))) {
+            ref.high_edges.push_back(edge);
+            done = true;
+          }
+        }
+      }
+    }
+  }
+  ref.misses = low.cache_misses() +
+               (high == nullptr ? 0 : high->cache_misses()) - misses_before;
+  return ref;
+}
+
+// The scan's counters, as deltas around one build.
+struct ScanCounters {
+  std::uint64_t compares = 0;
+  std::uint64_t edges = 0;
+  std::uint64_t lookups = 0;
+  double hit_rate = -1.0;
+
+  static ScanCounters Now() {
+    return {ObsCounter("pairscan.row_pairs_compared").value(),
+            ObsCounter("pairscan.edges_emitted").value(),
+            ObsCounter("lambda.lookups").value(),
+            ObsGauge("lambda.cache_hit_rate").value()};
+  }
+  ScanCounters Since(const ScanCounters& before) const {
+    return {compares - before.compares, edges - before.edges,
+            lookups - before.lookups, hit_rate};
+  }
+};
+
+// `groups` groups of `arrays` rows at ~1/4 fill with a planted cluster
+// (every fifth group shares `bits` / 4 indices in one row) and zero rows:
+// every seventh row, and all of group 2 — so pairs meet zero rows in
+// either group, and some groups of one row are empty.
+BitMatrix ClusterMatrixWithZeroRows(std::size_t groups, std::size_t arrays,
+                                    std::size_t bits, Rng* rng) {
+  BitMatrix matrix = RandomGroupMatrix(groups, arrays, bits, 0.25, rng);
+  std::vector<std::size_t> cluster;
+  for (std::size_t g = 0; g < groups; g += 5) cluster.push_back(g);
+  std::vector<std::size_t> indices;
+  for (std::size_t k = 0; k < bits / 4; ++k) {
+    indices.push_back(rng->UniformInt(bits));
+  }
+  for (std::size_t g : cluster) {
+    const std::size_t row = g * arrays + g % arrays;
+    for (std::size_t c : indices) matrix.Set(row, c);
+  }
+  for (std::size_t r = 0; r < matrix.rows(); ++r) {
+    if (r % 7 == 3 || r / arrays == 2) matrix.row(r).Reset();
+  }
+  return matrix;
+}
+
+// The tile-counted, row-tested scan must reproduce the walk exactly: both
+// graphs' edges and every pairscan.* / lambda.* figure, serially and
+// pooled, for arrays of 1-17 rows (arrays x arrays tiles, ragged against
+// the kernels' 4- and 8-word strides) and row widths with and without a
+// ragged last word.
+TEST(GraphBuilderTest, TileScanEqualsTheReferenceWalk) {
+  const bool was_enabled = ObsEnabled();
+  MetricsRegistry::Global().set_enabled(true);
+  ThreadPool pool(4);
+  std::uint64_t seed = 40;
+  std::size_t high_edges = 0;
+  std::size_t low_only_edges = 0;
+  for (const std::size_t arrays : {1u, 4u, 10u, 17u}) {
+    for (const std::size_t bits : {64u, 1000u, 1024u}) {
+      Rng rng(++seed);
+      const std::size_t groups = 24;
+      const BitMatrix matrix =
+          ClusterMatrixWithZeroRows(groups, arrays, bits, &rng);
+      const double n = static_cast<double>(groups);
+      const double er_p = LambdaTable::PStarFromEdgeProb(0.665 / n, arrays);
+      const double core_p = LambdaTable::PStarFromEdgeProb(8.2 / n, arrays);
+
+      std::vector<std::uint32_t> weights;
+      for (std::size_t r = 0; r < matrix.rows(); ++r) {
+        weights.push_back(
+            static_cast<std::uint32_t>(matrix.row(r).CountOnes()));
+      }
+      const LambdaTable ref_er(bits, er_p);
+      const LambdaTable ref_core(bits, core_p);
+      ref_er.Calibrate(weights, nullptr);
+      ref_core.Calibrate(weights, nullptr);
+      // The core table has the larger p*, so the fused scan tests it first.
+      const WalkReference fused =
+          ReferenceWalk(matrix, arrays, ref_core, &ref_er);
+      const WalkReference single = ReferenceWalk(matrix, arrays, ref_er,
+                                                 nullptr);
+      ASSERT_EQ(fused.misses, 0u);
+      ASSERT_EQ(single.misses, 0u);
+
+      for (ThreadPool* scan_pool : {static_cast<ThreadPool*>(nullptr),
+                                    &pool}) {
+        const std::string where =
+            "arrays=" + std::to_string(arrays) + " bits=" +
+            std::to_string(bits) + (scan_pool == nullptr ? " serial"
+                                                         : " pool");
+        GraphBuilderOptions opts;
+        opts.arrays_per_group = arrays;
+        opts.scan.pool = scan_pool;
+
+        ScanCounters before = ScanCounters::Now();
+        const auto [er, core] = BuildCorrelationGraphs(
+            matrix, LambdaTable(bits, er_p), LambdaTable(bits, core_p), opts);
+        ScanCounters got = ScanCounters::Now().Since(before);
+        EXPECT_EQ(er.edges(), fused.high_edges) << where;
+        EXPECT_EQ(core.edges(), fused.low_edges) << where;
+        EXPECT_EQ(got.compares, fused.compares) << where;
+        EXPECT_EQ(got.edges,
+                  fused.low_edges.size() + fused.high_edges.size())
+            << where;
+        EXPECT_EQ(got.lookups, fused.compares + fused.high_lookups) << where;
+        if (got.lookups > 0) {
+          EXPECT_EQ(got.hit_rate, 1.0) << where;
+        }
+
+        before = ScanCounters::Now();
+        const Graph alone =
+            BuildCorrelationGraph(matrix, LambdaTable(bits, er_p), opts);
+        got = ScanCounters::Now().Since(before);
+        EXPECT_EQ(alone.edges(), single.low_edges) << where;
+        EXPECT_EQ(got.compares, single.compares) << where;
+        EXPECT_EQ(got.edges, single.low_edges.size()) << where;
+        EXPECT_EQ(got.lookups, single.compares) << where;
+        if (got.lookups > 0) {
+          EXPECT_EQ(got.hit_rate, 1.0) << where;
+        }
+      }
+      high_edges += fused.high_edges.size();
+      low_only_edges += fused.low_edges.size() - fused.high_edges.size();
+    }
+  }
+  // The sweep exercises both exits of the walk: pairs that clear both
+  // tables and pairs that clear only the lower one.
+  EXPECT_GT(high_edges, 0u);
+  EXPECT_GT(low_only_edges, 0u);
+  MetricsRegistry::Global().set_enabled(was_enabled);
 }
 
 TEST(GraphBuilderTest, NoSignalMeansSparseGraph) {
@@ -96,7 +292,6 @@ TEST(GraphBuilderTest, FewerThanThreeGroupsDoNotAbort) {
   // 0, 1 and 2 groups: no pair, no pair, one pair. Both builds must return
   // a graph over exactly those groups, serially and on a pool with more
   // threads than groups.
-  using EdgeList = std::vector<std::pair<Graph::VertexId, Graph::VertexId>>;
   ThreadPool pool(4);
   for (ThreadPool* scan_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
     for (std::size_t groups = 0; groups <= 2; ++groups) {
