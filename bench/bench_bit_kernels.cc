@@ -7,12 +7,14 @@
 //   active  — whatever ActiveBitKernels() dispatched to on this host
 //             (AVX-512 / AVX2 / NEON / scalar; DCS_FORCE_SCALAR=1 pins it
 //             to scalar).
-// The headline number is and_count_batch: one row against many rows, tiled
-// so the left operand stays cache-resident — the inner loop of the aligned
-// extension pass. The tile lines time the unaligned pair scan's shape:
-// and_count_tile over every group pair of 512 groups x 10 rows x 1024
-// bits, in ns per row pair on each tier this host runs, then the whole
-// warm serial scan (BuildCorrelationGraphs) on the active tier.
+// The headline number is and_count_columns in ns per column: one product
+// against a contiguous block of 1000 two-word screened columns, the aligned
+// search's only count, on each tier this host runs; the headline reads the
+// active tier, so DCS_FORCE_SCALAR=1 reports the scalar one. The tile lines
+// time the unaligned pair scan's shape: and_count_tile over every group
+// pair of 512 groups x 10 rows x 1024 bits, in ns per row pair on each tier
+// this host runs, then the whole warm serial scan (BuildCorrelationGraphs)
+// on the active tier.
 
 #include <algorithm>
 #include <bit>
@@ -54,6 +56,15 @@ std::vector<std::uint64_t> RandomWords(dcs::Rng* rng, std::size_t num_words) {
   std::vector<std::uint64_t> words(num_words);
   for (std::uint64_t& w : words) w = rng->Next();
   return words;
+}
+
+// Every kernel table this host runs, scalar first.
+std::vector<const dcs::BitKernelOps*> RunnableTiers() {
+  std::vector<const dcs::BitKernelOps*> tiers = {&dcs::ScalarBitKernels()};
+  for (const auto* simd : dcs::internal::RunnableSimdBitKernels()) {
+    tiers.push_back(simd);
+  }
+  return tiers;
 }
 
 // Wall time per call, amortized over enough repetitions to outlast timer
@@ -134,56 +145,55 @@ int main() {
     table.Print(std::cout);
   }
 
-  // --- and_count_batch: one 4 Mbit row against many.
-  // The seed baseline is the unbatched loop: one SeedAndCount per row.
+  // --- and_count_columns: one product against a block of 1000 screened
+  // columns, the aligned search's count at n' = 1000, on each runnable
+  // tier. The headline is two words per column (m = 65..128 routers).
   {
-    TablePrinter table({"rows", "seed ms", "scalar-batch ms",
-                        "active-batch ms", "active/seed"});
-    const std::size_t bits = std::size_t{4} << 20;
-    const std::size_t words = bits / 64;
-    const auto left = RandomWords(&rng, words);
-    double headline = 0.0;
-    // Past ~32 rows x 4 Mbit the working set outgrows L3 and every
-    // implementation converges on DRAM bandwidth; the cache-resident rows
-    // are where the kernel's advantage shows.
-    for (std::size_t num_rows : {std::size_t{8}, std::size_t{32},
-                                 std::size_t{128}}) {
-      std::vector<std::vector<std::uint64_t>> rows;
-      std::vector<const std::uint64_t*> ptrs;
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        rows.push_back(RandomWords(&rng, words));
-        ptrs.push_back(rows.back().data());
-      }
-      std::vector<std::uint32_t> out(num_rows);
-      const int reps = num_rows >= 128 ? 5 : 20;
-      const double seed_s = SecsPerCall(reps, &checksum, [&] {
-        std::uint64_t sum = 0;
-        for (std::size_t r = 0; r < num_rows; ++r) {
-          sum += SeedAndCount(left.data(), ptrs[r], words);
+    const std::size_t num_cols = 1000;
+    const int calls = 20000;
+    const std::vector<const BitKernelOps*> tiers = RunnableTiers();
+    TablePrinter table({"tier", "words/col", "ns/column", "vs scalar"});
+    std::vector<std::uint32_t> out(num_cols);
+    double headline_ns = 0.0;
+    double headline_scalar_ns = 0.0;
+    for (std::size_t wpc : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      const auto block = RandomWords(&rng, num_cols * wpc);
+      const auto left = RandomWords(&rng, wpc);
+      double scalar_ns = 0.0;
+      for (const BitKernelOps* tier : tiers) {
+        std::vector<double> runs;
+        for (int rep = 0; rep < 5; ++rep) {
+          runs.push_back(SecsPerCall(1, &checksum, [&] {
+            std::uint64_t sum = 0;
+            for (int call = 0; call < calls; ++call) {
+              tier->and_count_columns(left.data(), block.data(), num_cols,
+                                      wpc, out.data());
+              sum += out[static_cast<std::size_t>(call) % num_cols];
+            }
+            return sum;
+          }));
         }
-        return sum;
-      });
-      const double scalar_s = SecsPerCall(reps, &checksum, [&] {
-        ScalarBitKernels().and_count_batch(left.data(), ptrs.data(),
-                                           num_rows, words, out.data());
-        return static_cast<std::uint64_t>(out[0]);
-      });
-      const double active_s = SecsPerCall(reps, &checksum, [&] {
-        ActiveBitKernels().and_count_batch(left.data(), ptrs.data(),
-                                           num_rows, words, out.data());
-        return static_cast<std::uint64_t>(out[0]);
-      });
-      table.AddRow({std::to_string(num_rows),
-                    TablePrinter::Fmt(seed_s * 1e3, 2),
-                    TablePrinter::Fmt(scalar_s * 1e3, 2),
-                    TablePrinter::Fmt(active_s * 1e3, 2),
-                    TablePrinter::Fmt(seed_s / active_s, 2)});
-      headline = std::max(headline, seed_s / active_s);
+        const double ns = bench::Median(runs) /
+                          (static_cast<double>(calls) *
+                           static_cast<double>(num_cols)) * 1e9;
+        if (tier == tiers.front()) scalar_ns = ns;
+        table.AddRow({tier->name, std::to_string(wpc),
+                      TablePrinter::Fmt(ns, 3),
+                      TablePrinter::Fmt(scalar_ns / ns, 2)});
+        if (wpc == 2 && tier == &ActiveBitKernels()) {
+          headline_ns = ns;
+          headline_scalar_ns = scalar_ns;
+        }
+      }
     }
-    std::printf("\nand_count_batch (one 4 Mbit row vs many):\n");
+    std::printf("\nand_count_columns (one product vs a block of %zu "
+                "columns; median of 5):\n", num_cols);
     table.Print(std::cout);
-    std::printf("\nheadline: best and_count_batch active/seed speedup "
-                "= %.2fx\n", headline);
+    if (headline_ns > 0.0) {
+      std::printf("\nheadline: and_count_columns at 2 words per column = "
+                  "%.3f ns/column on %s (%.2fx scalar)\n", headline_ns,
+                  ActiveBitKernels().name, headline_scalar_ns / headline_ns);
+    }
   }
 
   // --- and_count_tile: the unaligned pair scan's 10 x 10 group-pair tiles
@@ -203,10 +213,7 @@ int main() {
     }
     const double row_pairs = static_cast<double>(groups * (groups - 1) / 2) *
                              static_cast<double>(arrays * arrays);
-    std::vector<const BitKernelOps*> tiers = {&ScalarBitKernels()};
-    for (const BitKernelOps* simd : internal::RunnableSimdBitKernels()) {
-      tiers.push_back(simd);
-    }
+    const std::vector<const BitKernelOps*> tiers = RunnableTiers();
     TablePrinter table({"tier", "ns/row pair", "vs scalar"});
     std::vector<std::uint32_t> tile(arrays * arrays);
     double scalar_ns = 0.0;

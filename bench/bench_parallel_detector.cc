@@ -13,6 +13,15 @@
 //   quarter_c<n>   perfbench's aligned_paper_quarter shape: 100 rows at
 //                  1/4 fill with a 40 x 60 pattern, n' = 1000 (500 for the
 //                  smoke width), screen hot-started from column weights.
+//   paper_c<n>     the paper's epoch (Section III-A): 100 rows x 4 Mbit at
+//                  1/2 fill with a 40 x 30 pattern, n' = 4000 and the
+//                  default hopefuls, cold screen (full run only).
+//
+// Per scenario the search's work is exported next to its time: the columns
+// counted against a product (search_candidate_counts, from the
+// detector.aligned.candidate_counts counter) and the serial search time per
+// counted column (search_per_count_ns), under the kernel tier the snapshot
+// records (kernel_tier.<name> = 1).
 //
 // Flags:
 //   --smoke        The small-width scenarios only (the CI perf gate).
@@ -20,6 +29,7 @@
 //                  lines via the obs exporter (default
 //                  BENCH_parallel_detector.json in the working directory).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,6 +41,7 @@
 
 #include "analysis/aligned_detector.h"
 #include "bench_util.h"
+#include "common/bit_kernels.h"
 #include "common/bit_matrix.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
@@ -76,6 +87,18 @@ Scenario Quarter(std::size_t cols, bool smoke_width) {
   s.n_prime = smoke_width ? 500 : 1000;
   s.hopefuls = smoke_width ? 128 : 256;
   s.hot_weights = true;
+  return s;
+}
+
+Scenario Paper() {
+  Scenario s;
+  s.name = "paper_c" + std::to_string(4u << 20);
+  s.rows = 100;
+  s.cols = 4u << 20;
+  s.pattern_rows = 40;
+  s.pattern_cols = 30;
+  s.n_prime = 4000;
+  s.hopefuls = dcs::AlignedDetectorOptions{}.hopefuls;
   return s;
 }
 
@@ -151,6 +174,7 @@ int main(int argc, char** argv) {
   if (!smoke) {
     scenarios.push_back(Planted(1u << 20));
     scenarios.push_back(Quarter(1u << 20, false));
+    scenarios.push_back(Paper());
     if (scale == BenchScale::kPaper) scenarios.push_back(Planted(4u << 20));
   }
   // 0 = no pool (the serial engine).
@@ -167,11 +191,15 @@ int main(int argc, char** argv) {
   const LatencyHistogram& core_hist =
       ObsHistogram("stage.aligned_core_scan.ns");
   const Counter& iterations = ObsCounter("detector.aligned.iterations");
+  const Counter& candidate_counts =
+      ObsCounter("detector.aligned.candidate_counts");
 
   Rng rng(bench::EnvSeed("DCS_SEED", 41));
   constexpr int kReps = 5;
   TablePrinter table({"scenario", "threads", "detect s", "screen s",
                       "search s", "core scan s", "speedup"});
+  TablePrinter work({"scenario", "iterations", "columns counted",
+                     "serial search ns/count"});
   for (const Scenario& s : scenarios) {
     const BitMatrix matrix = PlantedMatrix(s, &rng);
     const std::vector<std::uint32_t> weights =
@@ -182,10 +210,13 @@ int main(int argc, char** argv) {
     options.hopefuls = s.hopefuls;
 
     const std::uint64_t iterations_before = iterations.value();
+    const std::uint64_t counts_before = candidate_counts.value();
     const AlignedDetection reference =
         AlignedDetector(options).DetectInMatrix(matrix, s.n_prime, hot);
     const std::uint64_t search_iterations =
         iterations.value() - iterations_before;
+    const std::uint64_t search_counts =
+        candidate_counts.value() - counts_before;
     if (!reference.pattern_found) {
       std::fprintf(stderr, "FATAL: serial engine missed the pattern in %s\n",
                    s.name.c_str());
@@ -235,11 +266,26 @@ int main(int argc, char** argv) {
       RecordGauge(s.name, label, "core_scan_s", core);
       RecordGauge(s.name, label, "speedup", speedup);
     }
-    ObsGauge("bench.parallel_detector." + s.name + ".search_iterations")
+    const double ns_per_count =
+        bench::Median(samples[0][2]) * 1e9 /
+        static_cast<double>(std::max<std::uint64_t>(search_counts, 1));
+    work.AddRow({s.name, std::to_string(search_iterations),
+                 std::to_string(search_counts),
+                 TablePrinter::Fmt(ns_per_count, 3)});
+    const std::string prefix = "bench.parallel_detector." + s.name;
+    ObsGauge(prefix + ".search_iterations")
         .Set(static_cast<double>(search_iterations));
+    ObsGauge(prefix + ".search_candidate_counts")
+        .Set(static_cast<double>(search_counts));
+    ObsGauge(prefix + ".search_per_count_ns").Set(ns_per_count);
   }
   ObsGauge("bench.parallel_detector.host_cpus")
       .Set(static_cast<double>(std::thread::hardware_concurrency()));
+  // The tier the search was timed on, as a name: a snapshot from another
+  // tier shows in tools/bench_compare as a metric only one side has.
+  ObsGauge(std::string("bench.parallel_detector.kernel_tier.") +
+           ActiveBitKernels().name)
+      .Set(1.0);
   table.Print(std::cout);
   std::printf(
       "\nMedians of %d runs. Every detection equals the serial engine's\n"
@@ -249,6 +295,8 @@ int main(int argc, char** argv) {
       "on a single core every row measures scheduling overhead, not\n"
       "scaling.\n",
       kReps, std::thread::hardware_concurrency());
+  std::printf("\nSearch work (%s kernels):\n", ActiveBitKernels().name);
+  work.Print(std::cout);
 
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);

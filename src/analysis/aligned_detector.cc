@@ -1,7 +1,9 @@
 #include "analysis/aligned_detector.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -14,13 +16,6 @@
 
 namespace dcs {
 namespace {
-
-// A b'-product: the AND of b' columns, with the paper's A_v column set.
-struct Product {
-  BitVector bits;
-  std::vector<std::uint32_t> cols;  // Indices into the screened set, sorted.
-  std::uint32_t weight = 0;
-};
 
 // A candidate product extension: its weight plus the (a, b) pair that
 // identifies it — (column i, column j) in the pair pass, (hopeful h, column
@@ -40,51 +35,73 @@ bool CandBetter(const Cand& x, const Cand& y) {
   return x.b < y.b;
 }
 
-// Bounded heap keeping the H best candidates under CandBetter. Using
-// CandBetter as the heap's "less" keeps the worst retained candidate at the
-// front, where the next candidate challenges it.
+// The H best candidates under CandBetter, selected from a buffer rather
+// than a heap. Callers offer only candidates at or above floor_weight();
+// when the buffer holds 4H of them, nth_element keeps the best H and the
+// floor rises to the H-th weight. A candidate below the floor already has
+// H better ones, and the top-H of a total order is a set, so the selection
+// equals the bounded heap's, whatever the order of offers and cuts.
 class TopH {
  public:
-  explicit TopH(std::size_t capacity) : capacity_(capacity) {}
+  /// Empties the buffer for a pass that keeps `capacity` candidates.
+  void Reset(std::size_t capacity) {
+    capacity_ = capacity;
+    floor_ = 1;
+    buffer_.clear();
+  }
 
   void Offer(const Cand& cand) {
-    if (heap_.size() < capacity_) {
-      heap_.push_back(cand);
-      std::push_heap(heap_.begin(), heap_.end(), CandBetter);
-    } else if (CandBetter(cand, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), CandBetter);
-      heap_.back() = cand;
-      std::push_heap(heap_.begin(), heap_.end(), CandBetter);
-    }
+    buffer_.push_back(cand);
+    if (buffer_.size() == kSlack * capacity_) KeepBest();
   }
 
   /// Weight a candidate must reach to possibly be kept. Zero-weight products
-  /// are never hopefuls, hence the floor of 1 while filling; at exactly this
-  /// weight candidates still compete on column ids.
-  std::uint32_t floor_weight() const {
-    return heap_.size() < capacity_ ? 1 : heap_.front().weight;
-  }
+  /// are never hopefuls, hence the floor of 1 until the first cut; at
+  /// exactly this weight candidates still compete on column ids.
+  std::uint32_t floor_weight() const { return floor_; }
 
-  /// Entries in the total order (best first).
-  std::vector<Cand> TakeSorted() {
-    std::sort(heap_.begin(), heap_.end(), CandBetter);
-    return std::move(heap_);
+  /// The kept candidates in the total order (best first).
+  const std::vector<Cand>& Sorted() {
+    if (buffer_.size() > capacity_) KeepBest();
+    std::sort(buffer_.begin(), buffer_.end(), CandBetter);
+    return buffer_;
   }
 
  private:
-  std::size_t capacity_;
-  std::vector<Cand> heap_;
+  static constexpr std::size_t kSlack = 4;
+
+  void KeepBest() {
+    const auto nth =
+        buffer_.begin() + static_cast<std::ptrdiff_t>(capacity_ - 1);
+    std::nth_element(buffer_.begin(), nth, buffer_.end(), CandBetter);
+    buffer_.resize(capacity_);
+    floor_ = nth->weight;
+  }
+
+  std::size_t capacity_ = 0;
+  std::uint32_t floor_ = 1;
+  std::vector<Cand> buffer_;
 };
 
-// Candidate buffer size for the batched AND+popcount passes. Candidates are
-// admitted in scan order under the floor current at admission time — a
-// superset of the pairs the unbatched loop would have computed, since the
-// floor only rises — and every offer re-checks against the live floor in
-// the original order, so the heap evolves bit-identically to the unbatched
-// scan while the counting runs through one blocked kernel call per flush.
-constexpr std::size_t kBatchCands = 128;
+// The hopefuls of one iteration b', stored flat and best first: hopeful h's
+// product (the AND of its columns) at words[h * words_per_col], its b'
+// screened column ids, ascending, at cols[h * b'], and its weight.
+struct Hopefuls {
+  std::size_t num_cols = 0;  // b'
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint32_t> cols;
+  std::vector<std::uint32_t> weights;
 
-std::uint64_t ColumnSetFingerprint(const std::vector<std::uint32_t>& cols) {
+  std::size_t size() const { return weights.size(); }
+  void Clear(std::size_t b) {
+    num_cols = b;
+    words.clear();
+    cols.clear();
+    weights.clear();
+  }
+};
+
+std::uint64_t ColumnSetFingerprint(std::span<const std::uint32_t> cols) {
   std::uint64_t h = 0x5EAFC0DE;
   for (std::uint32_t c : cols) h = HashCombine(h, Mix64(c + 1));
   return h;
@@ -108,15 +125,34 @@ AlignedDetection AlignedDetector::Detect(
   ScopedStageTimer stage("aligned_detect");
   ObsCounter("detector.aligned.runs").Increment();
   const bool obs = ObsEnabled();
-  // Why the search stopped iterating; flushed as a detector.aligned.stop.*
-  // counter on every exit path below.
+  // Why the search stopped iterating, and the last iteration (b') it ran;
+  // flushed with the work counters on every exit path below.
   const char* stop_reason = "exhausted";
+  std::size_t last_iteration = 0;
+  std::uint64_t counted = 0;  // Columns counted against a product.
+  std::uint64_t offers = 0;   // Candidates at or above the floor.
   AlignedDetection detection;
-  const auto report_stop = [&detection](const char* reason) {
+  const auto report_stop = [&](const char* reason) {
     if (!ObsEnabled()) return;
     ObsCounter(std::string("detector.aligned.stop.") + reason).Increment();
     ObsGauge("detector.aligned.stop_iteration")
+        .Set(static_cast<double>(last_iteration));
+    ObsGauge("detector.aligned.best_iteration")
         .Set(static_cast<double>(detection.stop_iteration));
+    ObsCounter("detector.aligned.candidate_counts").Add(counted);
+    ObsCounter("detector.aligned.offers").Add(offers);
+  };
+  const auto record_iteration = [obs](std::size_t num_hopefuls,
+                                      std::uint32_t heaviest) {
+    if (!obs) return;
+    static Counter& iters = ObsCounter("detector.aligned.iterations");
+    static LatencyHistogram& hop =
+        ObsHistogram("detector.aligned.hopefuls_per_iteration");
+    static LatencyHistogram& wt =
+        ObsHistogram("detector.aligned.iteration_weight");
+    iters.Increment();
+    hop.Record(num_hopefuls);
+    wt.Record(heaviest);
   };
   const std::size_t n_cols = screened.columns.size();
   const std::size_t m = screened.num_rows;
@@ -125,67 +161,69 @@ AlignedDetection AlignedDetector::Detect(
     return detection;
   }
 
-  // Scratch for the batched AND+popcount passes below.
-  std::uint32_t cand_ids[kBatchCands];
-  const std::uint64_t* cand_rows[kBatchCands];
-  std::uint32_t cand_weights[kBatchCands];
+  // The screened columns as one block, column c at block[c * wpc]: the
+  // count kernel streams it from L1 (16 KiB at n' = 1000, m <= 128).
+  const std::size_t wpc = (m + 63) / 64;
+  std::vector<std::uint64_t> block(n_cols * wpc);
+  for (std::size_t c = 0; c < n_cols; ++c) {
+    const BitVector& column = screened.columns[c];
+    DCS_CHECK(column.num_words() == wpc);
+    std::copy(column.words(), column.words() + wpc, &block[c * wpc]);
+  }
+  const auto column = [&block, wpc](std::size_t c) { return &block[c * wpc]; };
+  const BitKernelOps& kernels = ActiveBitKernels();
+  std::vector<std::uint32_t> counts(n_cols);
+  std::vector<std::uint32_t> survivors(n_cols);
+  TopH top;
+  // Offers (counts[k], a, first + k) for every k < n that reaches the floor.
+  // A branch-free pass keeps the k at the floor as it stands when the pass
+  // starts; the floor only rises, so each is re-checked as it is offered.
+  const auto offer_counts = [&](std::size_t a, std::size_t first,
+                                std::size_t n) {
+    const std::uint32_t floor = top.floor_weight();
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      survivors[kept] = static_cast<std::uint32_t>(k);
+      kept += static_cast<std::size_t>(counts[k] >= floor);
+    }
+    for (std::size_t i = 0; i < kept; ++i) {
+      const std::uint32_t k = survivors[i];
+      if (counts[k] < top.floor_weight()) continue;
+      top.Offer({counts[k], static_cast<std::uint32_t>(a),
+                 static_cast<std::uint32_t>(first + k)});
+      ++offers;
+    }
+  };
 
   // --- Iteration b' = 2: all column pairs, keep the heaviest hopefuls.
-  TopH pair_heap(options_.first_iteration_hopefuls);
-  for (std::size_t i = 0; i < n_cols; ++i) {
-    const BitVector& ci = screened.columns[i];
-    const std::uint32_t wi = screened.weights[i];
-    std::size_t buffered = 0;
-    const auto flush = [&] {
-      ActiveBitKernels().and_count_batch(ci.words(), cand_rows, buffered,
-                                         ci.num_words(), cand_weights);
-      for (std::size_t k = 0; k < buffered; ++k) {
-        if (cand_weights[k] >= pair_heap.floor_weight()) {
-          pair_heap.Offer({cand_weights[k], static_cast<std::uint32_t>(i),
-                           cand_ids[k]});
-        }
-      }
-      buffered = 0;
-    };
-    for (std::size_t j = i + 1; j < n_cols; ++j) {
-      // AND weight can't beat min(w_i, w_j); skip hopeless pairs cheaply.
-      if (std::min(wi, screened.weights[j]) < pair_heap.floor_weight()) {
-        continue;
-      }
-      cand_ids[buffered] = static_cast<std::uint32_t>(j);
-      cand_rows[buffered] = screened.columns[j].words();
-      if (++buffered == kBatchCands) flush();
-    }
-    if (buffered > 0) flush();
+  last_iteration = 2;
+  top.Reset(options_.first_iteration_hopefuls);
+  for (std::size_t i = 0; i + 1 < n_cols; ++i) {
+    // A pair weighs at most its first column.
+    if (screened.weights[i] < top.floor_weight()) continue;
+    const std::size_t rest = n_cols - i - 1;
+    kernels.and_count_columns(column(i), column(i + 1), rest, wpc,
+                              counts.data());
+    counted += rest;
+    offer_counts(i, i + 1, rest);
   }
-  const std::vector<Cand> pair_cands = pair_heap.TakeSorted();
 
-  std::vector<Product> hopefuls;
-  hopefuls.reserve(pair_cands.size());
-  for (const Cand& cand : pair_cands) {
-    Product product;
-    product.bits.AssignAnd(screened.columns[cand.a],
-                           screened.columns[cand.b]);
-    product.cols = {cand.a, cand.b};
-    product.weight = cand.weight;
-    hopefuls.push_back(std::move(product));
+  Hopefuls hopefuls;
+  hopefuls.Clear(2);
+  for (const Cand& cand : top.Sorted()) {
+    hopefuls.cols.push_back(cand.a);
+    hopefuls.cols.push_back(cand.b);
+    for (std::size_t w = 0; w < wpc; ++w) {
+      hopefuls.words.push_back(column(cand.a)[w] & column(cand.b)[w]);
+    }
+    hopefuls.weights.push_back(cand.weight);
   }
-  if (hopefuls.empty()) {
+  if (hopefuls.size() == 0) {
     report_stop("no_hopefuls");
     return detection;
   }
-
-  detection.weight_trajectory.push_back(hopefuls.front().weight);
-  if (obs) {
-    static Counter& iters = ObsCounter("detector.aligned.iterations");
-    static LatencyHistogram& hop =
-        ObsHistogram("detector.aligned.hopefuls_per_iteration");
-    static LatencyHistogram& wt =
-        ObsHistogram("detector.aligned.iteration_weight");
-    iters.Increment();
-    hop.Record(hopefuls.size());
-    wt.Record(hopefuls.front().weight);
-  }
+  detection.weight_trajectory.push_back(hopefuls.weights[0]);
+  record_iteration(hopefuls.size(), hopefuls.weights[0]);
 
   // Mean density of the screened columns: the significance gate must use it
   // rather than 1/2, because the screen hands us columns that were selected
@@ -197,94 +235,83 @@ AlignedDetection AlignedDetector::Detect(
       0.5, 0.999);
 
   // Track the most significant (lowest natural-occurrence bound) product
-  // seen across iterations; the weight-loss heuristics below only decide
-  // when to stop iterating early.
-  auto significance = [&](const Product& p) {
+  // seen across iterations — the heaviest hopeful of its iteration; the
+  // weight-loss heuristics below only decide when to stop iterating early.
+  auto significance = [&](const Hopefuls& p) {
     return LogNaturalOccurrenceBoundDensity(
         static_cast<std::int64_t>(m), static_cast<std::int64_t>(n_cols),
-        static_cast<std::int64_t>(p.weight),
-        static_cast<std::int64_t>(p.cols.size()), density);
+        static_cast<std::int64_t>(p.weights[0]),
+        static_cast<std::int64_t>(p.num_cols), density);
   };
-  Product best_product = hopefuls.front();
-  double best_log_bound = significance(best_product);
+  std::vector<std::uint64_t> best_words;
+  std::vector<std::uint32_t> best_cols;
+  const auto keep_best = [&](const Hopefuls& p) {
+    best_words.assign(p.words.begin(),
+                      p.words.begin() + static_cast<std::ptrdiff_t>(wpc));
+    best_cols.assign(p.cols.begin(),
+                     p.cols.begin() + static_cast<std::ptrdiff_t>(p.num_cols));
+  };
+  keep_best(hopefuls);
+  double best_log_bound = significance(hopefuls);
   std::size_t best_iteration = 2;
   bool flattened = false;
   bool dive_detected = false;
-  double prev_weight = static_cast<double>(hopefuls.front().weight);
+  double prev_weight = static_cast<double>(hopefuls.weights[0]);
 
   // --- Iterations b' >= 3: extend each hopeful by one more column,
-  // ranking every extension against all columns in one bounded heap.
+  // ranking every extension against all columns in one top-H selection.
+  Hopefuls next;
+  std::vector<std::uint32_t> cols;
+  std::unordered_set<std::uint64_t> seen;
   for (std::size_t iter = 3; iter <= options_.max_iterations; ++iter) {
-    TopH heap(options_.hopefuls);
+    last_iteration = iter;
+    const std::size_t b = hopefuls.num_cols;
+    top.Reset(options_.hopefuls);
     for (std::size_t h = 0; h < hopefuls.size(); ++h) {
-      const Product& v = hopefuls[h];
-      if (v.weight < heap.floor_weight()) continue;  // Can only shrink.
-      std::size_t buffered = 0;
-      const auto flush = [&] {
-        ActiveBitKernels().and_count_batch(v.bits.words(), cand_rows,
-                                           buffered, v.bits.num_words(),
-                                           cand_weights);
-        for (std::size_t k = 0; k < buffered; ++k) {
-          if (cand_weights[k] >= heap.floor_weight()) {
-            heap.Offer({cand_weights[k], static_cast<std::uint32_t>(h),
-                        cand_ids[k]});
-          }
-        }
-        buffered = 0;
-      };
-      for (std::uint32_t c = 0; c < n_cols; ++c) {
-        if (std::binary_search(v.cols.begin(), v.cols.end(), c)) continue;
-        if (std::min(v.weight, screened.weights[c]) < heap.floor_weight()) {
-          continue;
-        }
-        cand_ids[buffered] = c;
-        cand_rows[buffered] = screened.columns[c].words();
-        if (++buffered == kBatchCands) flush();
-      }
-      if (buffered > 0) flush();
+      // An extension weighs at most its hopeful, and the hopefuls are best
+      // first: once one falls below the floor, every later one does.
+      if (hopefuls.weights[h] < top.floor_weight()) break;
+      kernels.and_count_columns(&hopefuls.words[h * wpc], block.data(),
+                                n_cols, wpc, counts.data());
+      counted += n_cols;
+      // A hopeful's own columns are not extensions; a zero count is never
+      // offered.
+      for (std::size_t k = 0; k < b; ++k) counts[hopefuls.cols[h * b + k]] = 0;
+      offer_counts(h, 0, n_cols);
     }
 
     // Dedup identical column sets in the canonical order, then materialize
-    // the surviving products' bits.
-    const std::vector<Cand> ext_cands = heap.TakeSorted();
-    std::vector<Product> next;
-    next.reserve(ext_cands.size());
-    std::unordered_set<std::uint64_t> seen;
-    for (const Cand& cand : ext_cands) {
-      const Product& parent = hopefuls[cand.a];
-      std::vector<std::uint32_t> cols = parent.cols;
-      cols.insert(std::lower_bound(cols.begin(), cols.end(), cand.b),
-                  cand.b);
+    // the surviving products.
+    next.Clear(b + 1);
+    seen.clear();
+    for (const Cand& cand : top.Sorted()) {
+      const auto parent_cols = hopefuls.cols.begin() +
+                               static_cast<std::ptrdiff_t>(cand.a * b);
+      cols.assign(parent_cols, parent_cols + static_cast<std::ptrdiff_t>(b));
+      cols.insert(std::lower_bound(cols.begin(), cols.end(), cand.b), cand.b);
       if (!seen.insert(ColumnSetFingerprint(cols)).second) continue;
-      Product product;
-      product.bits.AssignAnd(parent.bits, screened.columns[cand.b]);
-      product.cols = std::move(cols);
-      product.weight = cand.weight;
-      next.push_back(std::move(product));
+      next.cols.insert(next.cols.end(), cols.begin(), cols.end());
+      const std::uint64_t* parent = &hopefuls.words[cand.a * wpc];
+      for (std::size_t w = 0; w < wpc; ++w) {
+        next.words.push_back(parent[w] & column(cand.b)[w]);
+      }
+      next.weights.push_back(cand.weight);
     }
-    if (next.empty()) {
+    if (next.size() == 0) {
       stop_reason = "no_extensions";
       break;
     }
-    hopefuls = std::move(next);
+    std::swap(hopefuls, next);
 
-    const double cur_weight = static_cast<double>(hopefuls.front().weight);
-    detection.weight_trajectory.push_back(hopefuls.front().weight);
-    if (obs) {
-      static Counter& iters = ObsCounter("detector.aligned.iterations");
-      static LatencyHistogram& hop =
-          ObsHistogram("detector.aligned.hopefuls_per_iteration");
-      static LatencyHistogram& wt =
-          ObsHistogram("detector.aligned.iteration_weight");
-      iters.Increment();
-      hop.Record(hopefuls.size());
-      wt.Record(hopefuls.front().weight);
-    }
+    const std::uint32_t heaviest = hopefuls.weights[0];
+    const double cur_weight = static_cast<double>(heaviest);
+    detection.weight_trajectory.push_back(heaviest);
+    record_iteration(hopefuls.size(), heaviest);
 
-    const double log_bound = significance(hopefuls.front());
+    const double log_bound = significance(hopefuls);
     if (log_bound < best_log_bound) {
       best_log_bound = log_bound;
-      best_product = hopefuls.front();
+      keep_best(hopefuls);
       best_iteration = iter;
     }
 
@@ -305,15 +332,14 @@ AlignedDetection AlignedDetector::Detect(
       }
     }
     prev_weight = cur_weight;
-    if (hopefuls.front().weight == 0) {
+    if (heaviest == 0) {
       stop_reason = "zero_weight";
       break;
     }
     // Pure-noise fast path: once the heaviest product is down to a handful
     // of rows without ever flattening, no later product can become
     // significant — products only lose weight.
-    if (!options_.record_full_trajectory && !flattened &&
-        hopefuls.front().weight < 4) {
+    if (!options_.record_full_trajectory && !flattened && heaviest < 4) {
       stop_reason = "noise_floor";
       break;
     }
@@ -331,11 +357,14 @@ AlignedDetection AlignedDetector::Detect(
 
   ObsCounter("detector.aligned.detections").Increment();
   detection.pattern_found = true;
-  std::vector<std::size_t> set_rows;
-  best_product.bits.AppendSetBits(&set_rows);
-  detection.rows.assign(set_rows.begin(), set_rows.end());
-  detection.columns.reserve(best_product.cols.size());
-  for (std::uint32_t c : best_product.cols) {
+  for (std::size_t w = 0; w < wpc; ++w) {
+    for (std::uint64_t bits = best_words[w]; bits != 0; bits &= bits - 1) {
+      detection.rows.push_back(static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
+  detection.columns.reserve(best_cols.size());
+  for (std::uint32_t c : best_cols) {
     detection.columns.push_back(screened.original_ids[c]);
   }
   std::sort(detection.columns.begin(), detection.columns.end());

@@ -52,7 +52,11 @@ struct AlignedDetection {
   /// Heaviest product weight after each iteration; index 0 is the 2-product
   /// pass (Fig 7's y-axis series).
   std::vector<std::size_t> weight_trajectory;
-  /// Iteration (b') at which the termination procedure stopped.
+  /// b' of the reported product: the iteration whose heaviest hopeful had
+  /// the lowest natural-occurrence bound (2 when no later one beat the pair
+  /// pass, 0 when the search found no product). It is not the last
+  /// iteration the search ran; the detector.aligned.stop_iteration gauge
+  /// reports that.
   std::size_t stop_iteration = 0;
 };
 
@@ -67,15 +71,25 @@ struct AlignedDetection {
 /// grows the core across every remaining column, screened or not (Fig 6
 /// lines 10-14).
 ///
+/// The search is flat. Detect() copies the screened columns into one
+/// contiguous block of words_per_col = ceil(m / 64) words per column, and
+/// every count — the pair pass and each hopeful's extensions — is one
+/// BitKernelOps::and_count_columns call of a product against a slice of
+/// that block. The hopefuls live in three flat arrays (product words,
+/// sorted column ids, weights). Each pass keeps its top-H under a total
+/// order (weight desc, then column ids asc) by appending the candidates
+/// that reach the floor to a buffer and cutting it to H with nth_element
+/// whenever it holds 4H; the top-H of a total order is a set, so this keeps
+/// exactly what a bounded heap would.
+///
 /// When constructed with an AnalysisContext carrying a pool, the two passes
 /// that stream the whole matrix run sharded on it (Section IV-D): the
 /// weight screen and the final core scan, each over contiguous column
 /// slices concatenated in ascending order. The k-product search itself runs
-/// serially on the calling thread, one bounded heap per pass under a total
-/// order (weight desc, then column ids asc): sharded, it cost CPU without
-/// saving wall time (docs/PARALLELISM.md). The detection — rows, columns,
-/// and the full weight trajectory — is bit-identical at any thread count,
-/// including the serial (null pool) engine.
+/// serially on the calling thread: sharded, it cost CPU without saving wall
+/// time (docs/PARALLELISM.md). The detection — rows, columns, and the full
+/// weight trajectory — is bit-identical at any thread count and on every
+/// kernel tier, including the serial (null pool) engine.
 class AlignedDetector {
  public:
   explicit AlignedDetector(const AlignedDetectorOptions& options);

@@ -83,20 +83,28 @@ void ScalarOrFold(const std::uint64_t* const* rows, std::size_t num_rows,
   }
 }
 
-void ScalarAndCountBatch(const std::uint64_t* left,
-                         const std::uint64_t* const* rows,
-                         std::size_t num_rows, std::size_t num_words,
-                         std::uint32_t* out) {
-  // Tile the word range so `left` stays cache-resident while many long rows
-  // stream past it. 2048 words = 16 KiB, comfortably inside L1d alongside
-  // the row tile being consumed.
-  constexpr std::size_t kTileWords = 2048;
-  for (std::size_t r = 0; r < num_rows; ++r) out[r] = 0;
-  for (std::size_t tile = 0; tile < num_words; tile += kTileWords) {
-    const std::size_t len = std::min(kTileWords, num_words - tile);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      out[r] += static_cast<std::uint32_t>(
-          ScalarAndCount(left + tile, rows[r] + tile, len));
+void ScalarAndCountColumns(const std::uint64_t* left,
+                           const std::uint64_t* block, std::size_t num_cols,
+                           std::size_t words_per_col, std::uint32_t* out) {
+  // Columns of one or two words (m <= 128 rows) are the aligned search's
+  // shapes; the left words stay in registers across the block.
+  if (words_per_col == 1) {
+    const std::uint64_t l0 = left[0];
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      out[c] = static_cast<std::uint32_t>(std::popcount(l0 & block[c]));
+    }
+  } else if (words_per_col == 2) {
+    const std::uint64_t l0 = left[0];
+    const std::uint64_t l1 = left[1];
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      const std::uint64_t* col = block + 2 * c;
+      out[c] = static_cast<std::uint32_t>(std::popcount(l0 & col[0]) +
+                                          std::popcount(l1 & col[1]));
+    }
+  } else {
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      out[c] = static_cast<std::uint32_t>(
+          ScalarAndCount(left, block + c * words_per_col, words_per_col));
     }
   }
 }
@@ -116,7 +124,7 @@ void ScalarAndCountTile(const std::uint64_t* const* left,
 
 constexpr BitKernelOps kScalarOps = {
     "scalar",        ScalarCountOnes, ScalarAndCount, ScalarAndInplace,
-    ScalarOrInplace, ScalarAndFold,   ScalarOrFold,   ScalarAndCountBatch,
+    ScalarOrInplace, ScalarAndFold,   ScalarOrFold,   ScalarAndCountColumns,
     ScalarAndCountTile,
 };
 

@@ -57,15 +57,16 @@ struct BitKernelOps {
   void (*or_fold)(const std::uint64_t* const* rows, std::size_t num_rows,
                   std::size_t num_words, std::uint64_t* out);
 
-  /// Blocked one-against-many AND+popcount: out[r] = and_count(left,
-  /// rows[r], num_words) for every r. Tiled over the word range so `left`
-  /// is re-read from cache, not memory, when the rows are long — the
-  /// O(groups^2) pair scan and the hopefuls iterations call this with one
-  /// shared left operand per inner loop.
-  void (*and_count_batch)(const std::uint64_t* left,
-                          const std::uint64_t* const* rows,
-                          std::size_t num_rows, std::size_t num_words,
-                          std::uint32_t* out);
+  /// Column-block AND+popcount: out[c] = and_count(left, block + c *
+  /// words_per_col, words_per_col) for every c < num_cols. The block holds
+  /// num_cols columns of words_per_col words each, back to back, so one
+  /// call counts a product against a whole slice of screened columns — the
+  /// aligned k-product search's only count. `left` and `block` may be
+  /// unaligned; at words_per_col 1 and 2 (an m <= 128-router matrix) the
+  /// SIMD tables count several columns per vector.
+  void (*and_count_columns)(const std::uint64_t* left,
+                            const std::uint64_t* block, std::size_t num_cols,
+                            std::size_t words_per_col, std::uint32_t* out);
 
   /// Tile AND+popcount: out[i * num_right + j] = and_count(left[i],
   /// right[j], num_words) for every i < num_left and j < num_right. The

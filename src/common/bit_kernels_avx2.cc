@@ -27,7 +27,7 @@ namespace dcs {
 namespace {
 
 // Word-range tile for the one-against-many batch; 2048 words = 16 KiB of
-// left operand held hot while rows stream past (mirrors the scalar batch).
+// left operand held hot while rows stream past.
 constexpr std::size_t kTileWords = 2048;
 
 // Per-byte popcount of a 256-bit lane via the classic nibble lookup
@@ -147,9 +147,8 @@ void Avx2AndCountBatch(const std::uint64_t* left,
                        const std::uint64_t* const* rows,
                        std::size_t num_rows, std::size_t num_words,
                        std::uint32_t* out) {
-  // The detectors call this on short vectors too (an aligned-matrix column
-  // is only rows/64 words); below a vector's worth of data the scalar loop
-  // wins on latency and the batch still amortizes the dispatch.
+  // One left row against many: the row loop of the tile count below. Below
+  // a vector's worth of data per row the scalar loop wins on latency.
   if (num_words < 8) {
     for (std::size_t r = 0; r < num_rows; ++r) {
       std::size_t count = 0;
@@ -177,6 +176,65 @@ void Avx2AndCountTile(const std::uint64_t* const* left, std::size_t num_left,
   for (std::size_t i = 0; i < num_left; ++i) {
     Avx2AndCountBatch(left[i], right, num_right, num_words,
                       out + i * num_right);
+  }
+}
+
+// Stores eight column counts from two vectors of 64-bit lane sums, `lo`
+// holding four of them and `hi` the other four: each count fits 32 bits,
+// so `hi` moves into the odd 32-bit lanes and `order` puts the eight in
+// column order.
+inline void StoreEightCounts(__m256i lo, __m256i hi, __m256i order,
+                             std::uint32_t* out) {
+  const __m256i packed = _mm256_or_si256(lo, _mm256_slli_epi64(hi, 32));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permutevar8x32_epi32(packed, order));
+}
+
+// Eight columns per step at one and two words per column; the leftover
+// columns, and every column of a wider block, are counted one at a time.
+void Avx2AndCountColumns(const std::uint64_t* left, const std::uint64_t* block,
+                         std::size_t num_cols, std::size_t words_per_col,
+                         std::uint32_t* out) {
+  const __m256i zero = _mm256_setzero_si256();
+  const auto load = [](const std::uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  };
+  std::size_t c = 0;
+  if (words_per_col == 1) {
+    // Four columns per vector; the byte counts of each sum in its lane.
+    const __m256i l = _mm256_set1_epi64x(static_cast<long long>(left[0]));
+    const __m256i order = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+    for (; c + 8 <= num_cols; c += 8) {
+      const __m256i a = PopcountBytes(_mm256_and_si256(l, load(block + c)));
+      const __m256i b =
+          PopcountBytes(_mm256_and_si256(l, load(block + c + 4)));
+      StoreEightCounts(_mm256_sad_epu8(a, zero), _mm256_sad_epu8(b, zero),
+                       order, out + c);
+    }
+  } else if (words_per_col == 2) {
+    // Two columns per vector. Interleaving the words of two vectors and
+    // adding their byte counts puts a whole column in each 64-bit lane:
+    // columns (0, 2, 1, 3) from p0 and p1, (4, 6, 5, 7) from p2 and p3.
+    const __m256i l = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(left)));
+    const __m256i order = _mm256_setr_epi32(0, 4, 2, 6, 1, 5, 3, 7);
+    for (; c + 8 <= num_cols; c += 8) {
+      const std::uint64_t* col = block + 2 * c;
+      const __m256i p0 = PopcountBytes(_mm256_and_si256(l, load(col)));
+      const __m256i p1 = PopcountBytes(_mm256_and_si256(l, load(col + 4)));
+      const __m256i p2 = PopcountBytes(_mm256_and_si256(l, load(col + 8)));
+      const __m256i p3 = PopcountBytes(_mm256_and_si256(l, load(col + 12)));
+      const __m256i q01 = _mm256_add_epi8(_mm256_unpacklo_epi64(p0, p1),
+                                          _mm256_unpackhi_epi64(p0, p1));
+      const __m256i q23 = _mm256_add_epi8(_mm256_unpacklo_epi64(p2, p3),
+                                          _mm256_unpackhi_epi64(p2, p3));
+      StoreEightCounts(_mm256_sad_epu8(q01, zero), _mm256_sad_epu8(q23, zero),
+                       order, out + c);
+    }
+  }
+  for (; c < num_cols; ++c) {
+    out[c] = static_cast<std::uint32_t>(
+        Avx2AndCount(left, block + c * words_per_col, words_per_col));
   }
 }
 
@@ -291,7 +349,7 @@ DCS_TARGET_AVX512 void Avx512AndCountTile(const std::uint64_t* const* left,
 
 constexpr BitKernelOps kAvx2Ops = {
     "avx2",        Avx2CountOnes, Avx2AndCount, Avx2AndInplace,
-    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountBatch,
+    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountColumns,
     Avx2AndCountTile,
 };
 
@@ -299,7 +357,7 @@ constexpr BitKernelOps kAvx2Ops = {
 // (the aligned path above all) runs exactly the AVX2 code.
 constexpr BitKernelOps kAvx512Ops = {
     "avx512",      Avx2CountOnes, Avx2AndCount, Avx2AndInplace,
-    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountBatch,
+    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountColumns,
     Avx512AndCountTile,
 };
 
@@ -324,8 +382,6 @@ std::span<const BitKernelOps* const> RunnableSimdBitKernels() {
 
 namespace dcs {
 namespace {
-
-constexpr std::size_t kTileWords = 2048;
 
 std::size_t NeonCountOnes(const std::uint64_t* words, std::size_t num_words) {
   uint64x2_t acc = vdupq_n_u64(0);
@@ -397,16 +453,29 @@ void NeonOrFold(const std::uint64_t* const* rows, std::size_t num_rows,
   for (std::size_t r = 1; r < num_rows; ++r) NeonOrInplace(out, rows[r], num_words);
 }
 
-void NeonAndCountBatch(const std::uint64_t* left,
-                       const std::uint64_t* const* rows,
-                       std::size_t num_rows, std::size_t num_words,
-                       std::uint32_t* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) out[r] = 0;
-  for (std::size_t tile = 0; tile < num_words; tile += kTileWords) {
-    const std::size_t len = std::min(kTileWords, num_words - tile);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      out[r] += static_cast<std::uint32_t>(
-          NeonAndCount(left + tile, rows[r] + tile, len));
+// Column-block count: a one-word column is one 64-bit register, a
+// two-word column one 128-bit register, summed across its bytes (at most
+// 64 or 128, so the 8-bit across-vector sum cannot wrap).
+void NeonAndCountColumns(const std::uint64_t* left, const std::uint64_t* block,
+                         std::size_t num_cols, std::size_t words_per_col,
+                         std::uint32_t* out) {
+  if (words_per_col == 1) {
+    const uint64x1_t l = vld1_u64(left);
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      const uint8x8_t v = vreinterpret_u8_u64(vand_u64(l, vld1_u64(block + c)));
+      out[c] = vaddv_u8(vcnt_u8(v));
+    }
+  } else if (words_per_col == 2) {
+    const uint64x2_t l = vld1q_u64(left);
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      const uint8x16_t v =
+          vreinterpretq_u8_u64(vandq_u64(l, vld1q_u64(block + 2 * c)));
+      out[c] = vaddvq_u8(vcntq_u8(v));
+    }
+  } else {
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      out[c] = static_cast<std::uint32_t>(
+          NeonAndCount(left, block + c * words_per_col, words_per_col));
     }
   }
 }
@@ -425,7 +494,7 @@ void NeonAndCountTile(const std::uint64_t* const* left, std::size_t num_left,
 
 constexpr BitKernelOps kNeonOps = {
     "neon",        NeonCountOnes, NeonAndCount, NeonAndInplace,
-    NeonOrInplace, NeonAndFold,   NeonOrFold,   NeonAndCountBatch,
+    NeonOrInplace, NeonAndFold,   NeonOrFold,   NeonAndCountColumns,
     NeonAndCountTile,
 };
 

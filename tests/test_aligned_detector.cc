@@ -1,16 +1,23 @@
 #include "analysis/aligned_detector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/aligned_thresholds.h"
 #include "analysis/synthetic_matrix.h"
+#include "analysis/weight_screen.h"
 #include "common/bit_matrix.h"
+#include "common/hash.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -315,6 +322,284 @@ TEST(AlignedDetectorTest, CoreScanReportsEveryPlantedColumn) {
       }
     }
   }
+}
+
+// The k-product search as it stood before the flat rewrite, kept as the
+// oracle for FlatSearchEqualsTheReferenceSearch: one BitVector and one
+// column vector per product, a bounded heap per pass, and the column-weight
+// prunes. Only the counting differs from that engine's code — one
+// BitVector::CommonOnes per candidate instead of batched kernel calls,
+// which computed the same counts — and the metrics are gone.
+namespace reference {
+
+struct Product {
+  BitVector bits;
+  std::vector<std::uint32_t> cols;  // Indices into the screened set, sorted.
+  std::uint32_t weight = 0;
+};
+
+struct Cand {
+  std::uint32_t weight = 0;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+};
+
+bool CandBetter(const Cand& x, const Cand& y) {
+  if (x.weight != y.weight) return x.weight > y.weight;
+  if (x.a != y.a) return x.a < y.a;
+  return x.b < y.b;
+}
+
+class TopH {
+ public:
+  explicit TopH(std::size_t capacity) : capacity_(capacity) {}
+
+  void Offer(const Cand& cand) {
+    if (heap_.size() < capacity_) {
+      heap_.push_back(cand);
+      std::push_heap(heap_.begin(), heap_.end(), CandBetter);
+    } else if (CandBetter(cand, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), CandBetter);
+      heap_.back() = cand;
+      std::push_heap(heap_.begin(), heap_.end(), CandBetter);
+    }
+  }
+
+  std::uint32_t floor_weight() const {
+    return heap_.size() < capacity_ ? 1 : heap_.front().weight;
+  }
+
+  std::vector<Cand> TakeSorted() {
+    std::sort(heap_.begin(), heap_.end(), CandBetter);
+    return std::move(heap_);
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<Cand> heap_;
+};
+
+std::uint64_t ColumnSetFingerprint(const std::vector<std::uint32_t>& cols) {
+  std::uint64_t h = 0x5EAFC0DE;
+  for (std::uint32_t c : cols) h = HashCombine(h, Mix64(c + 1));
+  return h;
+}
+
+AlignedDetection Detect(const AlignedDetectorOptions& options,
+                        const ScreenedColumns& screened) {
+  AlignedDetection detection;
+  const std::size_t n_cols = screened.columns.size();
+  const std::size_t m = screened.num_rows;
+  if (n_cols < 2 || m == 0) return detection;
+
+  TopH pair_heap(options.first_iteration_hopefuls);
+  for (std::size_t i = 0; i < n_cols; ++i) {
+    const BitVector& ci = screened.columns[i];
+    const std::uint32_t wi = screened.weights[i];
+    for (std::size_t j = i + 1; j < n_cols; ++j) {
+      if (std::min(wi, screened.weights[j]) < pair_heap.floor_weight()) {
+        continue;
+      }
+      const auto weight =
+          static_cast<std::uint32_t>(ci.CommonOnes(screened.columns[j]));
+      if (weight >= pair_heap.floor_weight()) {
+        pair_heap.Offer({weight, static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j)});
+      }
+    }
+  }
+  const std::vector<Cand> pair_cands = pair_heap.TakeSorted();
+
+  std::vector<Product> hopefuls;
+  hopefuls.reserve(pair_cands.size());
+  for (const Cand& cand : pair_cands) {
+    Product product;
+    product.bits.AssignAnd(screened.columns[cand.a],
+                           screened.columns[cand.b]);
+    product.cols = {cand.a, cand.b};
+    product.weight = cand.weight;
+    hopefuls.push_back(std::move(product));
+  }
+  if (hopefuls.empty()) return detection;
+  detection.weight_trajectory.push_back(hopefuls.front().weight);
+
+  double density_sum = 0.0;
+  for (std::uint32_t w : screened.weights) density_sum += w;
+  const double density = std::clamp(
+      density_sum / (static_cast<double>(n_cols) * static_cast<double>(m)),
+      0.5, 0.999);
+  auto significance = [&](const Product& p) {
+    return LogNaturalOccurrenceBoundDensity(
+        static_cast<std::int64_t>(m), static_cast<std::int64_t>(n_cols),
+        static_cast<std::int64_t>(p.weight),
+        static_cast<std::int64_t>(p.cols.size()), density);
+  };
+  Product best_product = hopefuls.front();
+  double best_log_bound = significance(best_product);
+  std::size_t best_iteration = 2;
+  bool flattened = false;
+  bool dive_detected = false;
+  double prev_weight = static_cast<double>(hopefuls.front().weight);
+
+  for (std::size_t iter = 3; iter <= options.max_iterations; ++iter) {
+    TopH heap(options.hopefuls);
+    for (std::size_t h = 0; h < hopefuls.size(); ++h) {
+      const Product& v = hopefuls[h];
+      if (v.weight < heap.floor_weight()) continue;
+      for (std::uint32_t c = 0; c < n_cols; ++c) {
+        if (std::binary_search(v.cols.begin(), v.cols.end(), c)) continue;
+        if (std::min(v.weight, screened.weights[c]) < heap.floor_weight()) {
+          continue;
+        }
+        const auto weight =
+            static_cast<std::uint32_t>(v.bits.CommonOnes(screened.columns[c]));
+        if (weight >= heap.floor_weight()) {
+          heap.Offer({weight, static_cast<std::uint32_t>(h), c});
+        }
+      }
+    }
+
+    const std::vector<Cand> ext_cands = heap.TakeSorted();
+    std::vector<Product> next;
+    next.reserve(ext_cands.size());
+    std::unordered_set<std::uint64_t> seen;
+    for (const Cand& cand : ext_cands) {
+      const Product& parent = hopefuls[cand.a];
+      std::vector<std::uint32_t> cols = parent.cols;
+      cols.insert(std::lower_bound(cols.begin(), cols.end(), cand.b),
+                  cand.b);
+      if (!seen.insert(ColumnSetFingerprint(cols)).second) continue;
+      Product product;
+      product.bits.AssignAnd(parent.bits, screened.columns[cand.b]);
+      product.cols = std::move(cols);
+      product.weight = cand.weight;
+      next.push_back(std::move(product));
+    }
+    if (next.empty()) break;
+    hopefuls = std::move(next);
+
+    const double cur_weight = static_cast<double>(hopefuls.front().weight);
+    detection.weight_trajectory.push_back(hopefuls.front().weight);
+    const double log_bound = significance(hopefuls.front());
+    if (log_bound < best_log_bound) {
+      best_log_bound = log_bound;
+      best_product = hopefuls.front();
+      best_iteration = iter;
+    }
+    if (!dive_detected && prev_weight > 0) {
+      const double ratio = cur_weight / prev_weight;
+      if (flattened && ratio <= options.dive_ratio) {
+        dive_detected = true;
+        if (!options.record_full_trajectory) break;
+      } else if (ratio >= options.flatten_ratio && cur_weight >= 8.0) {
+        flattened = true;
+      }
+    }
+    prev_weight = cur_weight;
+    if (hopefuls.front().weight == 0) break;
+    if (!options.record_full_trajectory && !flattened &&
+        hopefuls.front().weight < 4) {
+      break;
+    }
+  }
+
+  detection.stop_iteration = best_iteration;
+  if (best_log_bound > std::log(options.nno_epsilon)) return detection;
+  detection.pattern_found = true;
+  std::vector<std::size_t> set_rows;
+  best_product.bits.AppendSetBits(&set_rows);
+  detection.rows.assign(set_rows.begin(), set_rows.end());
+  for (std::uint32_t c : best_product.cols) {
+    detection.columns.push_back(screened.original_ids[c]);
+  }
+  std::sort(detection.columns.begin(), detection.columns.end());
+  return detection;
+}
+
+// Fig 6 lines 10-14 by definition: every matrix column sharing at least
+// weight(core) - gamma ones with the core rows, ascending.
+std::vector<std::size_t> CoreScan(const BitMatrix& matrix,
+                                  const std::vector<std::uint32_t>& rows,
+                                  std::uint32_t gamma) {
+  const std::size_t thresh = rows.size() > gamma ? rows.size() - gamma : 1;
+  std::vector<std::size_t> columns;
+  for (std::size_t c = 0; c < matrix.cols(); ++c) {
+    std::size_t common = 0;
+    for (std::uint32_t r : rows) common += matrix.Test(r, c) ? 1u : 0u;
+    if (common >= thresh) columns.push_back(c);
+  }
+  return columns;
+}
+
+}  // namespace reference
+
+void ExpectSameDetection(const AlignedDetection& got,
+                         const AlignedDetection& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.pattern_found, want.pattern_found) << label;
+  EXPECT_EQ(got.rows, want.rows) << label;
+  EXPECT_EQ(got.columns, want.columns) << label;
+  EXPECT_EQ(got.weight_trajectory, want.weight_trajectory) << label;
+  EXPECT_EQ(got.stop_iteration, want.stop_iteration) << label;
+}
+
+TEST(AlignedDetectorTest, FlatSearchEqualsTheReferenceSearch) {
+  // One to three words per column, both fills, clean and planted, with and
+  // without the full trajectory. A 12-column screen never fills the pair
+  // pass's top-H; a 160-column one cuts its buffer many times per pass.
+  ThreadPool pool(4);
+  std::size_t found = 0;
+  std::size_t runs = 0;
+  for (const std::size_t m : {12u, 64u, 65u, 100u, 128u, 129u, 150u}) {
+    for (const double fill : {0.25, 0.5}) {
+      for (const bool planted : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+          Rng rng(seed * 1009 + m);
+          std::vector<std::size_t> planted_cols;
+          const BitMatrix matrix =
+              PlantedAtFill(m, 2048, fill, planted ? m * 2 / 5 : 0,
+                            planted ? 24 : 0, &rng, &planted_cols);
+          for (const std::size_t n_prime : {12u, 160u}) {
+            const ScreenedColumns screened =
+                ScreenHeaviestColumns(matrix, n_prime);
+            for (const bool full : {false, true}) {
+              AlignedDetectorOptions opts = SmallDetectorOptions();
+              opts.first_iteration_hopefuls = 160;
+              opts.hopefuls = 48;
+              opts.record_full_trajectory = full;
+              const std::string label =
+                  "m=" + std::to_string(m) + " fill=" + std::to_string(fill) +
+                  " planted=" + std::to_string(planted) +
+                  " seed=" + std::to_string(seed) +
+                  " n'=" + std::to_string(n_prime) +
+                  " full=" + std::to_string(full);
+              const AlignedDetection want =
+                  reference::Detect(opts, screened);
+              ExpectSameDetection(AlignedDetector(opts).Detect(screened),
+                                  want, label);
+              found += want.pattern_found ? 1 : 0;
+              ++runs;
+              if (n_prime != 160 || seed > 2) continue;
+              // The whole refined pipeline on a pool: the pooled screen and
+              // core scan around the serial search.
+              AlignedDetection want_in_matrix = want;
+              if (want.pattern_found) {
+                want_in_matrix.columns =
+                    reference::CoreScan(matrix, want.rows, opts.gamma);
+              }
+              ExpectSameDetection(
+                  AlignedDetector(opts, AnalysisContext{&pool})
+                      .DetectInMatrix(matrix, n_prime),
+                  want_in_matrix, label + " DetectInMatrix");
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(found, 0u);
+  EXPECT_LT(found, runs);
 }
 
 TEST(AlignedDetectorTest, GammaSlackTradesRecallForPrecision) {

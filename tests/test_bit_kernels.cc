@@ -47,11 +47,21 @@ std::vector<std::uint64_t> RandomWords(Rng* rng, std::size_t num_words) {
 
 // The word lengths every test sweeps: zero, sub-stride raggedness around
 // the SIMD widths (4-word AVX2 stride), the 31-vector popcount block
-// boundary (124 words), and spans long enough to cross the batch kernel's
-// 2048-word tile boundary.
+// boundary (124 words), and spans longer than the 2048-word range the AVX2
+// tile count holds hot.
 const std::size_t kLengths[] = {0,  1,  2,   3,   4,   5,    7,    8,
                                 9,  15, 16,  31,  32,  63,   64,   123,
                                 124, 125, 128, 1000, 2048, 2049, 4100};
+
+// Words starting `offset` words past a 64-byte boundary inside `storage`,
+// so no SIMD load of the kernel under test is aligned unless offset is 0.
+std::uint64_t* OffsetWords(std::vector<std::uint64_t>* storage,
+                           std::size_t num_words, std::size_t offset) {
+  storage->assign(num_words + offset + 8, 0);
+  std::uint64_t* base = storage->data();
+  while (reinterpret_cast<std::uintptr_t>(base) % 64 != 0) ++base;
+  return base + offset;
+}
 
 // The table named `name` if this host can run it, else nullptr.
 const BitKernelOps* RunnableTable(std::string_view name) {
@@ -158,26 +168,47 @@ TEST_P(BitKernelTablesTest, EmptyFoldsAreIdentities) {
   }
 }
 
-TEST_P(BitKernelTablesTest, BatchMatchesPairwise) {
+TEST_P(BitKernelTablesTest, ColumnsMatchPairwise) {
+  // The column-block count against the naive pairwise count: one to five
+  // words per column (the SIMD tables specialise one and two), 0-37
+  // columns (ragged against every vector width), block and left operand off
+  // 64-byte alignment, and zero and all-ones columns and left operands.
   Rng rng(505);
-  // Crosses the 2048-word tile boundary and the 256-row mark.
-  for (std::size_t len : {std::size_t{0}, std::size_t{3}, std::size_t{64},
-                          std::size_t{2050}}) {
-    for (std::size_t num_rows : {std::size_t{0}, std::size_t{1},
-                                 std::size_t{5}, std::size_t{300}}) {
-      const auto left = RandomWords(&rng, len);
-      std::vector<std::vector<std::uint64_t>> rows;
-      std::vector<const std::uint64_t*> ptrs;
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        rows.push_back(RandomWords(&rng, len));
-        ptrs.push_back(rows.back().data());
+  constexpr std::size_t kMaxCols = 37;
+  for (std::size_t wpc = 1; wpc <= 5; ++wpc) {
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{3}}) {
+      std::vector<std::uint64_t> block_storage, left_storage;
+      std::uint64_t* block =
+          OffsetWords(&block_storage, kMaxCols * wpc, offset);
+      for (std::size_t c = 0; c < kMaxCols; ++c) {
+        for (std::size_t w = 0; w < wpc; ++w) {
+          block[c * wpc + w] =
+              c % 5 == 4 ? 0 : c % 7 == 6 ? ~0ULL : rng.Next();
+        }
       }
-      std::vector<std::uint32_t> out(num_rows, 0xABABABAB);
-      ops().and_count_batch(left.data(), ptrs.data(), num_rows, len,
-                            out.data());
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        ASSERT_EQ(out[r], NaiveAndCount(left, rows[r]))
-            << "len=" << len << " rows=" << num_rows << " r=" << r;
+      std::uint64_t* left = OffsetWords(&left_storage, wpc, offset + 1);
+      for (int kind = 0; kind < 3; ++kind) {
+        for (std::size_t w = 0; w < wpc; ++w) {
+          left[w] = kind == 0 ? rng.Next() : kind == 1 ? 0 : ~0ULL;
+        }
+        for (std::size_t num_cols = 0; num_cols <= kMaxCols; ++num_cols) {
+          // One sentinel past the end: the kernel writes num_cols counts.
+          std::vector<std::uint32_t> out(num_cols + 1, 0xABABABAB);
+          ops().and_count_columns(left, block, num_cols, wpc, out.data());
+          for (std::size_t c = 0; c < num_cols; ++c) {
+            std::size_t want = 0;
+            for (std::size_t w = 0; w < wpc; ++w) {
+              want += static_cast<std::size_t>(
+                  std::popcount(left[w] & block[c * wpc + w]));
+            }
+            ASSERT_EQ(out[c], want)
+                << "wpc=" << wpc << " offset=" << offset << " kind=" << kind
+                << " cols=" << num_cols << " c=" << c;
+          }
+          ASSERT_EQ(out[num_cols], 0xABABABABu)
+              << "wpc=" << wpc << " cols=" << num_cols;
+        }
       }
     }
   }
@@ -214,9 +245,7 @@ std::vector<const std::uint64_t*> TileRows(
     Rng* rng, std::size_t num_rows, std::size_t num_words,
     std::vector<std::uint64_t>* storage) {
   const std::size_t stride = (num_words + 1 + 7) / 8 * 8;
-  storage->assign(num_rows * stride + 8, 0);
-  std::uint64_t* base = storage->data();
-  while (reinterpret_cast<std::uintptr_t>(base) % 64 != 0) ++base;
+  std::uint64_t* base = OffsetWords(storage, num_rows * stride, 0);
   std::vector<const std::uint64_t*> rows;
   for (std::size_t r = 0; r < num_rows; ++r) {
     std::uint64_t* row = base + r * stride + 1;
@@ -314,7 +343,7 @@ TEST(BitKernelDispatchTest, VpopcntdqHostSelectsAvx512) {
   const BitKernelOps& avx512 = internal::SelectBitKernels(false);
   ASSERT_NE(avx2, nullptr);
   EXPECT_EQ(avx512.and_count, avx2->and_count);
-  EXPECT_EQ(avx512.and_count_batch, avx2->and_count_batch);
+  EXPECT_EQ(avx512.and_count_columns, avx2->and_count_columns);
   EXPECT_NE(avx512.and_count_tile, avx2->and_count_tile);
 #else
   GTEST_SKIP() << "x86-64 only";
