@@ -14,7 +14,11 @@
 // time the unaligned pair scan's shape: and_count_tile over every group
 // pair of 512 groups x 10 rows x 1024 bits, in ns per row pair on each tier
 // this host runs, then the whole warm serial scan (BuildCorrelationGraphs)
-// on the active tier.
+// on the active tier. The per-column lines time the aligned epoch's passes
+// around those counts on each tier: accumulate_column_counts in ns per
+// row-word over 40 and 100 rows of 1 Mbit (the core scan and the cold
+// weights), add_row_to_byte_lanes in us per 1 Mbit row (the running
+// weights), and select_at_least in ns per value (the search's floor).
 
 #include <algorithm>
 #include <bit>
@@ -194,6 +198,104 @@ int main() {
                   "%.3f ns/column on %s (%.2fx scalar)\n", headline_ns,
                   ActiveBitKernels().name, headline_scalar_ns / headline_ns);
     }
+  }
+
+  // --- The aligned epoch's per-column passes on each runnable tier: the
+  // positional popcount (core scan, cold weights), the byte-lane add of
+  // one row (running weights) and the search's floor select.
+  {
+    const std::size_t words = (std::size_t{1} << 20) / 64;  // 1 Mbit rows.
+    const std::vector<const BitKernelOps*> tiers = RunnableTiers();
+    std::vector<std::vector<std::uint64_t>> rows;
+    std::vector<const std::uint64_t*> ptrs;
+    for (std::size_t r = 0; r < 100; ++r) {
+      rows.push_back(RandomWords(&rng, words));
+      for (std::uint64_t& w : rows.back()) w &= rng.Next();  // ~1/4 fill.
+      ptrs.push_back(rows.back().data());
+    }
+    TablePrinter table({"tier", "kernel", "shape", "time", "vs scalar"});
+    std::vector<std::uint32_t> counts(words * 64);
+    for (const std::size_t num_rows : {std::size_t{40}, std::size_t{100}}) {
+      double scalar_ns = 0.0;
+      for (const BitKernelOps* tier : tiers) {
+        std::vector<double> runs;
+        for (int rep = 0; rep < 5; ++rep) {
+          std::fill(counts.begin(), counts.end(), 0u);
+          runs.push_back(SecsPerCall(1, &checksum, [&] {
+            tier->accumulate_column_counts(ptrs.data(), num_rows, 0, words,
+                                           counts.data());
+            return std::uint64_t{counts[words * 64 - 1]};
+          }));
+        }
+        const double ns = bench::Median(runs) * 1e9 /
+                          static_cast<double>(num_rows * words);
+        if (tier == tiers.front()) scalar_ns = ns;
+        table.AddRow({tier->name, "accumulate_column_counts",
+                      std::to_string(num_rows) + " x 1 Mbit",
+                      TablePrinter::Fmt(ns, 3) + " ns/row-word",
+                      TablePrinter::Fmt(scalar_ns / ns, 2)});
+      }
+    }
+    {
+      std::vector<std::uint8_t> lanes(words * 64);
+      double scalar_us = 0.0;
+      for (const BitKernelOps* tier : tiers) {
+        std::vector<double> runs;
+        for (int rep = 0; rep < 5; ++rep) {
+          std::fill(lanes.begin(), lanes.end(), std::uint8_t{0});
+          // 100 rows, under the 255 a byte lane holds.
+          runs.push_back(SecsPerCall(1, &checksum, [&] {
+            for (const std::uint64_t* row : ptrs) {
+              tier->add_row_to_byte_lanes(row, words, lanes.data());
+            }
+            return std::uint64_t{lanes[words * 64 - 1]};
+          }));
+        }
+        const double us =
+            bench::Median(runs) * 1e6 / static_cast<double>(ptrs.size());
+        if (tier == tiers.front()) scalar_us = us;
+        table.AddRow({tier->name, "add_row_to_byte_lanes", "1 Mbit row",
+                      TablePrinter::Fmt(us, 2) + " us/row",
+                      TablePrinter::Fmt(scalar_us / us, 2)});
+      }
+    }
+    {
+      // The search's shape: 1000 counts of up to 128 per call, against a
+      // floor that keeps about 1 % or about half of them.
+      const std::size_t n = 1000;
+      const int calls = 20000;
+      std::vector<std::uint32_t> values(n);
+      for (std::uint32_t& v : values) {
+        v = static_cast<std::uint32_t>(rng.UniformInt(128));
+      }
+      std::vector<std::uint32_t> out(n);
+      for (const std::uint32_t floor : {127u, 64u}) {
+        double scalar_ns = 0.0;
+        for (const BitKernelOps* tier : tiers) {
+          std::vector<double> runs;
+          for (int rep = 0; rep < 5; ++rep) {
+            runs.push_back(SecsPerCall(1, &checksum, [&] {
+              std::uint64_t kept = 0;
+              for (int call = 0; call < calls; ++call) {
+                kept += tier->select_at_least(values.data(), n, floor,
+                                              out.data());
+              }
+              return kept;
+            }));
+          }
+          const double ns = bench::Median(runs) * 1e9 /
+                            (static_cast<double>(calls) *
+                             static_cast<double>(n));
+          if (tier == tiers.front()) scalar_ns = ns;
+          table.AddRow({tier->name, "select_at_least",
+                        floor == 127u ? "keeps ~1%" : "keeps ~50%",
+                        TablePrinter::Fmt(ns, 3) + " ns/value",
+                        TablePrinter::Fmt(scalar_ns / ns, 2)});
+        }
+      }
+    }
+    std::printf("\naligned per-column passes (1/4-fill rows; median of 5):\n");
+    table.Print(std::cout);
   }
 
   // --- and_count_tile: the unaligned pair scan's 10 x 10 group-pair tiles

@@ -20,8 +20,10 @@
 // Per scenario the search's work is exported next to its time: the columns
 // counted against a product (search_candidate_counts, from the
 // detector.aligned.candidate_counts counter) and the serial search time per
-// counted column (search_per_count_ns), under the kernel tier the snapshot
-// records (kernel_tier.<name> = 1).
+// counted column (search_per_count_ns), and the serial core scan's time
+// per core-row word (core_scan_per_row_word_ns: one positional-popcount
+// pass over the core rows), under the kernel tier the snapshot records
+// (kernel_tier.<name> = 1).
 //
 // Flags:
 //   --smoke        The small-width scenarios only (the CI perf gate).
@@ -199,7 +201,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"scenario", "threads", "detect s", "screen s",
                       "search s", "core scan s", "speedup"});
   TablePrinter work({"scenario", "iterations", "columns counted",
-                     "serial search ns/count"});
+                     "serial search ns/count", "core rows",
+                     "serial core scan ns/row-word"});
   for (const Scenario& s : scenarios) {
     const BitMatrix matrix = PlantedMatrix(s, &rng);
     const std::vector<std::uint32_t> weights =
@@ -269,15 +272,23 @@ int main(int argc, char** argv) {
     const double ns_per_count =
         bench::Median(samples[0][2]) * 1e9 /
         static_cast<double>(std::max<std::uint64_t>(search_counts, 1));
+    const double core_row_words =
+        static_cast<double>(reference.rows.size()) *
+        static_cast<double>((s.cols + 63) / 64);
+    const double core_ns_per_row_word =
+        bench::Median(samples[0][3]) * 1e9 / core_row_words;
     work.AddRow({s.name, std::to_string(search_iterations),
                  std::to_string(search_counts),
-                 TablePrinter::Fmt(ns_per_count, 3)});
+                 TablePrinter::Fmt(ns_per_count, 3),
+                 std::to_string(reference.rows.size()),
+                 TablePrinter::Fmt(core_ns_per_row_word, 3)});
     const std::string prefix = "bench.parallel_detector." + s.name;
     ObsGauge(prefix + ".search_iterations")
         .Set(static_cast<double>(search_iterations));
     ObsGauge(prefix + ".search_candidate_counts")
         .Set(static_cast<double>(search_counts));
     ObsGauge(prefix + ".search_per_count_ns").Set(ns_per_count);
+    ObsGauge(prefix + ".core_scan_per_row_word_ns").Set(core_ns_per_row_word);
   }
   ObsGauge("bench.parallel_detector.host_cpus")
       .Set(static_cast<double>(std::thread::hardware_concurrency()));
@@ -295,7 +306,8 @@ int main(int argc, char** argv) {
       "on a single core every row measures scheduling overhead, not\n"
       "scaling.\n",
       kReps, std::thread::hardware_concurrency());
-  std::printf("\nSearch work (%s kernels):\n", ActiveBitKernels().name);
+  std::printf("\nSearch and core-scan work (%s kernels):\n",
+              ActiveBitKernels().name);
   work.Print(std::cout);
 
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();

@@ -176,16 +176,12 @@ AlignedDetection AlignedDetector::Detect(
   std::vector<std::uint32_t> survivors(n_cols);
   TopH top;
   // Offers (counts[k], a, first + k) for every k < n that reaches the floor.
-  // A branch-free pass keeps the k at the floor as it stands when the pass
+  // The select kernel keeps the k at the floor as it stands when the pass
   // starts; the floor only rises, so each is re-checked as it is offered.
   const auto offer_counts = [&](std::size_t a, std::size_t first,
                                 std::size_t n) {
-    const std::uint32_t floor = top.floor_weight();
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      survivors[kept] = static_cast<std::uint32_t>(k);
-      kept += static_cast<std::size_t>(counts[k] >= floor);
-    }
+    const std::size_t kept = kernels.select_at_least(
+        counts.data(), n, top.floor_weight(), survivors.data());
     for (std::size_t i = 0; i < kept; ++i) {
       const std::uint32_t k = survivors[i];
       if (counts[k] < top.floor_weight()) continue;
@@ -395,7 +391,9 @@ AlignedDetection AlignedDetector::DetectInMatrix(
   const std::size_t thresh =
       core_weight > options_.gamma ? core_weight - options_.gamma : 1;
 
-  std::vector<std::uint32_t> common(matrix.cols(), 0);
+  // The kernel adds whole words of counts, padding columns included.
+  const std::size_t col_words = (matrix.cols() + 63) / 64;
+  std::vector<std::uint32_t> common(col_words * 64, 0);
   // Core-row word pointers, gathered once; each shard feeds them to the
   // positional-popcount kernel over its own word-aligned column slice, so
   // the parallel fill stays race-free.
@@ -404,14 +402,14 @@ AlignedDetection AlignedDetector::DetectInMatrix(
   for (std::uint32_t r : detection.rows) {
     core_rows.push_back(matrix.row(r).words());
   }
-  const std::size_t col_words = (matrix.cols() + 63) / 64;
+  const BitKernelOps& kernels = ActiveBitKernels();
   const std::vector<ShardRange> shards = ShardsFor(pool, col_words);
   std::vector<std::vector<std::size_t>> shard_cols(shards.size());
   RunShards(pool, shards, [&](const ShardRange& shard) {
     StageStopwatch watch;
     if (task_hist != nullptr) watch.Start();
-    AccumulateColumnCounts(core_rows.data(), core_rows.size(), shard.begin,
-                           shard.end, common.data());
+    kernels.accumulate_column_counts(core_rows.data(), core_rows.size(),
+                                     shard.begin, shard.end, common.data());
     const std::size_t col_end = std::min(shard.end * 64, matrix.cols());
     for (std::size_t c = shard.begin * 64; c < col_end; ++c) {
       if (common[c] >= thresh) {

@@ -17,12 +17,12 @@ namespace dcs {
 /// same counts *as rows arrive*, so by the time the epoch is analyzed the
 /// weights already exist and the screen starts hot.
 ///
-/// Cost: a row is added in O(row words) — each byte of each word indexes a
-/// 256-entry table that spreads its 8 bits over the 8 byte-wide counters of
-/// one uint64_t, so a row costs 8 table adds per word however many of its
-/// bits are set. The byte counters are widened into the uint32_t weights
-/// before any of them can overflow (every 255 rows) and when weights() is
-/// read: one O(columns) pass per epoch.
+/// Cost: a row is added in O(row words) by the dispatched
+/// add_row_to_byte_lanes kernel (common/bit_kernels.h), which adds each bit
+/// to its column's byte-wide counter however many bits are set. The byte
+/// counters are widened into the uint32_t weights before any of them can
+/// overflow (every 255 rows) and when weights() is read: one O(columns)
+/// pass per epoch.
 ///
 /// Equivalence argument (docs/STREAMING.md): column weights are a sum of
 /// per-row indicator vectors over the integers, and integer addition is
@@ -60,9 +60,9 @@ class IncrementalColumnWeights {
 
   std::size_t num_rows_ = 0;
   std::size_t num_cols_ = 0;
-  // Byte j of lanes_[8 * w + b] counts the rows, since the last Widen(),
-  // with column 64 * w + 8 * b + j set.
-  mutable std::vector<std::uint64_t> lanes_;
+  // lanes_[c] counts the rows, since the last Widen(), with column c set.
+  // Sized to whole words: the padding columns' lanes stay zero.
+  mutable std::vector<std::uint8_t> lanes_;
   // Rows added to lanes_ but not yet to weights_ (at most 255).
   mutable std::size_t pending_rows_ = 0;
   mutable std::vector<std::uint32_t> weights_;

@@ -20,18 +20,6 @@ bool EntryBetter(const Entry& a, const Entry& b) {
   return a.first > b.first || (a.first == b.first && a.second < b.second);
 }
 
-// Accumulates, into weights[c] for c in the word-aligned column range of
-// `shard`, the number of 1s each column has across all rows, via the
-// carry-save positional-popcount kernel. Shards own disjoint weight slices,
-// so the parallel fill is race-free. `row_words` is the matrix's row
-// pointers, gathered once per screen.
-void AccumulateColumnWeights(const std::vector<const std::uint64_t*>& row_words,
-                             const ShardRange& shard,
-                             std::vector<std::uint32_t>* weights) {
-  AccumulateColumnCounts(row_words.data(), row_words.size(), shard.begin,
-                         shard.end, weights->data());
-}
-
 }  // namespace
 
 std::vector<std::size_t> TopKIndicesInRange(
@@ -95,8 +83,12 @@ ScreenedColumns ScreenHeaviestColumns(
   }
   const std::size_t col_words = (matrix.cols() + 63) / 64;
   const std::vector<ShardRange> shards = ShardsFor(pool, col_words);
+  // Cold weights: the positional-popcount kernel adds whole words of
+  // counts, padding columns included, into the shard's own word-aligned
+  // slice, so the parallel fill is race-free.
+  const BitKernelOps& kernels = ActiveBitKernels();
   std::vector<std::uint32_t> scratch;
-  if (!hot) scratch.assign(matrix.cols(), 0);
+  if (!hot) scratch.assign(col_words * 64, 0);
   const std::vector<std::uint32_t>& weights =
       hot ? *precomputed_weights : scratch;
   std::vector<const std::uint64_t*> row_words;
@@ -110,7 +102,10 @@ ScreenedColumns ScreenHeaviestColumns(
   const auto weigh_shard = [&](const ShardRange& shard) {
     StageStopwatch watch;
     if (task_hist != nullptr) watch.Start();
-    if (!hot) AccumulateColumnWeights(row_words, shard, &scratch);
+    if (!hot) {
+      kernels.accumulate_column_counts(row_words.data(), row_words.size(),
+                                       shard.begin, shard.end, scratch.data());
+    }
     shard_top[shard.index] = TopKIndicesInRange(
         weights, shard.begin * 64, std::min(shard.end * 64, matrix.cols()),
         n_prime);

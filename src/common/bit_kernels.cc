@@ -1,7 +1,9 @@
 #include "common/bit_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstring>
 #include <cstdlib>
 #include <string_view>
 
@@ -122,12 +124,6 @@ void ScalarAndCountTile(const std::uint64_t* const* left,
   }
 }
 
-constexpr BitKernelOps kScalarOps = {
-    "scalar",        ScalarCountOnes, ScalarAndCount, ScalarAndInplace,
-    ScalarOrInplace, ScalarAndFold,   ScalarOrFold,   ScalarAndCountColumns,
-    ScalarAndCountTile,
-};
-
 // ---------------------------------------------------------------------------
 // Positional popcount (column weights).
 // ---------------------------------------------------------------------------
@@ -150,11 +146,11 @@ inline void AddPlane(std::uint64_t plane, std::uint32_t weight,
   }
 }
 
-}  // namespace
-
-void AccumulateColumnCounts(const std::uint64_t* const* rows,
-                            std::size_t num_rows, std::size_t word_begin,
-                            std::size_t word_end, std::uint32_t* counts) {
+void ScalarAccumulateColumnCounts(const std::uint64_t* const* rows,
+                                  std::size_t num_rows,
+                                  std::size_t word_begin,
+                                  std::size_t word_end,
+                                  std::uint32_t* counts) {
   std::size_t r = 0;
   // Carry-save reduction: 15 rows compress to five planes of weights
   // 1/2/4/8/8, so a ~half-full word costs ~5 plane scans per block instead
@@ -192,6 +188,66 @@ void AccumulateColumnCounts(const std::uint64_t* const* rows,
     }
   }
 }
+
+// kSpread[x] holds bit j of x in the j-th byte of its in-memory
+// representation, so adding it to eight byte lanes loaded as one word counts
+// each of x's bits in its own lane.
+constexpr std::array<std::uint64_t, 256> kSpread = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::size_t x = 0; x < table.size(); ++x) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      const std::size_t byte =
+          std::endian::native == std::endian::little ? j : 7 - j;
+      table[x] |= static_cast<std::uint64_t>((x >> j) & 1) << (8 * byte);
+    }
+  }
+  return table;
+}();
+
+// Eight table adds per non-zero word, however many of its bits are set.
+void ScalarAddRowToByteLanes(const std::uint64_t* words,
+                             std::size_t num_words, std::uint8_t* lanes) {
+  for (std::size_t w = 0; w < num_words; ++w) {
+    const std::uint64_t word = words[w];
+    if (word == 0) continue;
+    std::uint8_t* lane = lanes + 64 * w;
+    for (std::size_t b = 0; b < 8; ++b) {
+      std::uint64_t eight;
+      std::memcpy(&eight, lane + 8 * b, sizeof(eight));
+      eight += kSpread[(word >> (8 * b)) & 0xFF];
+      std::memcpy(lane + 8 * b, &eight, sizeof(eight));
+    }
+  }
+}
+
+// Branch-free: every k is written, and the cursor moves past it only if it
+// is kept, so a mispredicted compare costs nothing.
+std::size_t ScalarSelectAtLeast(const std::uint32_t* values, std::size_t n,
+                                std::uint32_t floor, std::uint32_t* out) {
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    out[kept] = static_cast<std::uint32_t>(k);
+    kept += static_cast<std::size_t>(values[k] >= floor);
+  }
+  return kept;
+}
+
+constexpr BitKernelOps kScalarOps = {
+    "scalar",
+    ScalarCountOnes,
+    ScalarAndCount,
+    ScalarAndInplace,
+    ScalarOrInplace,
+    ScalarAndFold,
+    ScalarOrFold,
+    ScalarAndCountColumns,
+    ScalarAndCountTile,
+    ScalarAccumulateColumnCounts,
+    ScalarAddRowToByteLanes,
+    ScalarSelectAtLeast,
+};
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Dispatch.

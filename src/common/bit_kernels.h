@@ -13,10 +13,15 @@ namespace dcs {
 /// screen, and the unaligned pair scan — bottoms out in "AND two word spans
 /// and count the ones" (Section IV-D: "the vast majority of the
 /// computational complexity ... comes from computing, for any two rows, the
-/// number of indices in which both rows have value 1"). This table binds
+/// number of indices in which both rows have value 1"). The aligned epoch's
+/// per-column passes around those counts sit here too: the positional
+/// popcount behind column weights and the core scan, its byte-lane form
+/// for running weights, and the search's floor select. This table binds
 /// those primitives to the best implementation the host supports (AVX2 on
 /// x86-64, with an AVX-512 VPOPCNTDQ tile count where the CPU has it; NEON
-/// on AArch64; portable scalar otherwise), selected once at startup.
+/// on AArch64; portable scalar otherwise), selected once at startup. Every
+/// result is an integer, so a SIMD table has to match the scalar one
+/// exactly, not approximately.
 ///
 /// Contract: every implementation of an operation returns bit-identical
 /// results to the scalar reference for every input, including ragged word
@@ -78,6 +83,31 @@ struct BitKernelOps {
                          const std::uint64_t* const* right,
                          std::size_t num_right, std::size_t num_words,
                          std::uint32_t* out);
+
+  /// Positional popcount ("column weights"): for every word w in
+  /// [word_begin, word_end) and every set bit b of rows[r][w], adds one to
+  /// counts[w * 64 + b]. The weight screen, BitMatrix::ColumnWeights and
+  /// the aligned core scan count through it. counts must hold word_end * 64
+  /// entries: the SIMD tables add each word's 64 counts as vectors, adding
+  /// zero to the counts of a row's padding bits. Rows may be unaligned.
+  void (*accumulate_column_counts)(const std::uint64_t* const* rows,
+                                   std::size_t num_rows,
+                                   std::size_t word_begin,
+                                   std::size_t word_end,
+                                   std::uint32_t* counts);
+
+  /// One row into byte-wide column counters: lanes[w * 64 + b] += 1 for
+  /// every set bit b of words[w], w < num_words. A counter wraps past 255,
+  /// so the caller widens them before then (IncrementalColumnWeights).
+  void (*add_row_to_byte_lanes)(const std::uint64_t* words,
+                                std::size_t num_words, std::uint8_t* lanes);
+
+  /// Writes to out, in ascending order, every k < n with values[k] >=
+  /// floor, and returns how many it wrote. out must hold n entries: the
+  /// scalar table writes each k before deciding whether to keep it. The
+  /// aligned search filters each block of counts through it.
+  std::size_t (*select_at_least)(const std::uint32_t* values, std::size_t n,
+                                 std::uint32_t floor, std::uint32_t* out);
 };
 
 /// The portable scalar reference implementation. Always available; the
@@ -90,18 +120,6 @@ const BitKernelOps& ScalarBitKernels();
 /// build omitted the SIMD translation unit (DCS_SCALAR_KERNELS_ONLY=ON).
 /// Selected once; subsequent calls return the same table.
 const BitKernelOps& ActiveBitKernels();
-
-/// Adds, for every word w in [word_begin, word_end) and every set bit b of
-/// rows[r][w], one to counts[w * 64 + b]. This is the positional-popcount
-/// ("column weights") primitive behind the weight screen, BitMatrix column
-/// weights, and the aligned core scan. Runs a carry-save-adder reduction
-/// over blocks of 15 rows so dense 4 Mbit rows cost ~5 plane scans per
-/// block instead of 15 word scans. Portable and single-implementation by
-/// design: its output is a plain integer histogram, so there is nothing to
-/// dispatch on without risking divergence.
-void AccumulateColumnCounts(const std::uint64_t* const* rows,
-                            std::size_t num_rows, std::size_t word_begin,
-                            std::size_t word_end, std::uint32_t* counts);
 
 namespace internal {
 

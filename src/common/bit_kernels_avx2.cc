@@ -238,6 +238,127 @@ void Avx2AndCountColumns(const std::uint64_t* left, const std::uint64_t* block,
   }
 }
 
+// Byte-lane positional counts. A word is broadcast to every 64-bit lane;
+// `Lo` and `Hi` route its byte k / 8 to lane byte k and test bit k % 8
+// there, so byte k of (Lo, Hi) is 0xFF exactly where bit k is set, and
+// subtracting that from a byte counter adds one.
+struct WordToBytes {
+  const __m256i spread_lo = _mm256_setr_epi8(
+      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
+      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i spread_hi = _mm256_setr_epi8(
+      4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5,  //
+      6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7);
+  const __m256i bit =
+      _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+
+  __m256i Lo(__m256i word) const {
+    return _mm256_cmpeq_epi8(
+        _mm256_and_si256(_mm256_shuffle_epi8(word, spread_lo), bit), bit);
+  }
+  __m256i Hi(__m256i word) const {
+    return _mm256_cmpeq_epi8(
+        _mm256_and_si256(_mm256_shuffle_epi8(word, spread_hi), bit), bit);
+  }
+};
+
+inline __m256i Broadcast(std::uint64_t word) {
+  return _mm256_set1_epi64x(static_cast<long long>(word));
+}
+
+// A byte counter holds at most this many rows before it must be widened.
+constexpr std::size_t kMaxByteRows = 255;
+
+// counts[i] += byte i of `bytes`, for i < 32.
+inline void AddByteCounts(__m256i bytes, std::uint32_t* counts) {
+  const auto add_eight = [counts](__m128i eight, std::size_t at) {
+    __m256i* p = reinterpret_cast<__m256i*>(counts + at);
+    _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p),
+                                            _mm256_cvtepu8_epi32(eight)));
+  };
+  const __m128i lo = _mm256_castsi256_si128(bytes);
+  const __m128i hi = _mm256_extracti128_si256(bytes, 1);
+  add_eight(lo, 0);
+  add_eight(_mm_srli_si128(lo, 8), 8);
+  add_eight(hi, 16);
+  add_eight(_mm_srli_si128(hi, 8), 24);
+}
+
+// Words [w, w + kWords) of every row, counted in 2 * kWords byte-lane
+// registers and widened into counts every kMaxByteRows rows.
+template <std::size_t kWords>
+void Avx2CountWords(const std::uint64_t* const* rows, std::size_t num_rows,
+                    std::size_t w, std::uint32_t* counts) {
+  const WordToBytes to_bytes;
+  for (std::size_t r0 = 0; r0 < num_rows; r0 += kMaxByteRows) {
+    const std::size_t r_end = std::min(num_rows, r0 + kMaxByteRows);
+    __m256i acc[2 * kWords];
+    for (__m256i& a : acc) a = _mm256_setzero_si256();
+    for (std::size_t r = r0; r < r_end; ++r) {
+      const std::uint64_t* row = rows[r] + w;
+      for (std::size_t j = 0; j < kWords; ++j) {
+        const __m256i word = Broadcast(row[j]);
+        acc[2 * j] = _mm256_sub_epi8(acc[2 * j], to_bytes.Lo(word));
+        acc[2 * j + 1] = _mm256_sub_epi8(acc[2 * j + 1], to_bytes.Hi(word));
+      }
+    }
+    for (std::size_t j = 0; j < 2 * kWords; ++j) {
+      AddByteCounts(acc[j], counts + w * 64 + 32 * j);
+    }
+  }
+}
+
+void Avx2AccumulateColumnCounts(const std::uint64_t* const* rows,
+                                std::size_t num_rows, std::size_t word_begin,
+                                std::size_t word_end, std::uint32_t* counts) {
+  std::size_t w = word_begin;
+  for (; w + 4 <= word_end; w += 4) {
+    Avx2CountWords<4>(rows, num_rows, w, counts);
+  }
+  for (; w < word_end; ++w) Avx2CountWords<1>(rows, num_rows, w, counts);
+}
+
+void Avx2AddRowToByteLanes(const std::uint64_t* words, std::size_t num_words,
+                           std::uint8_t* lanes) {
+  const WordToBytes to_bytes;
+  for (std::size_t w = 0; w < num_words; ++w) {
+    const __m256i word = Broadcast(words[w]);
+    auto* p = reinterpret_cast<__m256i*>(lanes + 64 * w);
+    _mm256_storeu_si256(
+        p, _mm256_sub_epi8(_mm256_loadu_si256(p), to_bytes.Lo(word)));
+    _mm256_storeu_si256(
+        p + 1, _mm256_sub_epi8(_mm256_loadu_si256(p + 1), to_bytes.Hi(word)));
+  }
+}
+
+// Sixteen values per step: an unsigned compare (max(v, floor) == v) and a
+// movemask give one bit per kept value, and a ctz walk writes them out.
+std::size_t Avx2SelectAtLeast(const std::uint32_t* values, std::size_t n,
+                              std::uint32_t floor, std::uint32_t* out) {
+  const __m256i f = _mm256_set1_epi32(static_cast<int>(floor));
+  const auto at_least = [f](const std::uint32_t* p) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    const __m256i keep = _mm256_cmpeq_epi32(_mm256_max_epu32(v, f), v);
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(keep)));
+  };
+  std::size_t kept = 0;
+  std::size_t k = 0;
+  for (; k + 16 <= n; k += 16) {
+    std::uint32_t mask = at_least(values + k) | at_least(values + k + 8) << 8;
+    while (mask != 0) {
+      out[kept++] = static_cast<std::uint32_t>(k) +
+                    static_cast<std::uint32_t>(std::countr_zero(mask));
+      mask &= mask - 1;
+    }
+  }
+  for (; k < n; ++k) {
+    out[kept] = static_cast<std::uint32_t>(k);
+    kept += static_cast<std::size_t>(values[k] >= floor);
+  }
+  return kept;
+}
+
 #define DCS_TARGET_AVX512 __attribute__((target("avx512f,avx512vpopcntdq")))
 
 // The AVX-512 intrinsics below are the zero-masked (maskz) forms with a
@@ -348,17 +469,35 @@ DCS_TARGET_AVX512 void Avx512AndCountTile(const std::uint64_t* const* left,
 #undef DCS_TARGET_AVX512
 
 constexpr BitKernelOps kAvx2Ops = {
-    "avx2",        Avx2CountOnes, Avx2AndCount, Avx2AndInplace,
-    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountColumns,
+    "avx2",
+    Avx2CountOnes,
+    Avx2AndCount,
+    Avx2AndInplace,
+    Avx2OrInplace,
+    Avx2AndFold,
+    Avx2OrFold,
+    Avx2AndCountColumns,
     Avx2AndCountTile,
+    Avx2AccumulateColumnCounts,
+    Avx2AddRowToByteLanes,
+    Avx2SelectAtLeast,
 };
 
 // The AVX2 table with only the tile count replaced, so every other caller
 // (the aligned path above all) runs exactly the AVX2 code.
 constexpr BitKernelOps kAvx512Ops = {
-    "avx512",      Avx2CountOnes, Avx2AndCount, Avx2AndInplace,
-    Avx2OrInplace, Avx2AndFold,   Avx2OrFold,   Avx2AndCountColumns,
+    "avx512",
+    Avx2CountOnes,
+    Avx2AndCount,
+    Avx2AndInplace,
+    Avx2OrInplace,
+    Avx2AndFold,
+    Avx2OrFold,
+    Avx2AndCountColumns,
     Avx512AndCountTile,
+    Avx2AccumulateColumnCounts,
+    Avx2AddRowToByteLanes,
+    Avx2SelectAtLeast,
 };
 
 }  // namespace
@@ -492,18 +631,27 @@ void NeonAndCountTile(const std::uint64_t* const* left, std::size_t num_left,
   }
 }
 
-constexpr BitKernelOps kNeonOps = {
-    "neon",        NeonCountOnes, NeonAndCount, NeonAndInplace,
-    NeonOrInplace, NeonAndFold,   NeonOrFold,   NeonAndCountColumns,
-    NeonAndCountTile,
-};
-
 }  // namespace
 
 namespace internal {
 
 std::span<const BitKernelOps* const> RunnableSimdBitKernels() {
-  static constexpr const BitKernelOps* kTables[] = {&kNeonOps};
+  // The scalar table with the count kernels replaced; the positional
+  // counts and the floor select stay scalar.
+  static const BitKernelOps kNeonOps = [] {
+    BitKernelOps ops = ScalarBitKernels();
+    ops.name = "neon";
+    ops.count_ones = NeonCountOnes;
+    ops.and_count = NeonAndCount;
+    ops.and_inplace = NeonAndInplace;
+    ops.or_inplace = NeonOrInplace;
+    ops.and_fold = NeonAndFold;
+    ops.or_fold = NeonOrFold;
+    ops.and_count_columns = NeonAndCountColumns;
+    ops.and_count_tile = NeonAndCountTile;
+    return ops;
+  }();
+  static const BitKernelOps* const kTables[] = {&kNeonOps};
   return kTables;
 }
 

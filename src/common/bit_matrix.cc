@@ -21,13 +21,17 @@ void BitMatrix::AppendRow(BitVector row) {
 }
 
 std::vector<std::uint32_t> BitMatrix::ColumnWeights() const {
-  std::vector<std::uint32_t> weights(cols_, 0);
-  if (rows_.empty() || cols_ == 0) return weights;
+  if (rows_.empty() || cols_ == 0) return std::vector<std::uint32_t>(cols_, 0);
+  // The kernel adds whole words of counts; the padding columns' zeros are
+  // cut off after.
+  const std::size_t num_words = rows_.front().num_words();
+  std::vector<std::uint32_t> weights(num_words * 64, 0);
   std::vector<const std::uint64_t*> row_words;
   row_words.reserve(rows_.size());
   for (const BitVector& r : rows_) row_words.push_back(r.words());
-  AccumulateColumnCounts(row_words.data(), row_words.size(), 0,
-                         rows_.front().num_words(), weights.data());
+  ActiveBitKernels().accumulate_column_counts(
+      row_words.data(), row_words.size(), 0, num_words, weights.data());
+  weights.resize(cols_);
   return weights;
 }
 

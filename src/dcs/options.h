@@ -24,7 +24,7 @@ struct AlignedPipelineOptions {
   /// Maintain per-column weight counts incrementally as digests arrive, so
   /// the weight screen starts hot instead of rescanning the whole matrix at
   /// analysis time (docs/STREAMING.md). Bit-identical to the cold path;
-  /// costs one AccumulateColumnCounts pass per accepted digest.
+  /// costs one add_row_to_byte_lanes pass per accepted digest row.
   bool incremental_weights = false;
 };
 

@@ -53,6 +53,20 @@ bool TakeU64(const std::vector<std::uint8_t>& in, std::size_t* pos,
   return true;
 }
 
+// Reads `count` little-endian words into words: one length check, then a
+// memcpy on little-endian hosts (AppendWords' inverse).
+bool TakeWords(const std::vector<std::uint8_t>& in, std::size_t* pos,
+               std::uint64_t* words, std::size_t count) {
+  if (*pos > in.size() || count > (in.size() - *pos) / 8) return false;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) std::memcpy(words, in.data() + *pos, count * 8);
+    *pos += count * 8;
+  } else {
+    for (std::size_t i = 0; i < count; ++i) TakeU64(in, pos, &words[i]);
+  }
+  return true;
+}
+
 bool TakeVarint(const std::vector<std::uint8_t>& in, std::size_t* pos,
                 std::uint64_t* v) {
   *v = 0;
@@ -191,12 +205,8 @@ bool TailBitsClean(const BitVector& row) {
 
 Status DecodeDenseRow(const std::vector<std::uint8_t>& in, std::size_t* pos,
                       BitVector* row) {
-  for (std::size_t w = 0; w < row->num_words(); ++w) {
-    std::uint64_t word = 0;
-    if (!TakeU64(in, pos, &word)) {
-      return Status::Corruption("truncated dense row");
-    }
-    row->mutable_words()[w] = word;
+  if (!TakeWords(in, pos, row->mutable_words(), row->num_words())) {
+    return Status::Corruption("truncated dense row");
   }
   if (!TailBitsClean(*row)) {
     return Status::Corruption("dense row tail garbage");
@@ -253,13 +263,11 @@ Status DecodeRleRow(const std::vector<std::uint8_t>& in, std::size_t* pos,
       return Status::Corruption("rle run overflows row");
     }
     covered += static_cast<std::size_t>(zeros);  // Words are already zero.
-    for (std::uint64_t i = 0; i < literals; ++i) {
-      std::uint64_t word = 0;
-      if (!TakeU64(in, pos, &word)) {
-        return Status::Corruption("truncated rle literal");
-      }
-      row->mutable_words()[covered++] = word;
+    if (!TakeWords(in, pos, row->mutable_words() + covered,
+                   static_cast<std::size_t>(literals))) {
+      return Status::Corruption("truncated rle literal");
     }
+    covered += static_cast<std::size_t>(literals);
   }
   if (!TailBitsClean(*row)) {
     return Status::Corruption("rle row tail garbage");

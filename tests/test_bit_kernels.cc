@@ -7,6 +7,7 @@
 
 #include "common/bit_kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -301,6 +302,246 @@ TEST_P(BitKernelTablesTest, EmptyTileWritesNothing) {
   EXPECT_EQ(zeros, std::vector<std::uint32_t>(9, 0));
 }
 
+TEST_P(BitKernelTablesTest, ColumnCountsMatchNaiveAcrossRowCounts) {
+  Rng rng(707);
+  // 0..40 rows exercises the empty case, the scalar table's per-bit
+  // remainder path, one full 15-row carry-save block, and blocks plus
+  // remainder.
+  for (std::size_t num_rows = 0; num_rows <= 40; ++num_rows) {
+    const std::size_t num_words = 9;
+    std::vector<std::vector<std::uint64_t>> rows;
+    std::vector<const std::uint64_t*> ptrs;
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      rows.push_back(RandomWords(&rng, num_words));
+      ptrs.push_back(rows.back().data());
+    }
+    std::vector<std::uint32_t> counts(num_words * 64, 0);
+    ops().accumulate_column_counts(ptrs.data(), num_rows, 0, num_words,
+                                   counts.data());
+    for (std::size_t c = 0; c < num_words * 64; ++c) {
+      std::uint32_t want = 0;
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        want += static_cast<std::uint32_t>((rows[r][c / 64] >> (c % 64)) & 1);
+      }
+      ASSERT_EQ(counts[c], want) << "rows=" << num_rows << " col=" << c;
+    }
+  }
+}
+
+TEST_P(BitKernelTablesTest, ColumnCountsRespectWordRangeAndAccumulate) {
+  Rng rng(808);
+  const std::size_t num_words = 6;
+  std::vector<std::vector<std::uint64_t>> rows;
+  std::vector<const std::uint64_t*> ptrs;
+  for (std::size_t r = 0; r < 20; ++r) {
+    rows.push_back(RandomWords(&rng, num_words));
+    ptrs.push_back(rows.back().data());
+  }
+  // Two disjoint word ranges must partition the full-range result, and
+  // counts outside the range must stay untouched (the sharded weight screen
+  // depends on both properties).
+  std::vector<std::uint32_t> split(num_words * 64, 0);
+  ops().accumulate_column_counts(ptrs.data(), rows.size(), 0, 2,
+                                 split.data());
+  ops().accumulate_column_counts(ptrs.data(), rows.size(), 2, num_words,
+                                 split.data());
+  std::vector<std::uint32_t> whole(num_words * 64, 0);
+  ops().accumulate_column_counts(ptrs.data(), rows.size(), 0, num_words,
+                                 whole.data());
+  EXPECT_EQ(split, whole);
+
+  std::vector<std::uint32_t> partial(num_words * 64, 0);
+  ops().accumulate_column_counts(ptrs.data(), rows.size(), 2, 4,
+                                 partial.data());
+  for (std::size_t c = 0; c < 2 * 64; ++c) {
+    ASSERT_EQ(partial[c], 0u) << "col=" << c;
+  }
+  for (std::size_t c = 4 * 64; c < num_words * 64; ++c) {
+    ASSERT_EQ(partial[c], 0u) << "col=" << c;
+  }
+}
+
+// `num_rows` rows of `num_words` words, row r starting r % 8 words past a
+// 64-byte boundary, so the rows' loads sit at every alignment. `all_ones`
+// fills every word with ones, which drives each byte counter of the SIMD
+// tables to the row count; otherwise the words are random.
+std::vector<const std::uint64_t*> StaggeredRows(
+    Rng* rng, std::size_t num_rows, std::size_t num_words, bool all_ones,
+    std::vector<std::uint64_t>* storage) {
+  const std::size_t stride = (num_words + 8 + 7) / 8 * 8;
+  std::uint64_t* base = OffsetWords(storage, num_rows * stride, 0);
+  std::vector<const std::uint64_t*> rows;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    std::uint64_t* row = base + r * stride + r % 8;
+    for (std::size_t w = 0; w < num_words; ++w) {
+      row[w] = all_ones ? ~0ULL : rng->Next();
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST_P(BitKernelTablesTest, ColumnCountsCrossTheByteFlushes) {
+  // Row counts on both sides of the SIMD tables' 255-row widening (255,
+  // 256, 510, ...) with all-ones rows, where a counter that is widened one
+  // row late wraps to zero; word counts 0-20 and 64 (ragged against the
+  // 4- and 8-word blocks); a full range and a sub-range [begin, end), each
+  // added into non-zero counts with one guard word past the end.
+  constexpr std::size_t kMaxRows = 600;
+  constexpr std::size_t kMaxWords = 64;
+  std::vector<std::size_t> row_counts;
+  for (std::size_t n = 0; n <= 40; ++n) row_counts.push_back(n);
+  for (const std::size_t n :
+       {127u, 128u, 254u, 255u, 256u, 257u, 300u, 509u, 510u, 511u, 512u,
+        599u, 600u}) {
+    row_counts.push_back(n);
+  }
+  std::vector<std::size_t> word_counts;
+  for (std::size_t w = 0; w <= 20; ++w) word_counts.push_back(w);
+  word_counts.push_back(kMaxWords);
+  Rng rng(1111);
+  for (const bool all_ones : {true, false}) {
+    std::vector<std::uint64_t> storage;
+    const auto rows =
+        StaggeredRows(&rng, kMaxRows, kMaxWords, all_ones, &storage);
+    // want[c] after the first n rows, advanced as n grows.
+    std::vector<std::uint32_t> want(kMaxWords * 64, 0);
+    std::size_t counted = 0;
+    for (const std::size_t num_rows : row_counts) {
+      for (; counted < num_rows; ++counted) {
+        for (std::size_t c = 0; c < want.size(); ++c) {
+          want[c] += static_cast<std::uint32_t>(
+              (rows[counted][c / 64] >> (c % 64)) & 1);
+        }
+      }
+      for (const std::size_t num_words : word_counts) {
+        for (const std::size_t begin : {std::size_t{0}, num_words / 3}) {
+          std::vector<std::uint32_t> counts((num_words + 1) * 64);
+          for (std::size_t c = 0; c < counts.size(); ++c) {
+            counts[c] = static_cast<std::uint32_t>(c * 7 + 1000);
+          }
+          ops().accumulate_column_counts(rows.data(), num_rows, begin,
+                                         num_words, counts.data());
+          for (std::size_t c = 0; c < counts.size(); ++c) {
+            const bool inside = c >= begin * 64 && c < num_words * 64;
+            const std::uint32_t expect =
+                static_cast<std::uint32_t>(c * 7 + 1000) +
+                (inside ? want[c] : 0u);
+            ASSERT_EQ(counts[c], expect)
+                << "ones=" << all_ones << " rows=" << num_rows
+                << " words=[" << begin << "," << num_words << ") col=" << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BitKernelTablesTest, ByteLanesMatchNaive) {
+  // Random rows of 0-20 and 64 words, off 64-byte alignment, added to lanes
+  // that start non-zero; the lanes past the row stay untouched.
+  Rng rng(1212);
+  std::vector<std::size_t> word_counts;
+  for (std::size_t w = 0; w <= 20; ++w) word_counts.push_back(w);
+  word_counts.push_back(64);
+  for (const std::size_t num_words : word_counts) {
+    std::vector<std::uint64_t> storage;
+    const auto rows = StaggeredRows(&rng, 100, num_words, false, &storage);
+    std::vector<std::uint8_t> lanes((num_words + 1) * 64);
+    for (std::size_t c = 0; c < lanes.size(); ++c) {
+      lanes[c] = static_cast<std::uint8_t>(c % 101);
+    }
+    for (const std::uint64_t* row : rows) {
+      ops().add_row_to_byte_lanes(row, num_words, lanes.data());
+    }
+    for (std::size_t c = 0; c < lanes.size(); ++c) {
+      std::size_t want = c % 101;
+      if (c < num_words * 64) {
+        for (const std::uint64_t* row : rows) {
+          want += (row[c / 64] >> (c % 64)) & 1;
+        }
+      }
+      ASSERT_EQ(lanes[c], want) << "words=" << num_words << " lane=" << c;
+    }
+  }
+}
+
+TEST_P(BitKernelTablesTest, ByteLanesHold255RowsThenWiden) {
+  // 255 all-ones rows fill every lane to exactly 255; widening those into
+  // uint32 weights and zeroing the lanes, as IncrementalColumnWeights does,
+  // then counting more rows gives the full count.
+  Rng rng(1313);
+  constexpr std::size_t kWords = 19;
+  const std::vector<std::uint64_t> ones(kWords, ~0ULL);
+  std::vector<std::uint8_t> lanes(kWords * 64, 0);
+  for (int r = 0; r < 255; ++r) {
+    ops().add_row_to_byte_lanes(ones.data(), kWords, lanes.data());
+  }
+  for (std::size_t c = 0; c < lanes.size(); ++c) {
+    ASSERT_EQ(lanes[c], 255u) << "lane=" << c;
+  }
+  std::vector<std::uint32_t> weights(lanes.begin(), lanes.end());
+  std::fill(lanes.begin(), lanes.end(), std::uint8_t{0});
+  const auto row = RandomWords(&rng, kWords);
+  ops().add_row_to_byte_lanes(ones.data(), kWords, lanes.data());
+  ops().add_row_to_byte_lanes(row.data(), kWords, lanes.data());
+  for (std::size_t c = 0; c < lanes.size(); ++c) {
+    ASSERT_EQ(weights[c] + lanes[c], 256u + ((row[c / 64] >> (c % 64)) & 1))
+        << "lane=" << c;
+  }
+}
+
+TEST_P(BitKernelTablesTest, SelectAtLeastMatchesNaive) {
+  // n = 0..100 (ragged against 8- and 16-value vectors), values off 64-byte
+  // alignment, floors 0 (all pass), 1, UINT32_MAX (none pass, or all when
+  // every value is UINT32_MAX) and values drawn from the data.
+  Rng rng(1414);
+  constexpr std::uint32_t kMax = UINT32_MAX;
+  for (std::size_t n = 0; n <= 100; ++n) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<std::uint32_t> storage(n + 3);
+      std::uint32_t* values = storage.data() + 3;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (kind == 0) {
+          values[k] = static_cast<std::uint32_t>(rng.UniformInt(8));
+        } else if (kind == 1) {
+          values[k] = static_cast<std::uint32_t>(rng.Next());
+        } else {
+          values[k] = kMax;
+        }
+      }
+      std::vector<std::uint32_t> floors = {0, 1, 2, 5, kMax - 1, kMax};
+      if (n > 0) floors.push_back(values[rng.UniformInt(n)]);
+      for (const std::uint32_t floor : floors) {
+        std::vector<std::uint32_t> want;
+        for (std::size_t k = 0; k < n; ++k) {
+          if (values[k] >= floor) {
+            want.push_back(static_cast<std::uint32_t>(k));
+          }
+        }
+        // One guard past the n entries the kernel may write.
+        std::vector<std::uint32_t> out(n + 1, 0xABABABAB);
+        const std::size_t kept =
+            ops().select_at_least(values, n, floor, out.data());
+        ASSERT_EQ(kept, want.size())
+            << "n=" << n << " kind=" << kind << " floor=" << floor;
+        for (std::size_t i = 0; i < kept; ++i) {
+          ASSERT_EQ(out[i], want[i])
+              << "n=" << n << " kind=" << kind << " floor=" << floor;
+        }
+        ASSERT_EQ(out[n], 0xABABABABu) << "n=" << n;
+        // All pass at floor 0 and when every value is UINT32_MAX; none
+        // pass at UINT32_MAX otherwise.
+        if (floor == 0 || kind == 2) {
+          EXPECT_EQ(kept, n);
+        } else if (floor == kMax) {
+          EXPECT_EQ(kept, 0u);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTables, BitKernelTablesTest,
                          ::testing::Values("scalar", "avx2", "avx512",
                                            "neon"));
@@ -334,6 +575,7 @@ TEST(BitKernelDispatchTest, VpopcntdqHostSelectsAvx512) {
   if (!__builtin_cpu_supports("avx512f") ||
       !__builtin_cpu_supports("avx512vpopcntdq")) {
     EXPECT_STREQ(internal::SelectBitKernels(false).name, "avx2");
+    EXPECT_EQ(RunnableTable("avx512"), nullptr);
     GTEST_SKIP() << "host lacks AVX-512 VPOPCNTDQ";
   }
   EXPECT_STREQ(internal::SelectBitKernels(false).name, "avx512");
@@ -342,9 +584,17 @@ TEST(BitKernelDispatchTest, VpopcntdqHostSelectsAvx512) {
   const BitKernelOps* avx2 = RunnableTable("avx2");
   const BitKernelOps& avx512 = internal::SelectBitKernels(false);
   ASSERT_NE(avx2, nullptr);
+  EXPECT_EQ(avx512.count_ones, avx2->count_ones);
   EXPECT_EQ(avx512.and_count, avx2->and_count);
+  EXPECT_EQ(avx512.and_inplace, avx2->and_inplace);
+  EXPECT_EQ(avx512.or_inplace, avx2->or_inplace);
+  EXPECT_EQ(avx512.and_fold, avx2->and_fold);
+  EXPECT_EQ(avx512.or_fold, avx2->or_fold);
   EXPECT_EQ(avx512.and_count_columns, avx2->and_count_columns);
+  EXPECT_EQ(avx512.select_at_least, avx2->select_at_least);
   EXPECT_NE(avx512.and_count_tile, avx2->and_count_tile);
+  EXPECT_EQ(avx512.accumulate_column_counts, avx2->accumulate_column_counts);
+  EXPECT_EQ(avx512.add_row_to_byte_lanes, avx2->add_row_to_byte_lanes);
 #else
   GTEST_SKIP() << "x86-64 only";
 #endif
@@ -352,62 +602,6 @@ TEST(BitKernelDispatchTest, VpopcntdqHostSelectsAvx512) {
 
 TEST(BitKernelDispatchTest, ActiveTableIsStable) {
   EXPECT_EQ(&ActiveBitKernels(), &ActiveBitKernels());
-}
-
-TEST(AccumulateColumnCountsTest, MatchesNaiveAcrossRowCounts) {
-  Rng rng(707);
-  // 0..40 rows exercises the empty case, the per-bit remainder path, one
-  // full 15-row carry-save block, and blocks plus remainder.
-  for (std::size_t num_rows = 0; num_rows <= 40; ++num_rows) {
-    const std::size_t num_words = 9;
-    std::vector<std::vector<std::uint64_t>> rows;
-    std::vector<const std::uint64_t*> ptrs;
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      rows.push_back(RandomWords(&rng, num_words));
-      ptrs.push_back(rows.back().data());
-    }
-    std::vector<std::uint32_t> counts(num_words * 64, 0);
-    AccumulateColumnCounts(ptrs.data(), num_rows, 0, num_words,
-                           counts.data());
-    for (std::size_t c = 0; c < num_words * 64; ++c) {
-      std::uint32_t want = 0;
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        want += static_cast<std::uint32_t>((rows[r][c / 64] >> (c % 64)) & 1);
-      }
-      ASSERT_EQ(counts[c], want) << "rows=" << num_rows << " col=" << c;
-    }
-  }
-}
-
-TEST(AccumulateColumnCountsTest, RespectsWordRangeAndAccumulates) {
-  Rng rng(808);
-  const std::size_t num_words = 6;
-  std::vector<std::vector<std::uint64_t>> rows;
-  std::vector<const std::uint64_t*> ptrs;
-  for (std::size_t r = 0; r < 20; ++r) {
-    rows.push_back(RandomWords(&rng, num_words));
-    ptrs.push_back(rows.back().data());
-  }
-  // Two disjoint word ranges must partition the full-range result, and
-  // counts outside the range must stay untouched (the sharded weight screen
-  // depends on both properties).
-  std::vector<std::uint32_t> split(num_words * 64, 0);
-  AccumulateColumnCounts(ptrs.data(), rows.size(), 0, 2, split.data());
-  AccumulateColumnCounts(ptrs.data(), rows.size(), 2, num_words,
-                         split.data());
-  std::vector<std::uint32_t> whole(num_words * 64, 0);
-  AccumulateColumnCounts(ptrs.data(), rows.size(), 0, num_words,
-                         whole.data());
-  EXPECT_EQ(split, whole);
-
-  std::vector<std::uint32_t> partial(num_words * 64, 0);
-  AccumulateColumnCounts(ptrs.data(), rows.size(), 2, 4, partial.data());
-  for (std::size_t c = 0; c < 2 * 64; ++c) {
-    ASSERT_EQ(partial[c], 0u) << "col=" << c;
-  }
-  for (std::size_t c = 4 * 64; c < num_words * 64; ++c) {
-    ASSERT_EQ(partial[c], 0u) << "col=" << c;
-  }
 }
 
 }  // namespace

@@ -246,6 +246,56 @@ TEST(DigestCodecTest, DenseRowTailGarbageRejected) {
   EXPECT_EQ(status.code(), Status::Code::kCorruption);
 }
 
+TEST(DigestCodecTest, TruncatedDenseRowRejected) {
+  // One byte and seven bytes short of the last word: the length check must
+  // refuse the row before any word is copied.
+  BitVector row(200);
+  for (std::size_t i = 0; i < 200; i += 3) row.Set(i);
+  const std::vector<std::uint8_t> bytes =
+      EncodeOneRow(row, DigestCodecId::kRaw);
+  ASSERT_EQ(bytes.size(), 1 + 4 * 8);
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{7}}) {
+    const std::vector<std::uint8_t> truncated(
+        bytes.begin(), bytes.end() - static_cast<std::ptrdiff_t>(cut));
+    std::size_t pos = 0;
+    BitVector decoded(200);
+    EXPECT_EQ(DecodeRow(truncated, &pos, DigestCodecId::kRaw, &decoded).code(),
+              Status::Code::kCorruption)
+        << "cut=" << cut;
+  }
+}
+
+TEST(DigestCodecTest, DenseRowTailGarbageRejectedAtEveryWidth) {
+  // A clean row of each width decodes; the same bytes with the first bit
+  // past size() set are refused. Width 2^20 is a whole number of words, so
+  // there is no tail to dirty and only the clean decode is checked; 2^20 + 1
+  // dirties the tail of a row that long.
+  Rng rng(23);
+  for (const std::size_t bits :
+       {std::size_t{1}, std::size_t{63}, std::size_t{65}, std::size_t{1} << 20,
+        (std::size_t{1} << 20) + 1}) {
+    BitVector row(bits);
+    for (std::size_t i = 0; i < bits; ++i) {
+      if (rng.UniformInt(2) == 1) row.Set(i);
+    }
+    std::vector<std::uint8_t> bytes = EncodeOneRow(row, DigestCodecId::kRaw);
+    ASSERT_EQ(bytes.size(), 1 + row.num_words() * 8) << "bits=" << bits;
+    std::size_t pos = 0;
+    BitVector decoded(bits);
+    ASSERT_TRUE(DecodeRow(bytes, &pos, DigestCodecId::kRaw, &decoded).ok())
+        << "bits=" << bits;
+    EXPECT_TRUE(decoded == row) << "bits=" << bits;
+    EXPECT_EQ(pos, bytes.size()) << "bits=" << bits;
+    if (bits % 64 == 0) continue;
+    // Bit `bits` of the row is bit (bits % 8) of payload byte bits / 8.
+    bytes[1 + bits / 8] |= static_cast<std::uint8_t>(1u << (bits % 8));
+    pos = 0;
+    EXPECT_EQ(DecodeRow(bytes, &pos, DigestCodecId::kRaw, &decoded).code(),
+              Status::Code::kCorruption)
+        << "bits=" << bits;
+  }
+}
+
 TEST(DigestCodecTest, SparseRowOutOfRangeIndexRejected) {
   BitVector row(100);
   row.Set(99);
