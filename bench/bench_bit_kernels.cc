@@ -39,15 +39,6 @@
 namespace {
 
 // The seed implementation: one popcount per word, one serial accumulator.
-std::size_t SeedAndCount(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t num_words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < num_words; ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-  }
-  return count;
-}
-
 std::size_t SeedCountOnes(const std::uint64_t* words, std::size_t num_words) {
   std::size_t count = 0;
   for (std::size_t w = 0; w < num_words; ++w) {
@@ -91,37 +82,6 @@ int main() {
   Rng rng(bench::EnvSeed("DCS_SEED", 77));
   std::uint64_t checksum = 0;
 
-  // --- Pairwise and_count across span lengths (64 Kbit .. 4 Mbit).
-  {
-    TablePrinter table({"bits", "seed GB/s", "scalar GB/s", "active GB/s",
-                        "active/seed"});
-    for (std::size_t bits : {std::size_t{1} << 16, std::size_t{1} << 20,
-                             std::size_t{4} << 20}) {
-      const std::size_t words = bits / 64;
-      const auto a = RandomWords(&rng, words);
-      const auto b = RandomWords(&rng, words);
-      const int reps = bits > (1u << 18) ? 200 : 2000;
-      const double seed_s = SecsPerCall(reps, &checksum, [&] {
-        return SeedAndCount(a.data(), b.data(), words);
-      });
-      const double scalar_s = SecsPerCall(reps, &checksum, [&] {
-        return ScalarBitKernels().and_count(a.data(), b.data(), words);
-      });
-      const double active_s = SecsPerCall(reps, &checksum, [&] {
-        return ActiveBitKernels().and_count(a.data(), b.data(), words);
-      });
-      // Two operand streams are read per call.
-      const double bytes = 2.0 * static_cast<double>(words) * 8.0;
-      table.AddRow({std::to_string(bits),
-                    TablePrinter::Fmt(bytes / seed_s / 1e9, 2),
-                    TablePrinter::Fmt(bytes / scalar_s / 1e9, 2),
-                    TablePrinter::Fmt(bytes / active_s / 1e9, 2),
-                    TablePrinter::Fmt(seed_s / active_s, 2)});
-    }
-    std::printf("and_count (pairwise AND+popcount):\n");
-    table.Print(std::cout);
-  }
-
   // --- count_ones on one stream.
   {
     TablePrinter table({"bits", "seed GB/s", "scalar GB/s", "active GB/s",
@@ -145,7 +105,7 @@ int main() {
                     TablePrinter::Fmt(bytes / active_s / 1e9, 2),
                     TablePrinter::Fmt(seed_s / active_s, 2)});
     }
-    std::printf("\ncount_ones (weight):\n");
+    std::printf("count_ones (weight):\n");
     table.Print(std::cout);
   }
 

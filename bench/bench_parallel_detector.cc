@@ -1,11 +1,9 @@
-// Section IV-D: strong-scaling of the aligned analysis pipeline. Times
-// DetectInMatrix serially and at 1/2/4/8 threads, split into its three
-// stages by the `stage.*` timers: the weight screen and the core scan run
-// sharded on the pool, the k-product search between them runs serially on
-// the calling thread. Every time is the median of 5 runs, the runs of all
-// thread counts interleaved. Every run asserts the detection equals the
-// serial one before a speedup is reported (a fast wrong answer would be
-// worthless).
+// Section IV-D: cost of the aligned analysis pipeline. Times
+// DetectInMatrix, which runs on the calling thread, split into its three
+// stages by the `stage.*` timers: the weight screen, the k-product search
+// and the core scan. Every time is the median of 5 runs. Every run asserts
+// the detection equals the first one before a time is reported (a fast
+// wrong answer would be worthless).
 //
 // Scenarios:
 //   planted_c<n>   128 rows x n columns of Bernoulli(1/2) noise with a
@@ -19,9 +17,9 @@
 //
 // Per scenario the search's work is exported next to its time: the columns
 // counted against a product (search_candidate_counts, from the
-// detector.aligned.candidate_counts counter) and the serial search time per
-// counted column (search_per_count_ns), and the serial core scan's time
-// per core-row word (core_scan_per_row_word_ns: one positional-popcount
+// detector.aligned.candidate_counts counter) and the search time per
+// counted column (search_per_count_ns), and the core scan's time per
+// core-row word (core_scan_per_row_word_ns: one positional-popcount
 // pass over the core rows), under the kernel tier the snapshot records
 // (kernel_tier.<name> = 1).
 //
@@ -36,7 +34,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +44,6 @@
 #include "common/bit_matrix.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 
@@ -141,14 +137,6 @@ double StageSeconds(const dcs::LatencyHistogram& hist,
   return static_cast<double>(hist.sum() - before_ns) * 1e-9;
 }
 
-// bench.parallel_detector.<scenario>.t<threads>.<quantity>.
-void RecordGauge(const std::string& scenario, const std::string& threads,
-                 const char* quantity, double value) {
-  dcs::ObsGauge("bench.parallel_detector." + scenario + ".t" + threads + "." +
-                quantity)
-      .Set(value);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,7 +155,7 @@ int main(int argc, char** argv) {
   }
 
   const BenchScale scale = BenchScaleFromEnv();
-  bench::Banner("Section IV-D", "aligned-analysis strong scaling", scale);
+  bench::Banner("Section IV-D", "aligned-analysis stage costs", scale);
 
   // Full runs include the smoke scenarios so a committed full snapshot and
   // a CI --smoke run share metric names for tools/bench_compare.
@@ -178,13 +166,6 @@ int main(int argc, char** argv) {
     scenarios.push_back(Quarter(1u << 20, false));
     scenarios.push_back(Paper());
     if (scale == BenchScale::kPaper) scenarios.push_back(Planted(4u << 20));
-  }
-  // 0 = no pool (the serial engine).
-  const std::vector<std::size_t> thread_counts = {0, 1, 2, 4, 8};
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (std::size_t threads : thread_counts) {
-    pools.push_back(threads == 0 ? nullptr
-                                 : std::make_unique<ThreadPool>(threads));
   }
 
   MetricsRegistry::Global().set_enabled(true);
@@ -198,11 +179,11 @@ int main(int argc, char** argv) {
 
   Rng rng(bench::EnvSeed("DCS_SEED", 41));
   constexpr int kReps = 5;
-  TablePrinter table({"scenario", "threads", "detect s", "screen s",
-                      "search s", "core scan s", "speedup"});
+  TablePrinter table(
+      {"scenario", "detect s", "screen s", "search s", "core scan s"});
   TablePrinter work({"scenario", "iterations", "columns counted",
-                     "serial search ns/count", "core rows",
-                     "serial core scan ns/row-word"});
+                     "search ns/count", "core rows",
+                     "core scan ns/row-word"});
   for (const Scenario& s : scenarios) {
     const BitMatrix matrix = PlantedMatrix(s, &rng);
     const std::vector<std::uint32_t> weights =
@@ -212,77 +193,66 @@ int main(int argc, char** argv) {
     options.first_iteration_hopefuls = s.n_prime;
     options.hopefuls = s.hopefuls;
 
+    const AlignedDetector detector(options);
     const std::uint64_t iterations_before = iterations.value();
     const std::uint64_t counts_before = candidate_counts.value();
     const AlignedDetection reference =
-        AlignedDetector(options).DetectInMatrix(matrix, s.n_prime, hot);
+        detector.DetectInMatrix(matrix, s.n_prime, hot);
     const std::uint64_t search_iterations =
         iterations.value() - iterations_before;
     const std::uint64_t search_counts =
         candidate_counts.value() - counts_before;
     if (!reference.pattern_found) {
-      std::fprintf(stderr, "FATAL: serial engine missed the pattern in %s\n",
+      std::fprintf(stderr, "FATAL: the detector missed the pattern in %s\n",
                    s.name.c_str());
       return 1;
     }
 
-    // samples[config][stage] over the repetitions; stage 0 is the whole
+    // samples[stage] over the repetitions; stage 0 is the whole
     // DetectInMatrix call.
-    std::vector<std::vector<std::vector<double>>> samples(
-        thread_counts.size(), std::vector<std::vector<double>>(4));
+    std::vector<std::vector<double>> samples(4);
     for (int rep = 0; rep < kReps; ++rep) {
-      for (std::size_t k = 0; k < thread_counts.size(); ++k) {
-        const AlignedDetector detector(options, AnalysisContext{pools[k].get()});
-        const std::uint64_t screen0 = screen_hist.sum();
-        const std::uint64_t search0 = search_hist.sum();
-        const std::uint64_t core0 = core_hist.sum();
-        const double t = bench::NowSeconds();
-        const AlignedDetection detection =
-            detector.DetectInMatrix(matrix, s.n_prime, hot);
-        samples[k][0].push_back(bench::NowSeconds() - t);
-        samples[k][1].push_back(StageSeconds(screen_hist, screen0));
-        samples[k][2].push_back(StageSeconds(search_hist, search0));
-        samples[k][3].push_back(StageSeconds(core_hist, core0));
-        if (!SameDetection(reference, detection)) {
-          std::fprintf(stderr, "FATAL: detection diverged at %zu threads, %s\n",
-                       thread_counts[k], s.name.c_str());
-          return 1;
-        }
+      const std::uint64_t screen0 = screen_hist.sum();
+      const std::uint64_t search0 = search_hist.sum();
+      const std::uint64_t core0 = core_hist.sum();
+      const double t = bench::NowSeconds();
+      const AlignedDetection detection =
+          detector.DetectInMatrix(matrix, s.n_prime, hot);
+      samples[0].push_back(bench::NowSeconds() - t);
+      samples[1].push_back(StageSeconds(screen_hist, screen0));
+      samples[2].push_back(StageSeconds(search_hist, search0));
+      samples[3].push_back(StageSeconds(core_hist, core0));
+      if (!SameDetection(reference, detection)) {
+        std::fprintf(stderr, "FATAL: detection diverged in run %d, %s\n", rep,
+                     s.name.c_str());
+        return 1;
       }
     }
 
-    const double serial_s = bench::Median(samples[0][0]);
-    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
-      const std::string label =
-          thread_counts[k] == 0 ? "serial" : std::to_string(thread_counts[k]);
-      const double detect = bench::Median(samples[k][0]);
-      const double screen = bench::Median(samples[k][1]);
-      const double search = bench::Median(samples[k][2]);
-      const double core = bench::Median(samples[k][3]);
-      const double speedup = serial_s / detect;
-      table.AddRow({s.name, label, TablePrinter::Fmt(detect, 3),
-                    TablePrinter::Fmt(screen, 3), TablePrinter::Fmt(search, 3),
-                    TablePrinter::Fmt(core, 4), TablePrinter::Fmt(speedup, 2)});
-      RecordGauge(s.name, label, "detect_s", detect);
-      RecordGauge(s.name, label, "screen_s", screen);
-      RecordGauge(s.name, label, "search_s", search);
-      RecordGauge(s.name, label, "core_scan_s", core);
-      RecordGauge(s.name, label, "speedup", speedup);
-    }
+    const double detect = bench::Median(samples[0]);
+    const double screen = bench::Median(samples[1]);
+    const double search = bench::Median(samples[2]);
+    const double core = bench::Median(samples[3]);
+    table.AddRow({s.name, TablePrinter::Fmt(detect, 3),
+                  TablePrinter::Fmt(screen, 3), TablePrinter::Fmt(search, 3),
+                  TablePrinter::Fmt(core, 4)});
+    const std::string prefix = "bench.parallel_detector." + s.name;
+    ObsGauge(prefix + ".detect_s").Set(detect);
+    ObsGauge(prefix + ".screen_s").Set(screen);
+    ObsGauge(prefix + ".search_s").Set(search);
+    ObsGauge(prefix + ".core_scan_s").Set(core);
     const double ns_per_count =
-        bench::Median(samples[0][2]) * 1e9 /
+        search * 1e9 /
         static_cast<double>(std::max<std::uint64_t>(search_counts, 1));
     const double core_row_words =
         static_cast<double>(reference.rows.size()) *
         static_cast<double>((s.cols + 63) / 64);
-    const double core_ns_per_row_word =
-        bench::Median(samples[0][3]) * 1e9 / core_row_words;
+    const double core_ns_per_row_word = core * 1e9 / core_row_words;
     work.AddRow({s.name, std::to_string(search_iterations),
                  std::to_string(search_counts),
                  TablePrinter::Fmt(ns_per_count, 3),
                  std::to_string(reference.rows.size()),
                  TablePrinter::Fmt(core_ns_per_row_word, 3)});
-    const std::string prefix = "bench.parallel_detector." + s.name;
     ObsGauge(prefix + ".search_iterations")
         .Set(static_cast<double>(search_iterations));
     ObsGauge(prefix + ".search_candidate_counts")
@@ -299,13 +269,9 @@ int main(int argc, char** argv) {
       .Set(1.0);
   table.Print(std::cout);
   std::printf(
-      "\nMedians of %d runs. Every detection equals the serial engine's\n"
-      "(rows, columns, weight trajectory, stop iteration). The screen and\n"
-      "core scan run on the pool; the search runs serially at every thread\n"
-      "count. Speedups are bounded by the machine's core count (%u here):\n"
-      "on a single core every row measures scheduling overhead, not\n"
-      "scaling.\n",
-      kReps, std::thread::hardware_concurrency());
+      "\nMedians of %d runs on the calling thread. Every detection equals\n"
+      "the first run's (rows, columns, weight trajectory, stop iteration).\n",
+      kReps);
   std::printf("\nSearch and core-scan work (%s kernels):\n",
               ActiveBitKernels().name);
   work.Print(std::cout);

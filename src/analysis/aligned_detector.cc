@@ -110,11 +110,7 @@ std::uint64_t ColumnSetFingerprint(std::span<const std::uint32_t> cols) {
 }  // namespace
 
 AlignedDetector::AlignedDetector(const AlignedDetectorOptions& options)
-    : AlignedDetector(options, AnalysisContext{}) {}
-
-AlignedDetector::AlignedDetector(const AlignedDetectorOptions& options,
-                                 const AnalysisContext& context)
-    : options_(options), context_(context) {
+    : options_(options) {
   DCS_CHECK(options.first_iteration_hopefuls >= 1);
   DCS_CHECK(options.hopefuls >= 1);
   DCS_CHECK(options.max_iterations >= 2);
@@ -370,58 +366,32 @@ AlignedDetection AlignedDetector::Detect(
 AlignedDetection AlignedDetector::DetectInMatrix(
     const BitMatrix& matrix, std::size_t n_prime,
     const std::vector<std::uint32_t>* column_weights) const {
-  ThreadPool* pool = context_.pool;
   const ScreenedColumns screened =
-      ScreenHeaviestColumns(matrix, n_prime, pool, column_weights);
+      ScreenHeaviestColumns(matrix, n_prime, column_weights);
   AlignedDetection detection = Detect(screened);
   if (!detection.pattern_found) return detection;
 
   // Fig 6 lines 10-14: scan every column, screened or not, against the
   // core; the core's own columns clear weight(core) - gamma by definition.
-  // Sharded over word-aligned column slices: each shard accumulates the
-  // common-1s counts of its own columns across the core rows and collects
-  // its qualifying columns; shards concatenate in ascending column order.
+  // One positional popcount over the core rows gives every column's
+  // common-1s count.
   ScopedStageTimer stage("aligned_core_scan");
-  const bool obs = ObsEnabled();
-  LatencyHistogram* task_hist =
-      obs && pool != nullptr
-          ? &ObsHistogram("stage.aligned_core_scan_task.ns")
-          : nullptr;
   const std::size_t core_weight = detection.rows.size();
   const std::size_t thresh =
       core_weight > options_.gamma ? core_weight - options_.gamma : 1;
-
-  // The kernel adds whole words of counts, padding columns included.
-  const std::size_t col_words = (matrix.cols() + 63) / 64;
-  std::vector<std::uint32_t> common(col_words * 64, 0);
-  // Core-row word pointers, gathered once; each shard feeds them to the
-  // positional-popcount kernel over its own word-aligned column slice, so
-  // the parallel fill stays race-free.
   std::vector<const std::uint64_t*> core_rows;
   core_rows.reserve(detection.rows.size());
   for (std::uint32_t r : detection.rows) {
     core_rows.push_back(matrix.row(r).words());
   }
-  const BitKernelOps& kernels = ActiveBitKernels();
-  const std::vector<ShardRange> shards = ShardsFor(pool, col_words);
-  std::vector<std::vector<std::size_t>> shard_cols(shards.size());
-  RunShards(pool, shards, [&](const ShardRange& shard) {
-    StageStopwatch watch;
-    if (task_hist != nullptr) watch.Start();
-    kernels.accumulate_column_counts(core_rows.data(), core_rows.size(),
-                                     shard.begin, shard.end, common.data());
-    const std::size_t col_end = std::min(shard.end * 64, matrix.cols());
-    for (std::size_t c = shard.begin * 64; c < col_end; ++c) {
-      if (common[c] >= thresh) {
-        shard_cols[shard.index].push_back(c);
-      }
-    }
-    if (task_hist != nullptr) task_hist->Record(watch.ElapsedNanos());
-  });
+  // The kernel adds whole words of counts, padding columns included.
+  const std::size_t col_words = (matrix.cols() + 63) / 64;
+  std::vector<std::uint32_t> common(col_words * 64, 0);
+  ActiveBitKernels().accumulate_column_counts(
+      core_rows.data(), core_rows.size(), 0, col_words, common.data());
   detection.columns.clear();
-  for (const std::vector<std::size_t>& cols : shard_cols) {
-    detection.columns.insert(detection.columns.end(), cols.begin(),
-                             cols.end());
+  for (std::size_t c = 0; c < matrix.cols(); ++c) {
+    if (common[c] >= thresh) detection.columns.push_back(c);
   }
   return detection;
 }

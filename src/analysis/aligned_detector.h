@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bit_matrix.h"
-#include "analysis/analysis_context.h"
 #include "analysis/weight_screen.h"
 
 namespace dcs {
@@ -82,19 +81,14 @@ struct AlignedDetection {
 /// whenever it holds 4H; the top-H of a total order is a set, so this keeps
 /// exactly what a bounded heap would.
 ///
-/// When constructed with an AnalysisContext carrying a pool, the two passes
-/// that stream the whole matrix run sharded on it (Section IV-D): the
-/// weight screen and the final core scan, each over contiguous column
-/// slices concatenated in ascending order. The k-product search itself runs
-/// serially on the calling thread: sharded, it cost CPU without saving wall
-/// time (docs/PARALLELISM.md). The detection — rows, columns, and the full
-/// weight trajectory — is bit-identical at any thread count and on every
-/// kernel tier, including the serial (null pool) engine.
+/// Every step — the weight screen, the search and the core scan — runs on
+/// the calling thread. Sharded on a pool, each cost CPU without a
+/// measured wall-time win once the kernels took over their inner loops
+/// (docs/PARALLELISM.md §7). The detection — rows, columns, and the full
+/// weight trajectory — is bit-identical on every kernel tier.
 class AlignedDetector {
  public:
   explicit AlignedDetector(const AlignedDetectorOptions& options);
-  AlignedDetector(const AlignedDetectorOptions& options,
-                  const AnalysisContext& context);
 
   /// Core search over the given (typically screened) columns.
   AlignedDetection Detect(const ScreenedColumns& screened) const;
@@ -114,7 +108,6 @@ class AlignedDetector {
 
  private:
   AlignedDetectorOptions options_;
-  AnalysisContext context_;
 };
 
 }  // namespace dcs

@@ -9,13 +9,12 @@ namespace dcs {
 ///
 /// Section IV-D observes the correlation work is embarrassingly parallel and
 /// should be spread over many CPUs; this context carries the pool that does
-/// it. One context serves both pipelines of an epoch: the aligned engine
-/// uses it for the weight screen and the core scan, and the monitor copies
-/// the pool into the unaligned GraphBuilderOptions::scan (λ calibration and
-/// the pair scan) when none was set there. Every other stage runs serially.
-/// A null pool means run serially; every pooled stage is sharded with a
-/// deterministic merge, so results are bit-identical at any thread count,
-/// including null.
+/// it. The monitor copies the pool into the unaligned
+/// GraphBuilderOptions::scan (λ calibration and the pair scan) when none
+/// was set there; every other stage, the whole aligned engine included,
+/// runs serially. A null pool means run serially; both pooled stages are
+/// sharded with a deterministic merge, so results are bit-identical at any
+/// thread count, including null.
 struct AnalysisContext {
   ThreadPool* pool = nullptr;
 };

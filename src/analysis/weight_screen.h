@@ -28,38 +28,34 @@ struct ScreenedColumns {
 };
 
 /// Selects the `n_prime` heaviest columns of `matrix` (ties broken by lower
-/// column id). One pass for the weights plus one pass to extract the chosen
-/// columns — no transpose of the full matrix.
-///
-/// With a pool, the weight accumulation and per-shard top-k are sharded over
-/// word-aligned column slices and the extraction over the selected columns;
-/// the shard candidates merge under the same (weight desc, id asc) total
-/// order the serial path uses, so the result is bit-identical at any thread
-/// count (and to pool == nullptr).
+/// column id). One pass for the weights (BitMatrix::ColumnWeights), a top-k
+/// selection (TopKIndices), and one pass to extract the chosen columns
+/// (BitMatrix::ExtractColumns) — no transpose of the full matrix. Runs on
+/// the calling thread.
 ///
 /// `precomputed_weights`, when non-null, must be the exact column-weight
 /// vector of `matrix` (size cols(); e.g. an IncrementalColumnWeights
 /// maintained as the rows arrived — docs/STREAMING.md). The weight pass is
-/// then skipped entirely — the screen "starts hot" — and only the per-shard
-/// top-k selection and the extraction pass run. Because the selection reads
-/// the same weights the skipped pass would have produced, under the same
-/// shard partition and the same (weight desc, id asc) merge, the result is
-/// bit-identical to the cold path.
+/// then skipped entirely — the screen "starts hot" — and only the selection
+/// and the extraction pass run. The selection reads the same weights the
+/// skipped pass would have produced, so the result is bit-identical to the
+/// cold path.
 ScreenedColumns ScreenHeaviestColumns(
-    const BitMatrix& matrix, std::size_t n_prime, ThreadPool* pool = nullptr,
+    const BitMatrix& matrix, std::size_t n_prime,
     const std::vector<std::uint32_t>* precomputed_weights = nullptr);
 
+/// perfbench's call shape, from when the screen took a pool: the pool is
+/// ignored. Delete with perfbench's re-sync (ROADMAP item 7).
+inline ScreenedColumns ScreenHeaviestColumns(
+    const BitMatrix& matrix, std::size_t n_prime, ThreadPool* /*pool*/,
+    const std::vector<std::uint32_t>* precomputed_weights) {
+  return ScreenHeaviestColumns(matrix, n_prime, precomputed_weights);
+}
+
 /// Selects the indices of the `k` largest values (ties by lower index),
-/// returned in descending value order. Helper shared by the screening paths.
+/// returned in descending value order.
 std::vector<std::size_t> TopKIndices(const std::vector<std::uint32_t>& values,
                                      std::size_t k);
-
-/// Range-restricted TopKIndices: considers only indices in [begin, end) of
-/// `values`, returning global indices. The per-shard selection of the
-/// parallel screen; TopKIndices(v, k) == TopKIndicesInRange(v, 0, n, k).
-std::vector<std::size_t> TopKIndicesInRange(
-    const std::vector<std::uint32_t>& values, std::size_t begin,
-    std::size_t end, std::size_t k);
 
 }  // namespace dcs
 

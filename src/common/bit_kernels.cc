@@ -1,6 +1,5 @@
 #include "common/bit_kernels.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -49,40 +48,6 @@ std::size_t ScalarAndCount(const std::uint64_t* a, const std::uint64_t* b,
     c0 += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
   }
   return c0 + c1 + c2 + c3;
-}
-
-void ScalarAndInplace(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t num_words) {
-  for (std::size_t w = 0; w < num_words; ++w) dst[w] &= src[w];
-}
-
-void ScalarOrInplace(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t num_words) {
-  for (std::size_t w = 0; w < num_words; ++w) dst[w] |= src[w];
-}
-
-void ScalarAndFold(const std::uint64_t* const* rows, std::size_t num_rows,
-                   std::size_t num_words, std::uint64_t* out) {
-  if (num_rows == 0) {
-    std::fill(out, out + num_words, ~0ULL);
-    return;
-  }
-  std::copy(rows[0], rows[0] + num_words, out);
-  for (std::size_t r = 1; r < num_rows; ++r) {
-    for (std::size_t w = 0; w < num_words; ++w) out[w] &= rows[r][w];
-  }
-}
-
-void ScalarOrFold(const std::uint64_t* const* rows, std::size_t num_rows,
-                  std::size_t num_words, std::uint64_t* out) {
-  if (num_rows == 0) {
-    std::fill(out, out + num_words, 0ULL);
-    return;
-  }
-  std::copy(rows[0], rows[0] + num_words, out);
-  for (std::size_t r = 1; r < num_rows; ++r) {
-    for (std::size_t w = 0; w < num_words; ++w) out[w] |= rows[r][w];
-  }
 }
 
 void ScalarAndCountColumns(const std::uint64_t* left,
@@ -235,11 +200,6 @@ std::size_t ScalarSelectAtLeast(const std::uint32_t* values, std::size_t n,
 constexpr BitKernelOps kScalarOps = {
     "scalar",
     ScalarCountOnes,
-    ScalarAndCount,
-    ScalarAndInplace,
-    ScalarOrInplace,
-    ScalarAndFold,
-    ScalarOrFold,
     ScalarAndCountColumns,
     ScalarAndCountTile,
     ScalarAccumulateColumnCounts,

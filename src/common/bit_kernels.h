@@ -40,44 +40,23 @@ struct BitKernelOps {
   /// Number of set bits in words[0, num_words).
   std::size_t (*count_ones)(const std::uint64_t* words, std::size_t num_words);
 
-  /// Fused AND+popcount: number of positions where a and b are both 1.
-  /// Never materializes the AND.
-  std::size_t (*and_count)(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t num_words);
-
-  /// dst[w] &= src[w] for w in [0, num_words).
-  void (*and_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t num_words);
-
-  /// dst[w] |= src[w] for w in [0, num_words).
-  void (*or_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t num_words);
-
-  /// out[w] = AND over rows of rows[r][w]. With num_rows == 0 the fold is
-  /// the identity: out is set to all-ones words.
-  void (*and_fold)(const std::uint64_t* const* rows, std::size_t num_rows,
-                   std::size_t num_words, std::uint64_t* out);
-
-  /// out[w] = OR over rows of rows[r][w]. With num_rows == 0, out is zeroed.
-  void (*or_fold)(const std::uint64_t* const* rows, std::size_t num_rows,
-                  std::size_t num_words, std::uint64_t* out);
-
-  /// Column-block AND+popcount: out[c] = and_count(left, block + c *
-  /// words_per_col, words_per_col) for every c < num_cols. The block holds
-  /// num_cols columns of words_per_col words each, back to back, so one
-  /// call counts a product against a whole slice of screened columns — the
-  /// aligned k-product search's only count. `left` and `block` may be
+  /// Column-block AND+popcount: out[c] = popcount(left & col_c) over
+  /// words_per_col words, col_c = block + c * words_per_col, for every
+  /// c < num_cols (the AND is never materialized). The block holds num_cols
+  /// columns of words_per_col words each, back to back, so one call counts
+  /// a product against a whole slice of screened columns — the aligned
+  /// k-product search's only count. `left` and `block` may be
   /// unaligned; at words_per_col 1 and 2 (an m <= 128-router matrix) the
   /// SIMD tables count several columns per vector.
   void (*and_count_columns)(const std::uint64_t* left,
                             const std::uint64_t* block, std::size_t num_cols,
                             std::size_t words_per_col, std::uint32_t* out);
 
-  /// Tile AND+popcount: out[i * num_right + j] = and_count(left[i],
-  /// right[j], num_words) for every i < num_left and j < num_right. The
-  /// unaligned pair scan counts one whole group pair (arrays x arrays row
-  /// pairs) per call, straight from the matrix rows; any pointer may be
-  /// unaligned.
+  /// Tile AND+popcount: out[i * num_right + j] = popcount(left[i] &
+  /// right[j]) over num_words words, for every i < num_left and
+  /// j < num_right. The unaligned pair scan counts one whole group pair
+  /// (arrays x arrays row pairs) per call, straight from the matrix rows;
+  /// any pointer may be unaligned.
   void (*and_count_tile)(const std::uint64_t* const* left,
                          std::size_t num_left,
                          const std::uint64_t* const* right,

@@ -95,54 +95,6 @@ std::size_t Avx2AndCount(const std::uint64_t* a, const std::uint64_t* b,
   return CountImpl<true>(a, b, num_words);
 }
 
-void Avx2AndInplace(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t num_words) {
-  std::size_t w = 0;
-  for (; w + 4 <= num_words; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_and_si256(d, s));
-  }
-  for (; w < num_words; ++w) dst[w] &= src[w];
-}
-
-void Avx2OrInplace(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t num_words) {
-  std::size_t w = 0;
-  for (; w + 4 <= num_words; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-  }
-  for (; w < num_words; ++w) dst[w] |= src[w];
-}
-
-void Avx2AndFold(const std::uint64_t* const* rows, std::size_t num_rows,
-                 std::size_t num_words, std::uint64_t* out) {
-  if (num_rows == 0) {
-    std::fill(out, out + num_words, ~0ULL);
-    return;
-  }
-  std::copy(rows[0], rows[0] + num_words, out);
-  for (std::size_t r = 1; r < num_rows; ++r) Avx2AndInplace(out, rows[r], num_words);
-}
-
-void Avx2OrFold(const std::uint64_t* const* rows, std::size_t num_rows,
-                std::size_t num_words, std::uint64_t* out) {
-  if (num_rows == 0) {
-    std::fill(out, out + num_words, 0ULL);
-    return;
-  }
-  std::copy(rows[0], rows[0] + num_words, out);
-  for (std::size_t r = 1; r < num_rows; ++r) Avx2OrInplace(out, rows[r], num_words);
-}
-
 void Avx2AndCountBatch(const std::uint64_t* left,
                        const std::uint64_t* const* rows,
                        std::size_t num_rows, std::size_t num_words,
@@ -471,11 +423,6 @@ DCS_TARGET_AVX512 void Avx512AndCountTile(const std::uint64_t* const* left,
 constexpr BitKernelOps kAvx2Ops = {
     "avx2",
     Avx2CountOnes,
-    Avx2AndCount,
-    Avx2AndInplace,
-    Avx2OrInplace,
-    Avx2AndFold,
-    Avx2OrFold,
     Avx2AndCountColumns,
     Avx2AndCountTile,
     Avx2AccumulateColumnCounts,
@@ -488,11 +435,6 @@ constexpr BitKernelOps kAvx2Ops = {
 constexpr BitKernelOps kAvx512Ops = {
     "avx512",
     Avx2CountOnes,
-    Avx2AndCount,
-    Avx2AndInplace,
-    Avx2OrInplace,
-    Avx2AndFold,
-    Avx2OrFold,
     Avx2AndCountColumns,
     Avx512AndCountTile,
     Avx2AccumulateColumnCounts,
@@ -554,44 +496,6 @@ std::size_t NeonAndCount(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-void NeonAndInplace(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t num_words) {
-  std::size_t w = 0;
-  for (; w + 2 <= num_words; w += 2) {
-    vst1q_u64(dst + w, vandq_u64(vld1q_u64(dst + w), vld1q_u64(src + w)));
-  }
-  for (; w < num_words; ++w) dst[w] &= src[w];
-}
-
-void NeonOrInplace(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t num_words) {
-  std::size_t w = 0;
-  for (; w + 2 <= num_words; w += 2) {
-    vst1q_u64(dst + w, vorrq_u64(vld1q_u64(dst + w), vld1q_u64(src + w)));
-  }
-  for (; w < num_words; ++w) dst[w] |= src[w];
-}
-
-void NeonAndFold(const std::uint64_t* const* rows, std::size_t num_rows,
-                 std::size_t num_words, std::uint64_t* out) {
-  if (num_rows == 0) {
-    std::fill(out, out + num_words, ~0ULL);
-    return;
-  }
-  std::copy(rows[0], rows[0] + num_words, out);
-  for (std::size_t r = 1; r < num_rows; ++r) NeonAndInplace(out, rows[r], num_words);
-}
-
-void NeonOrFold(const std::uint64_t* const* rows, std::size_t num_rows,
-                std::size_t num_words, std::uint64_t* out) {
-  if (num_rows == 0) {
-    std::fill(out, out + num_words, 0ULL);
-    return;
-  }
-  std::copy(rows[0], rows[0] + num_words, out);
-  for (std::size_t r = 1; r < num_rows; ++r) NeonOrInplace(out, rows[r], num_words);
-}
-
 // Column-block count: a one-word column is one 64-bit register, a
 // two-word column one 128-bit register, summed across its bytes (at most
 // 64 or 128, so the 8-bit across-vector sum cannot wrap).
@@ -642,11 +546,6 @@ std::span<const BitKernelOps* const> RunnableSimdBitKernels() {
     BitKernelOps ops = ScalarBitKernels();
     ops.name = "neon";
     ops.count_ones = NeonCountOnes;
-    ops.and_count = NeonAndCount;
-    ops.and_inplace = NeonAndInplace;
-    ops.or_inplace = NeonOrInplace;
-    ops.and_fold = NeonAndFold;
-    ops.or_fold = NeonOrFold;
     ops.and_count_columns = NeonAndCountColumns;
     ops.and_count_tile = NeonAndCountTile;
     return ops;

@@ -17,28 +17,12 @@ std::size_t BitVector::CountOnes() const {
 
 std::size_t BitVector::CommonOnes(const BitVector& other) const {
   DCS_CHECK(num_bits_ == other.num_bits_);
-  return ActiveBitKernels().and_count(words_.data(), other.words_.data(),
-                                      words_.size());
-}
-
-void BitVector::InPlaceAnd(const BitVector& other) {
-  DCS_CHECK(num_bits_ == other.num_bits_);
-  ActiveBitKernels().and_inplace(words_.data(), other.words_.data(),
-                                 words_.size());
-}
-
-void BitVector::InPlaceOr(const BitVector& other) {
-  DCS_CHECK(num_bits_ == other.num_bits_);
-  ActiveBitKernels().or_inplace(words_.data(), other.words_.data(),
-                                words_.size());
-}
-
-void BitVector::AssignAnd(const BitVector& a, const BitVector& b) {
-  DCS_CHECK(a.num_bits_ == b.num_bits_);
-  num_bits_ = a.num_bits_;
-  words_.resize(a.words_.size());
-  const std::uint64_t* rows[2] = {a.words_.data(), b.words_.data()};
-  ActiveBitKernels().and_fold(rows, 2, words_.size(), words_.data());
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    count +=
+        static_cast<std::size_t>(std::popcount(words_[w] & other.words_[w]));
+  }
+  return count;
 }
 
 double BitVector::FillRatio() const {

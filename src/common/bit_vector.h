@@ -65,16 +65,6 @@ class BitVector {
   /// "common 1s" statistic. Requires equal sizes.
   std::size_t CommonOnes(const BitVector& other) const;
 
-  /// this &= other. Requires equal sizes.
-  void InPlaceAnd(const BitVector& other);
-
-  /// this |= other. Requires equal sizes.
-  void InPlaceOr(const BitVector& other);
-
-  /// this = a & b in one pass (no copy-then-AND). `a` and `b` must have
-  /// equal sizes; this vector is resized to match.
-  void AssignAnd(const BitVector& a, const BitVector& b);
-
   /// Fraction of bits set, in [0,1]; 0 for an empty vector.
   double FillRatio() const;
 

@@ -46,11 +46,10 @@ void RunShards(ThreadPool* pool, const std::vector<ShardRange>& shards,
 ///
 /// The paper notes (Section IV-D) that the analysis center's work is
 /// embarrassingly parallel and suggests spreading it over many CPUs. Every
-/// parallel stage runs through RunShards, and only the passes that stream
-/// a whole matrix take a pool: the aligned weight screen and core scan,
-/// the unaligned lambda calibration and pair scan, plus the ingest plane's
-/// connection drain and frame decode. The k-product search, peeling and
-/// survivor expansion run serially. See docs/PARALLELISM.md for the
+/// parallel stage runs through RunShards, and only four take a pool: the
+/// unaligned lambda calibration and pair scan, plus the ingest plane's
+/// connection drain and frame decode. The whole aligned engine, peeling
+/// and survivor expansion run serially. See docs/PARALLELISM.md for the
 /// sharding and merge architecture and the bar a stage must clear to be
 /// pooled.
 ///

@@ -157,7 +157,10 @@ void EpochRing::CloseHead(CloseMode mode) {
 
 void EpochRing::AdvanceTo(std::uint64_t epoch) {
   std::size_t closed_this_offer = 0;
-  while (epoch >= head_ + options_.capacity) {
+  // Offer has already refused epochs behind the head, so epoch - head_
+  // cannot wrap; head_ + capacity can, when the window starts within
+  // capacity of the largest epoch id.
+  while (epoch - head_ >= options_.capacity) {
     if (closed_this_offer < options_.analysis_budget_per_offer) {
       CloseHead(CloseMode::kAnalyze);
     } else {

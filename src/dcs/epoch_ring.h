@@ -111,7 +111,8 @@ struct RingStats {
 ///
 /// Determinism: closing an epoch runs the same DcsMonitor analysis a
 /// one-shot monitor would run on the same accepted digests, on the same
-/// AnalysisContext; with incremental weights on, the hot-started screen is
+/// AnalysisContext, whose pool only the unaligned λ calibration and pair
+/// scan use; with incremental weights on, the hot-started screen is
 /// bit-identical to the cold one (see ScreenHeaviestColumns). So the
 /// ring's reports are bit-identical to one-shot analysis at any thread
 /// count — the property tests/test_epoch_ring.cc locks down.

@@ -53,11 +53,10 @@ DcsMonitor::DcsMonitor(const AlignedPipelineOptions& aligned_options,
       context_(context),
       ingest_options_(ingest_options) {
   stats_.expected_routers = ingest_options_.expected_routers;
-  // One pool serves both pipelines: the aligned engine takes the context
-  // directly (screen and core scan), and the unaligned graph build (lambda
-  // calibration, pair scan) inherits it here unless the caller already
-  // picked one in the scan options. Peeling and the survivor scan are
-  // serial.
+  // The pool serves the unaligned graph build (lambda calibration, pair
+  // scan), which inherits it here unless the caller already picked one in
+  // the scan options. The aligned engine, peeling and the survivor scan
+  // run serially.
   if (unaligned_options_.builder.scan.pool == nullptr) {
     unaligned_options_.builder.scan.pool = context_.pool;
   }
@@ -307,7 +306,7 @@ AlignedReport DcsMonitor::AnalyzeAligned() const {
   report.matrix_rows = aligned_rows_.rows();
   report.matrix_cols = aligned_rows_.cols();
 
-  AlignedDetector detector(aligned_options_.detector, context_);
+  AlignedDetector detector(aligned_options_.detector);
   const AlignedDetection detection = detector.DetectInMatrix(
       aligned_rows_, aligned_options_.n_prime, AlignedHotWeights());
   report.common_content_detected = detection.pattern_found;

@@ -38,13 +38,12 @@ class DcsMonitor {
   DcsMonitor(const AlignedPipelineOptions& aligned_options,
              const UnalignedPipelineOptions& unaligned_options);
 
-  /// Same, with shared analysis resources. The context's pool runs the
-  /// aligned weight screen and core scan and, when the unaligned scan
-  /// options carry no pool of their own, the λ calibration and pair scan
-  /// too — one pool per analysis center (Section IV-D). The k-product
-  /// search, peeling and survivor scan run serially on the calling thread.
-  /// Must outlive the monitor. Detection output does not depend on the
-  /// pool or its thread count.
+  /// Same, with shared analysis resources. When the unaligned scan options
+  /// carry no pool of their own, the context's pool runs the λ calibration
+  /// and the pair scan (Section IV-D). The whole aligned engine, peeling
+  /// and the survivor scan run serially on the calling thread. Must
+  /// outlive the monitor. Detection output does not depend on the pool or
+  /// its thread count.
   DcsMonitor(const AlignedPipelineOptions& aligned_options,
              const UnalignedPipelineOptions& unaligned_options,
              const AnalysisContext& context);

@@ -17,7 +17,6 @@
 #include "common/bit_matrix.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -228,6 +227,9 @@ TEST(AlignedDetectorTest, DegenerateInputsAreSafe) {
   one.weights.push_back(0);
   one.original_ids.push_back(0);
   EXPECT_FALSE(detector.Detect(one).pattern_found);
+  BitMatrix tiny(2, 2);
+  tiny.Set(0, 0);
+  EXPECT_FALSE(detector.DetectInMatrix(tiny, 2).pattern_found);
 }
 
 TEST(AlignedDetectorTest, DetectInMatrixExpandsBeyondScreen) {
@@ -327,9 +329,10 @@ TEST(AlignedDetectorTest, CoreScanReportsEveryPlantedColumn) {
 // The k-product search as it stood before the flat rewrite, kept as the
 // oracle for FlatSearchEqualsTheReferenceSearch: one BitVector and one
 // column vector per product, a bounded heap per pass, and the column-weight
-// prunes. Only the counting differs from that engine's code — one
-// BitVector::CommonOnes per candidate instead of batched kernel calls,
-// which computed the same counts — and the metrics are gone.
+// prunes. Only the arithmetic differs from that engine's code — one
+// BitVector::CommonOnes per candidate instead of batched kernel calls, and
+// a word-AND loop for each product, which compute the same values — and
+// the metrics are gone.
 namespace reference {
 
 struct Product {
@@ -379,6 +382,16 @@ class TopH {
   std::vector<Cand> heap_;
 };
 
+// a & b, word by word.
+BitVector And(const BitVector& a, const BitVector& b) {
+  BitVector product = a;
+  std::uint64_t* words = product.mutable_words();
+  for (std::size_t w = 0; w < product.num_words(); ++w) {
+    words[w] &= b.words()[w];
+  }
+  return product;
+}
+
 std::uint64_t ColumnSetFingerprint(const std::vector<std::uint32_t>& cols) {
   std::uint64_t h = 0x5EAFC0DE;
   for (std::uint32_t c : cols) h = HashCombine(h, Mix64(c + 1));
@@ -414,8 +427,7 @@ AlignedDetection Detect(const AlignedDetectorOptions& options,
   hopefuls.reserve(pair_cands.size());
   for (const Cand& cand : pair_cands) {
     Product product;
-    product.bits.AssignAnd(screened.columns[cand.a],
-                           screened.columns[cand.b]);
+    product.bits = And(screened.columns[cand.a], screened.columns[cand.b]);
     product.cols = {cand.a, cand.b};
     product.weight = cand.weight;
     hopefuls.push_back(std::move(product));
@@ -470,7 +482,7 @@ AlignedDetection Detect(const AlignedDetectorOptions& options,
                   cand.b);
       if (!seen.insert(ColumnSetFingerprint(cols)).second) continue;
       Product product;
-      product.bits.AssignAnd(parent.bits, screened.columns[cand.b]);
+      product.bits = And(parent.bits, screened.columns[cand.b]);
       product.cols = std::move(cols);
       product.weight = cand.weight;
       next.push_back(std::move(product));
@@ -547,7 +559,6 @@ TEST(AlignedDetectorTest, FlatSearchEqualsTheReferenceSearch) {
   // One to three words per column, both fills, clean and planted, with and
   // without the full trajectory. A 12-column screen never fills the pair
   // pass's top-H; a 160-column one cuts its buffer many times per pass.
-  ThreadPool pool(4);
   std::size_t found = 0;
   std::size_t runs = 0;
   for (const std::size_t m : {12u, 64u, 65u, 100u, 128u, 129u, 150u}) {
@@ -580,16 +591,15 @@ TEST(AlignedDetectorTest, FlatSearchEqualsTheReferenceSearch) {
               found += want.pattern_found ? 1 : 0;
               ++runs;
               if (n_prime != 160 || seed > 2) continue;
-              // The whole refined pipeline on a pool: the pooled screen and
-              // core scan around the serial search.
+              // The whole refined pipeline: the screen and the core scan
+              // around the search.
               AlignedDetection want_in_matrix = want;
               if (want.pattern_found) {
                 want_in_matrix.columns =
                     reference::CoreScan(matrix, want.rows, opts.gamma);
               }
               ExpectSameDetection(
-                  AlignedDetector(opts, AnalysisContext{&pool})
-                      .DetectInMatrix(matrix, n_prime),
+                  AlignedDetector(opts).DetectInMatrix(matrix, n_prime),
                   want_in_matrix, label + " DetectInMatrix");
             }
           }
@@ -600,6 +610,32 @@ TEST(AlignedDetectorTest, FlatSearchEqualsTheReferenceSearch) {
   // Both outcomes are exercised.
   EXPECT_GT(found, 0u);
   EXPECT_LT(found, runs);
+}
+
+TEST(AlignedDetectorTest, CoreScanOfTheLiteralPatternIsTheDefinition) {
+  // Pattern columns beyond the screen cutoff make the core scan contribute
+  // columns; it must report exactly the columns Fig 6 defines.
+  SyntheticAlignedOptions opts;
+  opts.m = 120;
+  opts.n = 3000;
+  opts.n_prime = 150;
+  opts.pattern_rows = 50;
+  opts.pattern_cols = 40;
+  const AlignedDetectorOptions detector_opts = SmallDetectorOptions();
+  const AlignedDetector detector(detector_opts);
+  for (std::uint64_t seed = 6; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<std::uint32_t> pattern_rows;
+    std::vector<std::size_t> pattern_cols;
+    const BitMatrix matrix =
+        SampleLiteralAligned(opts, &rng, &pattern_rows, &pattern_cols);
+    const AlignedDetection detection =
+        detector.DetectInMatrix(matrix, opts.n_prime);
+    ASSERT_TRUE(detection.pattern_found) << "seed " << seed;
+    EXPECT_EQ(detection.columns,
+              reference::CoreScan(matrix, detection.rows, detector_opts.gamma))
+        << "seed " << seed;
+  }
 }
 
 TEST(AlignedDetectorTest, GammaSlackTradesRecallForPrecision) {

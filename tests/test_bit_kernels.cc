@@ -105,70 +105,6 @@ TEST_P(BitKernelTablesTest, CountOnesExtremes) {
   }
 }
 
-TEST_P(BitKernelTablesTest, AndCountMatchesNaive) {
-  Rng rng(202);
-  for (std::size_t len : kLengths) {
-    const auto a = RandomWords(&rng, len);
-    const auto b = RandomWords(&rng, len);
-    EXPECT_EQ(ops().and_count(a.data(), b.data(), len), NaiveAndCount(a, b))
-        << "len=" << len;
-  }
-}
-
-TEST_P(BitKernelTablesTest, AndOrInplaceMatchNaive) {
-  Rng rng(303);
-  for (std::size_t len : kLengths) {
-    const auto a = RandomWords(&rng, len);
-    const auto b = RandomWords(&rng, len);
-    std::vector<std::uint64_t> and_dst = a;
-    std::vector<std::uint64_t> or_dst = a;
-    ops().and_inplace(and_dst.data(), b.data(), len);
-    ops().or_inplace(or_dst.data(), b.data(), len);
-    for (std::size_t w = 0; w < len; ++w) {
-      ASSERT_EQ(and_dst[w], a[w] & b[w]) << "len=" << len << " w=" << w;
-      ASSERT_EQ(or_dst[w], a[w] | b[w]) << "len=" << len << " w=" << w;
-    }
-  }
-}
-
-TEST_P(BitKernelTablesTest, FoldsMatchNaive) {
-  Rng rng(404);
-  for (std::size_t len : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                          std::size_t{200}}) {
-    for (std::size_t num_rows : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{3}, std::size_t{17}}) {
-      std::vector<std::vector<std::uint64_t>> rows;
-      std::vector<const std::uint64_t*> ptrs;
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        rows.push_back(RandomWords(&rng, len));
-        ptrs.push_back(rows.back().data());
-      }
-      std::vector<std::uint64_t> and_out(len), or_out(len);
-      ops().and_fold(ptrs.data(), num_rows, len, and_out.data());
-      ops().or_fold(ptrs.data(), num_rows, len, or_out.data());
-      for (std::size_t w = 0; w < len; ++w) {
-        std::uint64_t want_and = ~0ULL, want_or = 0;
-        for (std::size_t r = 0; r < num_rows; ++r) {
-          want_and &= rows[r][w];
-          want_or |= rows[r][w];
-        }
-        ASSERT_EQ(and_out[w], want_and) << "rows=" << num_rows << " w=" << w;
-        ASSERT_EQ(or_out[w], want_or) << "rows=" << num_rows << " w=" << w;
-      }
-    }
-  }
-}
-
-TEST_P(BitKernelTablesTest, EmptyFoldsAreIdentities) {
-  std::vector<std::uint64_t> and_out(5, 0xDEAD), or_out(5, 0xDEAD);
-  ops().and_fold(nullptr, 0, 5, and_out.data());
-  ops().or_fold(nullptr, 0, 5, or_out.data());
-  for (std::size_t w = 0; w < 5; ++w) {
-    EXPECT_EQ(and_out[w], ~0ULL);
-    EXPECT_EQ(or_out[w], 0ULL);
-  }
-}
-
 TEST_P(BitKernelTablesTest, ColumnsMatchPairwise) {
   // The column-block count against the naive pairwise count: one to five
   // words per column (the SIMD tables specialise one and two), 0-37
@@ -218,7 +154,7 @@ TEST_P(BitKernelTablesTest, ColumnsMatchPairwise) {
 TEST_P(BitKernelTablesTest, RandomizedBitLengthFuzz) {
   // Randomized lengths in 0..8192 bits: allocate whole words, mask the tail
   // to the bit length (the BitVector zero-padding invariant), and check the
-  // fused count against the naive oracle.
+  // fused count, as one column num_words wide, against the naive oracle.
   Rng rng(606);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t num_bits = rng.UniformInt(8193);
@@ -230,9 +166,9 @@ TEST_P(BitKernelTablesTest, RandomizedBitLengthFuzz) {
       a.back() &= mask;
       b.back() &= mask;
     }
-    ASSERT_EQ(ops().and_count(a.data(), b.data(), num_words),
-              NaiveAndCount(a, b))
-        << "bits=" << num_bits;
+    std::uint32_t common = 0;
+    ops().and_count_columns(a.data(), b.data(), 1, num_words, &common);
+    ASSERT_EQ(common, NaiveAndCount(a, b)) << "bits=" << num_bits;
     ASSERT_EQ(ops().count_ones(a.data(), num_words), NaiveCountOnes(a))
         << "bits=" << num_bits;
   }
@@ -585,11 +521,6 @@ TEST(BitKernelDispatchTest, VpopcntdqHostSelectsAvx512) {
   const BitKernelOps& avx512 = internal::SelectBitKernels(false);
   ASSERT_NE(avx2, nullptr);
   EXPECT_EQ(avx512.count_ones, avx2->count_ones);
-  EXPECT_EQ(avx512.and_count, avx2->and_count);
-  EXPECT_EQ(avx512.and_inplace, avx2->and_inplace);
-  EXPECT_EQ(avx512.or_inplace, avx2->or_inplace);
-  EXPECT_EQ(avx512.and_fold, avx2->and_fold);
-  EXPECT_EQ(avx512.or_fold, avx2->or_fold);
   EXPECT_EQ(avx512.and_count_columns, avx2->and_count_columns);
   EXPECT_EQ(avx512.select_at_least, avx2->select_at_least);
   EXPECT_NE(avx512.and_count_tile, avx2->and_count_tile);

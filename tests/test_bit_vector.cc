@@ -59,28 +59,6 @@ TEST(BitVectorTest, CommonOnesCountsIntersection) {
   EXPECT_EQ(b.CommonOnes(a), 2u);
 }
 
-TEST(BitVectorTest, InPlaceAndKeepsOnlyIntersection) {
-  BitVector a(70);
-  BitVector b(70);
-  a.Set(0);
-  a.Set(69);
-  b.Set(69);
-  a.InPlaceAnd(b);
-  EXPECT_FALSE(a.Test(0));
-  EXPECT_TRUE(a.Test(69));
-  EXPECT_EQ(a.CountOnes(), 1u);
-}
-
-TEST(BitVectorTest, InPlaceOrTakesUnion) {
-  BitVector a(70);
-  BitVector b(70);
-  a.Set(0);
-  b.Set(69);
-  a.InPlaceOr(b);
-  EXPECT_TRUE(a.Test(0));
-  EXPECT_TRUE(a.Test(69));
-}
-
 TEST(BitVectorTest, FillRatio) {
   BitVector v(64);
   EXPECT_DOUBLE_EQ(v.FillRatio(), 0.0);
@@ -109,27 +87,6 @@ TEST(BitVectorTest, EqualityComparesSizeAndBits) {
   b.Set(64);
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == BitVector(64));
-}
-
-TEST(BitVectorTest, AssignAndEqualsCopyThenAnd) {
-  Rng rng(12);
-  const std::size_t n = 321;
-  BitVector a(n);
-  BitVector b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.5)) a.Set(i);
-    if (rng.Bernoulli(0.5)) b.Set(i);
-  }
-  BitVector expected = a;
-  expected.InPlaceAnd(b);
-  BitVector got;  // Starts empty; AssignAnd must adopt the operand shape.
-  got.AssignAnd(a, b);
-  EXPECT_TRUE(got == expected);
-  // Reassignment from a larger previous shape must also resize down.
-  BitVector reused(2 * n);
-  reused.Set(2 * n - 1);
-  reused.AssignAnd(a, b);
-  EXPECT_TRUE(reused == expected);
 }
 
 TEST(BitVectorTest, CommonOnesMatchesBruteForceOnRandomVectors) {

@@ -9,6 +9,7 @@
 #include "dcs/epoch_ring.h"
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,6 +235,21 @@ TEST(EpochRingTest, StaleDigestIsRefusedWithoutTouchingSlots) {
   EXPECT_EQ(stale.code(), Status::Code::kFailedPrecondition);
   EXPECT_EQ(ring.stats().stale_digests, 1u);
   EXPECT_EQ(ring.epochs_in_flight(), 1u);
+}
+
+TEST(EpochRingTest, FirstEpochNearTheTopOfTheRangeClosesOnce) {
+  // head + capacity wraps when the first epoch is within capacity of the
+  // largest epoch id; the window must still hold just that one epoch.
+  constexpr std::uint64_t kEpoch =
+      std::numeric_limits<std::uint64_t>::max() - 1;
+  EpochRing ring(RingOptions(ShedPolicy::kBlock));
+  ASSERT_TRUE(ring.Offer(SynthesizeDigest(kEpoch, 0)).ok());
+  EXPECT_EQ(ring.head_epoch(), kEpoch);
+  ring.Drain();
+  const std::vector<DcsReport> reports = ring.TakeReports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].epoch_id, kEpoch);
+  EXPECT_EQ(reports[0].digests_accepted, 1u);
 }
 
 TEST(EpochRingTest, SlotRecyclingReusesMonitors) {

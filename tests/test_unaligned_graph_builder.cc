@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/bit_kernels.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -65,7 +64,6 @@ WalkReference ReferenceWalk(const BitMatrix& matrix, std::size_t arrays,
   const std::size_t groups = matrix.rows() / arrays;
   const std::uint64_t misses_before =
       low.cache_misses() + (high == nullptr ? 0 : high->cache_misses());
-  const auto and_count = ScalarBitKernels().and_count;
   const auto ones = [&](std::size_t row) {
     return static_cast<std::uint32_t>(matrix.row(row).CountOnes());
   };
@@ -81,8 +79,7 @@ WalkReference ReferenceWalk(const BitMatrix& matrix, std::size_t arrays,
           if (ones(r2) == 0) continue;
           ++ref.compares;
           const auto common = static_cast<std::int64_t>(
-              and_count(matrix.row(r1).words(), matrix.row(r2).words(),
-                        matrix.row(r1).num_words()));
+              matrix.row(r1).CommonOnes(matrix.row(r2)));
           if (common <= low.Threshold(ones(r1), ones(r2))) continue;
           const auto edge = std::make_pair(static_cast<Graph::VertexId>(g1),
                                            static_cast<Graph::VertexId>(g2));

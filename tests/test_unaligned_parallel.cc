@@ -1,5 +1,5 @@
-// Differential determinism suite for the pooled unaligned stages, mirroring
-// test_aligned_parallel.cc: λ calibration, correlation-graph construction,
+// Differential determinism suite for the pooled unaligned stages: λ
+// calibration, correlation-graph construction,
 // and full DcsMonitor unaligned reports must be bit-identical between the
 // serial path (no pool) and pools of 1, 2, and 8 threads. Every pooled
 // stage merges per-shard results under a total order, so any divergence

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -86,18 +85,6 @@ TEST(ScreenHeaviestColumnsTest, NPrimeBeyondWidthTakesAll) {
   EXPECT_EQ(screened.columns.size(), 3u);
 }
 
-TEST(TopKIndicesInRangeTest, RestrictsToRangeWithGlobalIds) {
-  const std::vector<std::uint32_t> values = {9, 1, 7, 7, 8, 2};
-  EXPECT_EQ(TopKIndicesInRange(values, 1, 5, 2),
-            (std::vector<std::size_t>{4, 2}));
-  EXPECT_EQ(TopKIndicesInRange(values, 0, values.size(), 3),
-            TopKIndices(values, 3));
-  EXPECT_TRUE(TopKIndicesInRange(values, 4, 4, 3).empty());
-  // Out-of-bounds end clamps.
-  EXPECT_EQ(TopKIndicesInRange(values, 5, 100, 2),
-            (std::vector<std::size_t>{5}));
-}
-
 // Brute-force oracle: every column id, sorted by (weight desc, id asc).
 std::vector<std::size_t> SortOracle(const std::vector<std::uint32_t>& weights,
                                     std::size_t n_prime) {
@@ -124,12 +111,10 @@ BitMatrix RandomBernoulliMatrix(std::size_t rows, std::size_t cols,
   return matrix;
 }
 
-void ExpectScreenMatchesOracle(const BitMatrix& matrix, std::size_t n_prime,
-                               ThreadPool* pool) {
+void ExpectScreenMatchesOracle(const BitMatrix& matrix, std::size_t n_prime) {
   const std::vector<std::uint32_t> weights = matrix.ColumnWeights();
   const std::vector<std::size_t> oracle = SortOracle(weights, n_prime);
-  const ScreenedColumns screened =
-      ScreenHeaviestColumns(matrix, n_prime, pool);
+  const ScreenedColumns screened = ScreenHeaviestColumns(matrix, n_prime);
   ASSERT_EQ(screened.original_ids, oracle);
   ASSERT_EQ(screened.columns.size(), oracle.size());
   for (std::size_t i = 0; i < oracle.size(); ++i) {
@@ -139,15 +124,11 @@ void ExpectScreenMatchesOracle(const BitMatrix& matrix, std::size_t n_prime,
 }
 
 TEST(ScreenHeaviestColumnsTest, ShardedScreenMatchesSortOracle) {
-  ThreadPool pool2(2);
-  ThreadPool pool8(8);
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
     const BitMatrix matrix = RandomBernoulliMatrix(48, 1200, &rng);
     for (const std::size_t n_prime : {1u, 150u, 1200u, 5000u}) {
-      ExpectScreenMatchesOracle(matrix, n_prime, nullptr);
-      ExpectScreenMatchesOracle(matrix, n_prime, &pool2);
-      ExpectScreenMatchesOracle(matrix, n_prime, &pool8);
+      ExpectScreenMatchesOracle(matrix, n_prime);
     }
   }
 }
@@ -155,28 +136,37 @@ TEST(ScreenHeaviestColumnsTest, ShardedScreenMatchesSortOracle) {
 TEST(ScreenHeaviestColumnsTest, TieHeavyScreenMatchesSortOracle) {
   // Three rows -> column weights in {0..3}: the cutoff weight is shared by
   // hundreds of columns, so the id tie-break does all the work.
-  ThreadPool pool8(8);
   Rng rng(99);
   const BitMatrix matrix = RandomBernoulliMatrix(3, 2048, &rng);
   for (const std::size_t n_prime : {100u, 700u, 2000u}) {
-    ExpectScreenMatchesOracle(matrix, n_prime, nullptr);
-    ExpectScreenMatchesOracle(matrix, n_prime, &pool8);
+    ExpectScreenMatchesOracle(matrix, n_prime);
   }
 }
 
-TEST(ScreenHeaviestColumnsTest, SerialAndPooledBitIdentical) {
-  ThreadPool pool2(2);
-  ThreadPool pool8(8);
-  Rng rng(7);
-  const BitMatrix matrix = RandomBernoulliMatrix(64, 777, &rng);
-  const ScreenedColumns serial = ScreenHeaviestColumns(matrix, 99, nullptr);
-  for (ThreadPool* pool : {&pool2, &pool8}) {
-    const ScreenedColumns pooled = ScreenHeaviestColumns(matrix, 99, pool);
-    EXPECT_EQ(pooled.original_ids, serial.original_ids);
-    EXPECT_EQ(pooled.weights, serial.weights);
-    ASSERT_EQ(pooled.columns.size(), serial.columns.size());
-    for (std::size_t i = 0; i < serial.columns.size(); ++i) {
-      EXPECT_TRUE(pooled.columns[i] == serial.columns[i]);
+TEST(ScreenHeaviestColumnsTest, HotScreenEqualsColdScreen) {
+  // Precomputed weights skip the weight pass; the selection and the
+  // extraction must not notice. Three rows put every weight in {0..3}, so
+  // the id tie-break decides each cut.
+  Rng rng(31);
+  for (const std::size_t width : {1u, 63u, 65u, 1000u}) {
+    const BitMatrix matrix = RandomBernoulliMatrix(3, width, &rng);
+    const std::vector<std::uint32_t> weights = matrix.ColumnWeights();
+    for (const std::size_t n_prime : {std::size_t{1}, width / 2 + 1,
+                                      width + 3}) {
+      const ScreenedColumns cold = ScreenHeaviestColumns(matrix, n_prime);
+      const ScreenedColumns hot =
+          ScreenHeaviestColumns(matrix, n_prime, &weights);
+      EXPECT_EQ(hot.original_ids, cold.original_ids)
+          << "width " << width << " n' " << n_prime;
+      EXPECT_EQ(hot.weights, cold.weights)
+          << "width " << width << " n' " << n_prime;
+      ASSERT_EQ(hot.columns.size(), cold.columns.size());
+      for (std::size_t i = 0; i < cold.columns.size(); ++i) {
+        EXPECT_TRUE(hot.columns[i] == cold.columns[i])
+            << "width " << width << " n' " << n_prime << " column " << i;
+      }
+      EXPECT_EQ(hot.num_rows, cold.num_rows);
+      EXPECT_EQ(hot.num_source_columns, cold.num_source_columns);
     }
   }
 }

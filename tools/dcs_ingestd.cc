@@ -136,7 +136,7 @@ Status CmdServe(const Flags& flags) {
   if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
   // One pool for the whole daemon. The poll round fans connection reads
   // and frame parsing out on it, the dispatcher decodes on it, and the
-  // ring's analysis uses it; the stages never overlap (all run inside the
+  // ring's unaligned pair scan uses it; the stages never overlap (all run inside the
   // poll round), and the single ordered offer stage keeps the report
   // stream unchanged (the loopback differential suite is the proof).
   std::unique_ptr<ThreadPool> pool;

@@ -19,10 +19,9 @@
 //       [--ring-epochs 0] [--ring-capacity 4] [--shed-policy block]
 //       [--epoch-stride 1]
 //     Stacks the digests at the analysis center and prints the report.
-//     --threads N > 1 runs the analysis on an N-worker pool — the aligned
-//     pipeline (weight screen, ASID search, core scan) and the whole
-//     unaligned pipeline (row weights, lambda calibration, pair scan,
-//     min-degree peeling, survivor expansion); the report is bit-identical
+//     --threads N > 1 runs the unaligned lambda calibration and pair scan
+//     on an N-worker pool; every other stage, the whole aligned pipeline
+//     included, runs on the calling thread. The report is bit-identical
 //     at any thread count (docs/PARALLELISM.md).
 //     --expected-routers N turns on hardened ingestion (docs/ROBUSTNESS.md):
 //     rejected digests are reported instead of aborting the run, and the
