@@ -15,8 +15,11 @@
 //                  1/2 fill with a 40 x 30 pattern, n' = 4000 and the
 //                  default hopefuls, cold screen (full run only).
 //
-// Per scenario the search's work is exported next to its time: the columns
-// counted against a product (search_candidate_counts, from the
+// Per scenario the search's work is exported next to its time: the
+// iterations it ran (search_iterations, one per b' from the pair pass on;
+// the search stops on evidence at least three iterations after its best
+// product, so a pattern wider than the budget runs all of them), the
+// columns counted against a product (search_candidate_counts, from the
 // detector.aligned.candidate_counts counter) and the search time per
 // counted column (search_per_count_ns), and the core scan's time per
 // core-row word (core_scan_per_row_word_ns: one positional-popcount
@@ -128,7 +131,7 @@ bool SameDetection(const dcs::AlignedDetection& a,
   return a.pattern_found == b.pattern_found && a.rows == b.rows &&
          a.columns == b.columns &&
          a.weight_trajectory == b.weight_trajectory &&
-         a.stop_iteration == b.stop_iteration;
+         a.best_iteration == b.best_iteration;
 }
 
 // Seconds recorded into a stage histogram since `before_ns`.
@@ -181,7 +184,7 @@ int main(int argc, char** argv) {
   constexpr int kReps = 5;
   TablePrinter table(
       {"scenario", "detect s", "screen s", "search s", "core scan s"});
-  TablePrinter work({"scenario", "iterations", "columns counted",
+  TablePrinter work({"scenario", "iterations", "best b'", "columns counted",
                      "search ns/count", "core rows",
                      "core scan ns/row-word"});
   for (const Scenario& s : scenarios) {
@@ -249,6 +252,7 @@ int main(int argc, char** argv) {
         static_cast<double>((s.cols + 63) / 64);
     const double core_ns_per_row_word = core * 1e9 / core_row_words;
     work.AddRow({s.name, std::to_string(search_iterations),
+                 std::to_string(reference.best_iteration),
                  std::to_string(search_counts),
                  TablePrinter::Fmt(ns_per_count, 3),
                  std::to_string(reference.rows.size()),
@@ -270,7 +274,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::printf(
       "\nMedians of %d runs on the calling thread. Every detection equals\n"
-      "the first run's (rows, columns, weight trajectory, stop iteration).\n",
+      "the first run's (rows, columns, weight trajectory, best iteration).\n",
       kReps);
   std::printf("\nSearch and core-scan work (%s kernels):\n",
               ActiveBitKernels().name);

@@ -10,6 +10,7 @@
 // Build & run:   ./build/examples/hot_object
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "baseline/raw_aggregation.h"
@@ -67,12 +68,14 @@ int main() {
   for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
     const auto traces = EpochTraffic(epoch, spread[epoch], catalog);
     monitor.ClearEpoch();
+    std::uint64_t digest_bytes = 0;
     for (std::uint32_t router = 0; router < kRouters; ++router) {
       dcs::AlignedCollector collector(router, options.sketch);
       const auto epochs =
           traces[router].SplitIntoEpochs(traces[router].size());
-      const dcs::Status status =
-          monitor.AddDigest(collector.ProcessEpoch(epochs[0]));
+      dcs::Digest digest = collector.ProcessEpoch(epochs[0]);
+      digest_bytes += digest.EncodedSizeBytes();
+      const dcs::Status status = monitor.AddDigest(std::move(digest));
       if (!status.ok()) {
         std::fprintf(stderr, "AddDigest: %s\n", status.ToString().c_str());
         return 1;
@@ -108,9 +111,9 @@ int main() {
           "shipped %.1f MB to the center;\nDCS shipped %.1f KB "
           "(%.0fx less) for the same verdict.\n",
           findings.size(), static_cast<double>(raw.bytes_shipped()) / 1e6,
-          static_cast<double>(monitor.digest_bytes_received()) / 1e3,
+          static_cast<double>(digest_bytes) / 1e3,
           static_cast<double>(raw.bytes_shipped()) /
-              static_cast<double>(monitor.digest_bytes_received()));
+              static_cast<double>(digest_bytes));
     }
   }
   return 0;

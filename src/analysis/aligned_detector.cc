@@ -101,6 +101,14 @@ struct Hopefuls {
   }
 };
 
+// The search stops after this many iterations in a row that bring no lower
+// natural-occurrence bound and whose heaviest product lost rows, or held a
+// weight too light to beat the best bound within the budget. A held weight
+// that could still beat it restarts the count: with few rows the bound
+// first rises while a pattern is absorbed (EXPERIMENTS.md, "Stopping the
+// aligned search on evidence").
+constexpr std::size_t kStopPatience = 3;
+
 std::uint64_t ColumnSetFingerprint(std::span<const std::uint32_t> cols) {
   std::uint64_t h = 0x5EAFC0DE;
   for (std::uint32_t c : cols) h = HashCombine(h, Mix64(c + 1));
@@ -134,7 +142,7 @@ AlignedDetection AlignedDetector::Detect(
     ObsGauge("detector.aligned.stop_iteration")
         .Set(static_cast<double>(last_iteration));
     ObsGauge("detector.aligned.best_iteration")
-        .Set(static_cast<double>(detection.stop_iteration));
+        .Set(static_cast<double>(detection.best_iteration));
     ObsCounter("detector.aligned.candidate_counts").Add(counted);
     ObsCounter("detector.aligned.offers").Add(offers);
   };
@@ -227,13 +235,22 @@ AlignedDetection AlignedDetector::Detect(
       0.5, 0.999);
 
   // Track the most significant (lowest natural-occurrence bound) product
-  // seen across iterations — the heaviest hopeful of its iteration; the
-  // weight-loss heuristics below only decide when to stop iterating early.
-  auto significance = [&](const Hopefuls& p) {
+  // seen across iterations — the heaviest hopeful of its iteration. It is
+  // the detection, and it decides when to stop iterating.
+  const auto bound = [&](std::uint32_t weight, std::size_t b) {
     return LogNaturalOccurrenceBoundDensity(
         static_cast<std::int64_t>(m), static_cast<std::int64_t>(n_cols),
-        static_cast<std::int64_t>(p.weights[0]),
-        static_cast<std::int64_t>(p.num_cols), density);
+        static_cast<std::int64_t>(weight), static_cast<std::int64_t>(b),
+        density);
+  };
+  // The lowest bound a product of `weight` rows could reach by keeping that
+  // weight through any later iteration. At a held weight each column changes
+  // the log bound by log((n' - b') / (b' + 1)) + weight * log(density),
+  // which falls as b' grows, so the lowest is at one end of the range.
+  const std::size_t last_b = std::min(options_.max_iterations, n_cols);
+  const auto held_bound = [&](std::uint32_t weight, std::size_t next_b) {
+    return std::min(bound(weight, std::min(next_b, last_b)),
+                    bound(weight, last_b));
   };
   std::vector<std::uint64_t> best_words;
   std::vector<std::uint32_t> best_cols;
@@ -244,11 +261,9 @@ AlignedDetection AlignedDetector::Detect(
                      p.cols.begin() + static_cast<std::ptrdiff_t>(p.num_cols));
   };
   keep_best(hopefuls);
-  double best_log_bound = significance(hopefuls);
+  double best_log_bound = bound(hopefuls.weights[0], 2);
   std::size_t best_iteration = 2;
-  bool flattened = false;
-  bool dive_detected = false;
-  double prev_weight = static_cast<double>(hopefuls.weights[0]);
+  std::size_t losing_streak = 0;
 
   // --- Iterations b' >= 3: extend each hopeful by one more column,
   // ranking every extension against all columns in one top-H selection.
@@ -296,48 +311,28 @@ AlignedDetection AlignedDetector::Detect(
     std::swap(hopefuls, next);
 
     const std::uint32_t heaviest = hopefuls.weights[0];
-    const double cur_weight = static_cast<double>(heaviest);
+    const bool lost_weight = heaviest < detection.weight_trajectory.back();
     detection.weight_trajectory.push_back(heaviest);
     record_iteration(hopefuls.size(), heaviest);
 
-    const double log_bound = significance(hopefuls);
-    if (log_bound < best_log_bound) {
+    const double log_bound = bound(heaviest, iter);
+    const bool improved = log_bound < best_log_bound;
+    if (improved) {
       best_log_bound = log_bound;
       keep_best(hopefuls);
       best_iteration = iter;
     }
-
-    // Termination procedure (Section III-B): the weight first decays
-    // steeply per iteration while noise rows are being zeroed out, flattens
-    // as the product absorbs pattern columns, then dives again once the
-    // pattern is exhausted. Stop shortly after the second dive begins (the
-    // best product is already recorded). Tiny weights make the ratio
-    // meaningless, so flattening requires some mass left.
-    if (!dive_detected && prev_weight > 0) {
-      const double ratio = cur_weight / prev_weight;
-      if (flattened && ratio <= options_.dive_ratio) {
-        dive_detected = true;
-        stop_reason = "dive";
-        if (!options_.record_full_trajectory) break;
-      } else if (ratio >= options_.flatten_ratio && cur_weight >= 8.0) {
-        flattened = true;
-      }
-    }
-    prev_weight = cur_weight;
-    if (heaviest == 0) {
-      stop_reason = "zero_weight";
-      break;
-    }
-    // Pure-noise fast path: once the heaviest product is down to a handful
-    // of rows without ever flattening, no later product can become
-    // significant — products only lose weight.
-    if (!options_.record_full_trajectory && !flattened && heaviest < 4) {
-      stop_reason = "noise_floor";
+    const bool behind =
+        !improved &&
+        (lost_weight || held_bound(heaviest, iter + 1) >= best_log_bound);
+    losing_streak = behind ? losing_streak + 1 : 0;
+    if (losing_streak == kStopPatience && !options_.record_full_trajectory) {
+      stop_reason = "no_better_bound";
       break;
     }
   }
 
-  detection.stop_iteration = best_iteration;
+  detection.best_iteration = best_iteration;
   report_stop(stop_reason);
 
   // Non-naturally-occurring gate (Fig 5 line 6) within the searched

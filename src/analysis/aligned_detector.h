@@ -26,16 +26,11 @@ struct AlignedDetectorOptions {
   /// Core-scan slack: columns with >= weight(core) - gamma common 1s join
   /// the pattern (Fig 6 line 12; "2 or 3 works almost 100% of the time").
   std::uint32_t gamma = 2;
-  /// Ratio above which the weight-loss curve counts as flattened and below
-  /// which (after flattening) the second exponential dive is declared; see
-  /// the termination procedure of Section III-B and Fig 7. The dive ratio
-  /// sits above the noise-phase decay (~0.55-0.75, inflated past 1/2 by
-  /// max-selection among the hopefuls) and below the plateau (~0.9+).
-  double flatten_ratio = 0.85;
-  double dive_ratio = 0.80;
-  /// When true, runs all max_iterations and records the full weight-loss
-  /// trajectory (used to regenerate Fig 7); termination still reports the
-  /// iteration the procedure would have chosen.
+  /// When true, runs every iteration up to max_iterations (or until no
+  /// extension is left) and records the full weight-loss trajectory (used
+  /// to regenerate Fig 7). When false, the search stops on evidence (see
+  /// AlignedDetector). Either way the reported product is the lowest-bound
+  /// one it saw.
   bool record_full_trajectory = false;
 };
 
@@ -53,22 +48,27 @@ struct AlignedDetection {
   std::vector<std::size_t> weight_trajectory;
   /// b' of the reported product: the iteration whose heaviest hopeful had
   /// the lowest natural-occurrence bound (2 when no later one beat the pair
-  /// pass, 0 when the search found no product). It is not the last
-  /// iteration the search ran; the detector.aligned.stop_iteration gauge
-  /// reports that.
-  std::size_t stop_iteration = 0;
+  /// pass, 0 when the search found no product). Unless the full trajectory
+  /// was recorded, the search stopped at least three iterations after it,
+  /// at the cap, or when no extension was left; the
+  /// detector.aligned.stop_iteration gauge reports the last iteration run.
+  std::size_t best_iteration = 0;
 };
 
 /// \brief Greedy ASID detector for the aligned case.
 ///
 /// Detect() runs the k-product "hopefuls" iteration of Fig 5 over a set of
 /// columns — the naive algorithm when given all columns, the refined
-/// algorithm's core search when given the heaviest-n' screen. The weight
-/// trajectory termination procedure decides when the noise is gone (see
-/// Fig 7); the result passes the non-naturally-occurring gate before being
-/// reported. DetectInMatrix() adds the refined algorithm's final scan that
-/// grows the core across every remaining column, screened or not (Fig 6
-/// lines 10-14).
+/// algorithm's core search when given the heaviest-n' screen. The product
+/// with the lowest natural-occurrence bound across iterations is the
+/// candidate, and the search stops on evidence that it is behind (where the
+/// paper watches the weight curve for its second dive, Fig 7): three
+/// iterations in a row that bring no lower bound and whose heaviest product
+/// lost rows, or kept a weight too light to beat that bound within the
+/// budget. The candidate passes the non-naturally-occurring gate before
+/// being reported. DetectInMatrix()
+/// adds the refined algorithm's final scan that grows the core across every
+/// remaining column, screened or not (Fig 6 lines 10-14).
 ///
 /// The search is flat. Detect() copies the screened columns into one
 /// contiguous block of words_per_col = ceil(m / 64) words per column, and

@@ -195,14 +195,11 @@ Status DcsMonitor::AddDigest(Digest digest) {
   ObsCounter("ingest.accepted").Increment();
   ObsGauge("ingest.missing_routers")
       .Set(static_cast<double>(stats_.missing_routers()));
-  const std::size_t encoded_bytes = digest.EncodedSizeBytes();
-  digest_bytes_ += encoded_bytes;
   raw_bytes_ += digest.raw_bytes_covered;
   ObsCounter(digest.kind == DigestKind::kAligned
                  ? "monitor.digests_received.aligned"
                  : "monitor.digests_received.unaligned")
       .Increment();
-  ObsCounter("monitor.digest_bytes_received").Add(encoded_bytes);
   ObsCounter("monitor.raw_bytes_summarized").Add(digest.raw_bytes_covered);
   if (digest.kind == DigestKind::kUnaligned) {
     unaligned_.push_back(std::move(digest));
@@ -437,7 +434,6 @@ void DcsMonitor::ClearEpoch() {
   aligned_routers_.clear();
   unaligned_.clear();
   incremental_weights_.Reset();
-  digest_bytes_ = 0;
   raw_bytes_ = 0;
   stats_ = EpochIngestStats{};
   stats_.expected_routers = ingest_options_.expected_routers;

@@ -124,9 +124,8 @@ class DcsMonitor {
   std::size_t num_aligned_digests() const { return aligned_routers_.size(); }
   std::size_t num_unaligned_digests() const { return unaligned_.size(); }
 
-  /// Total encoded digest bytes received this epoch and the raw traffic
-  /// bytes they summarize (for the >=1000x reduction accounting).
-  std::uint64_t digest_bytes_received() const { return digest_bytes_; }
+  /// Raw traffic bytes summarized by the digests accepted this epoch (for
+  /// the >=1000x reduction accounting).
   std::uint64_t raw_bytes_summarized() const { return raw_bytes_; }
 
   /// Running per-column 1-counts over the aligned digests accepted so far
@@ -165,7 +164,6 @@ class DcsMonitor {
   std::vector<std::uint32_t> aligned_routers_;
   std::vector<Digest> unaligned_;
   IncrementalColumnWeights incremental_weights_;
-  std::uint64_t digest_bytes_ = 0;
   std::uint64_t raw_bytes_ = 0;
   // The ER and core graphs' lambda tables, kept across epochs (ClearEpoch
   // leaves them) and rebuilt only when their (array bits, p*) key moves.

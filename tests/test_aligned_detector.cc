@@ -92,21 +92,21 @@ TEST(AlignedDetectorTest, WeightTrajectoryShowsFlattenThenDive) {
   // Initial drop is steep (noise halving).
   EXPECT_LT(static_cast<double>(w[1]),
             0.8 * static_cast<double>(w[0]) + 1.0);
-  // Around the stop iteration the curve has flattened: the loss per
+  // Around the best iteration the curve has flattened: the loss per
   // iteration is small relative to the early halving.
-  const std::size_t stop = detection.stop_iteration;  // b' value.
-  ASSERT_GE(stop, 3u);
-  const std::size_t idx = stop - 2;  // Trajectory index of iteration b'.
+  const std::size_t best = detection.best_iteration;  // b' value.
+  ASSERT_GE(best, 3u);
+  const std::size_t idx = best - 2;  // Trajectory index of iteration b'.
   ASSERT_GT(idx, 0u);
   ASSERT_LT(idx, w.size());
   EXPECT_GT(static_cast<double>(w[idx]),
             0.8 * static_cast<double>(w[idx - 1]));
 }
 
-TEST(AlignedDetectorTest, StopIterationTracksPatternColumnsInScreen) {
-  // The termination procedure should stop within a couple of iterations of
-  // the number of planted columns that survived the screen (15 in the
-  // paper's Fig 7 example).
+TEST(AlignedDetectorTest, BestIterationTracksPatternColumnsInScreen) {
+  // The reported product should have within a couple of columns of the
+  // number of planted columns that survived the screen (15 in the paper's
+  // Fig 7 example).
   AlignedDetector detector(SmallDetectorOptions());
   Rng rng(4);
   const SyntheticScreened s = SampleScreenedAligned(PlantedCase(), &rng);
@@ -114,7 +114,7 @@ TEST(AlignedDetectorTest, StopIterationTracksPatternColumnsInScreen) {
   ASSERT_TRUE(detection.pattern_found);
   const auto in_screen =
       static_cast<std::int64_t>(s.pattern_columns_in_screen);
-  EXPECT_NEAR(static_cast<double>(detection.stop_iteration),
+  EXPECT_NEAR(static_cast<double>(detection.best_iteration),
               static_cast<double>(in_screen), 2.5);
 }
 
@@ -132,11 +132,12 @@ TEST(AlignedDetectorTest, ReportedColumnsAreScreenedPatternColumns) {
   EXPECT_GE(genuine * 10, detection.columns.size() * 8);
 }
 
-// The search keeps one bounded heap per pass under a total order (weight
-// desc, then column ids asc), so its trajectory is a pure function of the
+// The search keeps the top-H of each pass under a total order (weight desc,
+// then column ids asc), so its trajectory is a pure function of the
 // screened columns. These cases pin it — through every iteration, on pure
 // noise, on a planted pattern, and on input where almost every product
-// weight ties — to the values the engine has always produced.
+// weight ties — to the values the engine has always produced, and pin
+// where the evidence stop ends the pure-noise runs.
 
 TEST(AlignedDetectorTest, PureNoiseTrajectoryIsPinned) {
   SyntheticAlignedOptions opts;
@@ -151,16 +152,34 @@ TEST(AlignedDetectorTest, PureNoiseTrajectoryIsPinned) {
       {67, 50, 39, 30, 26, 22, 20, 17, 14, 13, 12, 11, 10, 10, 9,
        9,  8,  8,  8,  8,  7,  7,  7,  7,  7,  6,  6,  6,  6},
   };
-  const std::size_t expected_stop[] = {12, 8, 8};
-  const AlignedDetector detector(SmallDetectorOptions());
+  const std::size_t expected_best[] = {12, 8, 8};
+  // Without the full trajectory the search stops on evidence, three
+  // iterations after its best bound: at b' = 15, 11, 11.
+  const std::size_t expected_stopped_length[] = {14, 10, 10};
+  AlignedDetectorOptions full_opts = SmallDetectorOptions();
+  full_opts.record_full_trajectory = true;
+  const AlignedDetector full(full_opts);
+  const AlignedDetector early(SmallDetectorOptions());
   for (std::uint64_t seed = 20; seed <= 22; ++seed) {
     Rng rng(seed);
     const SyntheticScreened s = SampleScreenedAligned(opts, &rng);
-    const AlignedDetection detection = detector.Detect(s.screened);
+    const AlignedDetection detection = full.Detect(s.screened);
     EXPECT_FALSE(detection.pattern_found) << "seed " << seed;
     EXPECT_EQ(detection.weight_trajectory, expected[seed - 20])
         << "seed " << seed;
-    EXPECT_EQ(detection.stop_iteration, expected_stop[seed - 20])
+    EXPECT_EQ(detection.best_iteration, expected_best[seed - 20])
+        << "seed " << seed;
+
+    const AlignedDetection stopped = early.Detect(s.screened);
+    EXPECT_FALSE(stopped.pattern_found) << "seed " << seed;
+    const auto& want = expected[seed - 20];
+    EXPECT_EQ(stopped.weight_trajectory,
+              std::vector<std::size_t>(
+                  want.begin(),
+                  want.begin() + static_cast<std::ptrdiff_t>(
+                                     expected_stopped_length[seed - 20])))
+        << "seed " << seed;
+    EXPECT_EQ(stopped.best_iteration, expected_best[seed - 20])
         << "seed " << seed;
   }
 }
@@ -177,7 +196,7 @@ TEST(AlignedDetectorTest, FullTrajectoryIsPinned) {
             (std::vector<std::size_t>{89, 69, 59, 53, 48, 46, 44, 42, 42, 41,
                                       40, 32, 26, 22, 19, 17, 15, 13, 12, 11,
                                       10, 10, 9,  9,  8,  8,  8,  7,  7}));
-  EXPECT_EQ(detection.stop_iteration, 12u);
+  EXPECT_EQ(detection.best_iteration, 12u);
   EXPECT_EQ(detection.columns,
             (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
   EXPECT_EQ(detection.rows,
@@ -210,10 +229,10 @@ TEST(AlignedDetectorTest, TieHeavyTrajectoryIsPinned) {
             (std::vector<std::size_t>{10, 9, 9, 8, 8, 7, 7, 7, 7, 7,
                                       7,  7, 6, 6, 6, 6, 6, 5, 5, 5,
                                       5,  5, 5, 5, 5, 5, 5, 5, 5}));
-  EXPECT_EQ(detection.stop_iteration, 2u);
+  EXPECT_EQ(detection.best_iteration, 2u);
   const AlignedDetection again = detector.DetectInMatrix(matrix, 128);
   EXPECT_EQ(again.weight_trajectory, detection.weight_trajectory);
-  EXPECT_EQ(again.stop_iteration, detection.stop_iteration);
+  EXPECT_EQ(again.best_iteration, detection.best_iteration);
 }
 
 TEST(AlignedDetectorTest, DegenerateInputsAreSafe) {
@@ -326,13 +345,55 @@ TEST(AlignedDetectorTest, CoreScanReportsEveryPlantedColumn) {
   }
 }
 
+// Where the evidence stop ends a search whose heaviest products weighed
+// `trajectory` (index 0 is b' = 2): the first b' closing three iterations
+// in a row that brought no lower natural-occurrence bound than the best so
+// far and whose heaviest product lost weight, or held one that could not
+// beat that bound at the next b' or at the last one the budget allows.
+// 0 when the search runs on.
+std::size_t EvidenceStopIteration(const ScreenedColumns& screened,
+                                  const std::vector<std::size_t>& trajectory,
+                                  std::size_t max_iterations) {
+  const auto m = static_cast<std::int64_t>(screened.num_rows);
+  const auto n = static_cast<std::int64_t>(screened.columns.size());
+  double density_sum = 0.0;
+  for (std::uint32_t w : screened.weights) density_sum += w;
+  const double density = std::clamp(
+      density_sum / (static_cast<double>(n) * static_cast<double>(m)), 0.5,
+      0.999);
+  const auto bound = [&](std::size_t weight, std::size_t b) {
+    return LogNaturalOccurrenceBoundDensity(
+        m, n, static_cast<std::int64_t>(weight), static_cast<std::int64_t>(b),
+        density);
+  };
+  const std::size_t last_b =
+      std::min<std::size_t>(max_iterations, static_cast<std::size_t>(n));
+  double best = bound(trajectory[0], 2);
+  std::size_t streak = 0;
+  for (std::size_t i = 1; i < trajectory.size(); ++i) {
+    const std::size_t b = i + 2;
+    const std::size_t w = trajectory[i];
+    if (bound(w, b) < best) {
+      best = bound(w, b);
+      streak = 0;
+      continue;
+    }
+    const bool hopeless = bound(w, std::min(b + 1, last_b)) >= best &&
+                          bound(w, last_b) >= best;
+    streak = w < trajectory[i - 1] || hopeless ? streak + 1 : 0;
+    if (streak == 3) return b;
+  }
+  return 0;
+}
+
 // The k-product search as it stood before the flat rewrite, kept as the
 // oracle for FlatSearchEqualsTheReferenceSearch: one BitVector and one
 // column vector per product, a bounded heap per pass, and the column-weight
 // prunes. Only the arithmetic differs from that engine's code — one
 // BitVector::CommonOnes per candidate instead of batched kernel calls, and
-// a word-AND loop for each product, which compute the same values — and
-// the metrics are gone.
+// a word-AND loop for each product, which compute the same values — the
+// metrics are gone, and it stops where EvidenceStopIteration says, unless
+// the full trajectory is recorded.
 namespace reference {
 
 struct Product {
@@ -449,9 +510,6 @@ AlignedDetection Detect(const AlignedDetectorOptions& options,
   Product best_product = hopefuls.front();
   double best_log_bound = significance(best_product);
   std::size_t best_iteration = 2;
-  bool flattened = false;
-  bool dive_detected = false;
-  double prev_weight = static_cast<double>(hopefuls.front().weight);
 
   for (std::size_t iter = 3; iter <= options.max_iterations; ++iter) {
     TopH heap(options.hopefuls);
@@ -490,7 +548,6 @@ AlignedDetection Detect(const AlignedDetectorOptions& options,
     if (next.empty()) break;
     hopefuls = std::move(next);
 
-    const double cur_weight = static_cast<double>(hopefuls.front().weight);
     detection.weight_trajectory.push_back(hopefuls.front().weight);
     const double log_bound = significance(hopefuls.front());
     if (log_bound < best_log_bound) {
@@ -498,24 +555,14 @@ AlignedDetection Detect(const AlignedDetectorOptions& options,
       best_product = hopefuls.front();
       best_iteration = iter;
     }
-    if (!dive_detected && prev_weight > 0) {
-      const double ratio = cur_weight / prev_weight;
-      if (flattened && ratio <= options.dive_ratio) {
-        dive_detected = true;
-        if (!options.record_full_trajectory) break;
-      } else if (ratio >= options.flatten_ratio && cur_weight >= 8.0) {
-        flattened = true;
-      }
-    }
-    prev_weight = cur_weight;
-    if (hopefuls.front().weight == 0) break;
-    if (!options.record_full_trajectory && !flattened &&
-        hopefuls.front().weight < 4) {
+    if (!options.record_full_trajectory &&
+        EvidenceStopIteration(screened, detection.weight_trajectory,
+                              options.max_iterations) == iter) {
       break;
     }
   }
 
-  detection.stop_iteration = best_iteration;
+  detection.best_iteration = best_iteration;
   if (best_log_bound > std::log(options.nno_epsilon)) return detection;
   detection.pattern_found = true;
   std::vector<std::size_t> set_rows;
@@ -552,7 +599,7 @@ void ExpectSameDetection(const AlignedDetection& got,
   EXPECT_EQ(got.rows, want.rows) << label;
   EXPECT_EQ(got.columns, want.columns) << label;
   EXPECT_EQ(got.weight_trajectory, want.weight_trajectory) << label;
-  EXPECT_EQ(got.stop_iteration, want.stop_iteration) << label;
+  EXPECT_EQ(got.best_iteration, want.best_iteration) << label;
 }
 
 TEST(AlignedDetectorTest, FlatSearchEqualsTheReferenceSearch) {
@@ -610,6 +657,68 @@ TEST(AlignedDetectorTest, FlatSearchEqualsTheReferenceSearch) {
   // Both outcomes are exercised.
   EXPECT_GT(found, 0u);
   EXPECT_LT(found, runs);
+}
+
+TEST(AlignedDetectorTest, EvidenceStopIsAPrefixOfTheFullRun) {
+  // Stopping on evidence only cuts the search short. Its trajectory is a
+  // prefix of the full run's, and it ends exactly where
+  // EvidenceStopIteration places the stop on the full trajectory, unless it
+  // reached the cap or ran out of extensions first. On planted inputs it
+  // reports what the full run reports. 40 of 100 rows carry a 12- or
+  // 20-column pattern, narrower than the 30-iteration budget, so the stop
+  // cuts planted searches too.
+  const AlignedDetectorOptions early_opts = SmallDetectorOptions();
+  AlignedDetectorOptions full_opts = early_opts;
+  full_opts.record_full_trajectory = true;
+  const AlignedDetector early(early_opts);
+  const AlignedDetector full(full_opts);
+  std::size_t stopped_clean = 0;
+  std::size_t stopped_planted = 0;
+  std::size_t found = 0;
+  for (const double fill : {0.25, 0.5}) {
+    for (const std::size_t width : {0u, 12u, 20u}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed * 131 + width);
+        std::vector<std::size_t> planted_cols;
+        const BitMatrix matrix = PlantedAtFill(
+            100, 4096, fill, width == 0 ? 0 : 40, width, &rng, &planted_cols);
+        const ScreenedColumns screened = ScreenHeaviestColumns(matrix, 200);
+        const std::string label = "fill=" + std::to_string(fill) +
+                                  " width=" + std::to_string(width) +
+                                  " seed=" + std::to_string(seed);
+        const AlignedDetection stopped = early.Detect(screened);
+        const AlignedDetection whole = full.Detect(screened);
+        const auto& e = stopped.weight_trajectory;
+        const auto& f = whole.weight_trajectory;
+        ASSERT_FALSE(e.empty()) << label;
+        ASSERT_LE(e.size(), f.size()) << label;
+        EXPECT_TRUE(std::equal(e.begin(), e.end(), f.begin())) << label;
+        // Iteration b' has weight e[b' - 2]; the last one run is e.size() + 1.
+        const std::size_t last = e.size() + 1;
+        const std::size_t stop =
+            EvidenceStopIteration(screened, f, early_opts.max_iterations);
+        if (e.size() < f.size()) {
+          EXPECT_EQ(last, stop) << label;
+          ++(width == 0 ? stopped_clean : stopped_planted);
+        } else {
+          // The cap or the last extension came first.
+          EXPECT_TRUE(stop == 0 || stop >= last) << label << " stop " << stop;
+        }
+        ASSERT_LE(stopped.best_iteration, last) << label;
+        if (whole.best_iteration <= last) {
+          EXPECT_EQ(stopped.best_iteration, whole.best_iteration) << label;
+        }
+        if (width == 0) continue;
+        EXPECT_EQ(stopped.pattern_found, whole.pattern_found) << label;
+        EXPECT_EQ(stopped.rows, whole.rows) << label;
+        EXPECT_EQ(stopped.columns, whole.columns) << label;
+        found += whole.pattern_found ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(stopped_clean, 0u);
+  EXPECT_GT(stopped_planted, 0u);
+  EXPECT_GT(found, 0u);
 }
 
 TEST(AlignedDetectorTest, CoreScanOfTheLiteralPatternIsTheDefinition) {
