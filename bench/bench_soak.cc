@@ -3,9 +3,10 @@
 // slot recycling, incremental column weights hot-starting the screen, the
 // epoch tracker aging its k-of-w window — measuring steady-state
 // epochs/sec, p50/p99 epoch latency, and peak RSS. The bench fails (exit
-// 1) if memory does not plateau once the ring is warm, or if the planted
-// pattern stops being detected: a fast leaky ring, or a fast blind one,
-// would be worthless.
+// 1) if memory does not plateau once the ring is warm, if the planted
+// pattern stops being detected, or if an epoch's report is not queued by
+// the Offer of that epoch's last digest: a fast leaky ring, a fast blind
+// one, or one that sits on complete epochs would be worthless.
 //
 // Flags:
 //   --smoke        short run for CI (200 epochs).
@@ -127,6 +128,8 @@ int main(int argc, char** argv) {
   double warm_rss_mb = 0.0;
   double warm_started_at = 0.0;
 
+  std::vector<DcsReport> reports;
+  reports.reserve(num_epochs);
   const double bench_start = bench::NowSeconds();
   for (std::uint64_t e = 0; e < num_epochs; ++e) {
     const double t = bench::NowSeconds();
@@ -140,18 +143,26 @@ int main(int argc, char** argv) {
       }
     }
     epoch_seconds.push_back(bench::NowSeconds() - t);
+    // Gate 1 — every router reported, so the epoch's last Offer closed it.
+    std::vector<DcsReport> closed = ring.TakeReports();
+    if (closed.size() != 1 || closed.front().epoch_id != e) {
+      std::fprintf(stderr,
+                   "FATAL: epoch %llu complete but %zu reports queued by "
+                   "its last digest\n",
+                   static_cast<unsigned long long>(e), closed.size());
+      return 1;
+    }
+    reports.push_back(std::move(closed.front()));
     if (e + 1 == warmup) {
       // Ring is warm: every slot has been through at least one recycle.
       warm_rss_mb = PeakRssMb();
       warm_started_at = bench::NowSeconds();
     }
   }
-  ring.Drain();
   const double total_s = bench::NowSeconds() - bench_start;
   const double steady_s = bench::NowSeconds() - warm_started_at;
   const double peak_rss_mb = PeakRssMb();
 
-  const std::vector<DcsReport> reports = ring.TakeReports();
   std::uint64_t detections = 0;
   std::uint64_t planted = 0;
   for (const DcsReport& report : reports) {
@@ -174,11 +185,13 @@ int main(int argc, char** argv) {
   table.AddRow({"p50 epoch ms", TablePrinter::Fmt(p50_ms, 3)});
   table.AddRow({"p99 epoch ms", TablePrinter::Fmt(p99_ms, 3)});
   table.AddRow({"peak RSS MiB", TablePrinter::Fmt(peak_rss_mb, 1)});
+  table.AddRow({"complete closes",
+                std::to_string(ring.stats().complete_closes)});
   table.AddRow({"detections", std::to_string(detections) + "/" +
                                   std::to_string(planted) + " planted"});
   table.Print(std::cout);
 
-  // Gate 1 — the ring must detect what was planted (throughput of a blind
+  // Gate 2 — the ring must detect what was planted (throughput of a blind
   // pipeline is meaningless). A small shortfall is tolerated: a planted
   // column can tie-lose its screen slot to noise in rare epochs.
   if (detections * 10 < planted * 8) {
@@ -187,7 +200,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(planted));
     return 1;
   }
-  // Gate 2 — memory plateau: once every slot has been recycled, peak RSS
+  // Gate 3 — memory plateau: once every slot has been recycled, peak RSS
   // must stop growing (10% + 16 MiB slack for allocator noise). A drifting
   // peak means per-epoch state is escaping the ring.
   if (warm_rss_mb > 0.0 && peak_rss_mb > warm_rss_mb * 1.10 + 16.0) {

@@ -77,6 +77,9 @@ EpochRing::Slot& EpochRing::OpenSlot(std::uint64_t epoch) {
   if (slot.monitor == nullptr) {
     slot.monitor = std::make_unique<DcsMonitor>(
         options_.aligned, options_.unaligned, context_, pinned);
+    // Slots close one at a time on the offering thread, so one pair of
+    // tables serves them all.
+    slot.monitor->ShareLambdaTables(lambda_tables_);
   } else {
     slot.monitor->ClearEpoch();
     slot.monitor->set_ingest_options(pinned);
@@ -155,12 +158,30 @@ void EpochRing::CloseHead(CloseMode mode) {
   ObsGauge("soak.head_epoch").Set(static_cast<double>(head_));
 }
 
+bool EpochRing::CloseHeadIfComplete() {
+  const std::uint32_t expected = options_.ingest.expected_routers;
+  const DcsMonitor* monitor = monitor_for_epoch(head_);
+  if (expected == 0 || monitor == nullptr) return false;
+  if ((offered_aligned_ && monitor->num_aligned_digests() < expected) ||
+      (offered_unaligned_ && monitor->num_unaligned_digests() < expected)) {
+    return false;
+  }
+  ++stats_.complete_closes;
+  ObsCounter("soak.complete_closes").Increment();
+  CloseHead(CloseMode::kAnalyze);
+  return true;
+}
+
 void EpochRing::AdvanceTo(std::uint64_t epoch) {
   std::size_t closed_this_offer = 0;
   // Offer has already refused epochs behind the head, so epoch - head_
   // cannot wrap; head_ + capacity can, when the window starts within
   // capacity of the largest epoch id.
   while (epoch - head_ >= options_.capacity) {
+    // A complete epoch waiting behind an overdue one is not overdue itself.
+    if (CloseHeadIfComplete()) continue;
+    ++stats_.advance_closes;
+    ObsCounter("soak.advance_closes").Increment();
     if (closed_this_offer < options_.analysis_budget_per_offer) {
       CloseHead(CloseMode::kAnalyze);
     } else {
@@ -191,6 +212,10 @@ Status EpochRing::Offer(Digest digest) {
     started_ = true;
     head_ = digest.epoch_id;
   }
+  // Learned before the stale check: a kind whose first digests arrive after
+  // their epoch closed must still hold later epochs open.
+  (digest.kind == DigestKind::kAligned ? offered_aligned_
+                                       : offered_unaligned_) = true;
   if (digest.epoch_id < head_) {
     ++stats_.stale_digests;
     ObsCounter("soak.stale_digests").Increment();
@@ -206,6 +231,8 @@ Status EpochRing::Offer(Digest digest) {
   } else {
     ++stats_.digests_rejected;
     ObsCounter("soak.digests_rejected").Increment();
+  }
+  while (CloseHeadIfComplete()) {
   }
   return status;
 }

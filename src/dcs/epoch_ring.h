@@ -42,11 +42,11 @@ struct EpochRingOptions {
   std::size_t capacity = 8;
   /// What to do with epochs forced out faster than the budget allows.
   ShedPolicy policy = ShedPolicy::kBlock;
-  /// Head epochs the ring can afford to analyze at full fidelity during a
-  /// single Offer() that advances the window. Advancing further than this
-  /// in one step is the overload signal that triggers `policy` for the
-  /// excess epochs. Drain() ignores the budget (end of stream, no
-  /// pressure).
+  /// Overdue heads (short of a router, see EpochRing) the ring can afford
+  /// to analyze at full fidelity during a single Offer() that advances the
+  /// window. Advancing further than this in one step is the overload
+  /// signal that triggers `policy` for the excess epochs. Complete epochs
+  /// and Drain() ignore the budget.
   std::size_t analysis_budget_per_offer = 1;
 
   /// Analysis tuning shared by every slot.
@@ -54,7 +54,9 @@ struct EpochRingOptions {
   UnalignedPipelineOptions unaligned;
   /// Ingest hardening base. Epoch pinning (expected_epoch, skew 0, no
   /// lock-to-first) is applied per slot on top of this; routing digests to
-  /// slots is the ring's job, so per-slot monitors never see skew.
+  /// slots is the ring's job, so per-slot monitors never see skew. A
+  /// nonzero `ingest.expected_routers` also closes each epoch as soon as
+  /// it is complete (see EpochRing).
   IngestOptions ingest;
   /// Cross-epoch k-of-w smoothing fed by every analyzed epoch and every
   /// shed gap.
@@ -91,6 +93,8 @@ struct RingStats {
   std::uint64_t digests_accepted = 0;
   std::uint64_t digests_rejected = 0;  ///< Slot-level (shape, dup, ...).
   std::uint64_t stale_digests = 0;     ///< Behind the head — slot long gone.
+  std::uint64_t complete_closes = 0;   ///< Heads closed once complete.
+  std::uint64_t advance_closes = 0;    ///< Heads forced out by the window.
   std::uint64_t epochs_analyzed = 0;   ///< Full-fidelity analyses.
   std::uint64_t epochs_shed = 0;       ///< kDropOldest gaps.
   std::uint64_t epochs_degraded = 0;   ///< kDegrade cheap analyses.
@@ -103,11 +107,22 @@ struct RingStats {
 /// The paper's monitor runs every second, forever (Section V-B.1); one
 /// DcsMonitor handles one epoch at a time. The ring owns `capacity` monitor
 /// slots and recycles them: digests are routed to the slot of their epoch,
-/// and when the stream moves past the window the head epoch is closed —
-/// analyzed (or shed, per ShedPolicy), its DcsReport queued, its verdict
-/// recorded in the EpochTracker, and its slot cleared for reuse. No
-/// allocation of fresh pipeline state per epoch, bounded memory regardless
-/// of stream length.
+/// and the head epoch is closed — analyzed (or shed, per ShedPolicy), its
+/// DcsReport queued, its verdict recorded in the EpochTracker, and its slot
+/// cleared for reuse. No allocation of fresh pipeline state per epoch,
+/// bounded memory regardless of stream length. The slots share one pair of
+/// unaligned λ tables.
+///
+/// Close rule: with `ingest.expected_routers` = N > 0, the head closes at
+/// full fidelity during the Offer() that makes it complete — its slot has
+/// accepted N digests of every digest kind offered to the ring so far —
+/// and any complete epochs behind it close with it, in epoch order. So a
+/// report leaves one analysis after the epoch's last digest. An epoch short
+/// of a router (or any epoch, when N = 0) closes when a digest beyond the
+/// window arrives; only those overdue closes are charged to
+/// `analysis_budget_per_offer` and the shed policy. The kinds are learned
+/// from every offered digest, stale ones included, so a fleet shipping
+/// both kinds waits for both from its second epoch on.
 ///
 /// Determinism: closing an epoch runs the same DcsMonitor analysis a
 /// one-shot monitor would run on the same accepted digests, on the same
@@ -115,11 +130,13 @@ struct RingStats {
 /// scan use; with incremental weights on, the hot-started screen is
 /// bit-identical to the cold one (see ScreenHeaviestColumns). So the
 /// ring's reports are bit-identical to one-shot analysis at any thread
-/// count — the property tests/test_epoch_ring.cc locks down.
+/// count — the property tests/test_epoch_ring.cc locks down. The close
+/// rule reads only the offered stream, so it keeps that property.
 ///
 /// Out-of-order tolerance: digests for any epoch inside [head, head+cap)
 /// are accepted in any arrival order. A digest behind the head is refused
-/// (FailedPrecondition, stats().stale_digests) — its epoch already closed.
+/// (FailedPrecondition, stats().stale_digests) — its epoch already closed,
+/// complete or overdue.
 ///
 /// Threading: the offer/close path (Offer, Drain, stats, tracker,
 /// monitor_for_epoch) is confined to one thread — the slot monitors and
@@ -135,7 +152,8 @@ class EpochRing {
 
   /// Routes one digest to its epoch's slot, advancing the window first if
   /// the digest's epoch lies beyond it (closing overdue heads per the shed
-  /// policy). Returns the slot monitor's verdict; stale digests fail with
+  /// policy), then closes the heads the digest made complete. Returns the
+  /// slot monitor's verdict; stale digests fail with
   /// FailedPrecondition without touching any slot. By value, like
   /// DcsMonitor::AddDigest: pass std::move(digest) to hand the rows over.
   Status Offer(Digest digest);
@@ -175,8 +193,11 @@ class EpochRing {
   };
 
   // Window advance: closes heads until `epoch` fits, charging the policy
-  // for heads beyond the per-offer budget.
+  // for overdue heads beyond the per-offer budget.
   void AdvanceTo(std::uint64_t epoch);
+  // Closes the head at full fidelity when it is complete (see the close
+  // rule); true when it did.
+  bool CloseHeadIfComplete();
   // Closes the current head (analyze / shed / degrade), queues its report,
   // records tracker verdict, frees the slot, bumps head_.
   enum class CloseMode { kAnalyze, kShed, kDegraded };
@@ -191,6 +212,11 @@ class EpochRing {
   std::vector<Slot> slots_;
   EpochTracker tracker_;
   RingStats stats_;
+  std::shared_ptr<UnalignedLambdaTables> lambda_tables_ =
+      std::make_shared<UnalignedLambdaTables>();
+  // Digest kinds offered so far: the kinds a complete epoch must hold.
+  bool offered_aligned_ = false;
+  bool offered_unaligned_ = false;
   /// Guards only the closed-report queue — the handoff point between the
   /// offering thread (CloseHead appends) and whoever drains TakeReports().
   mutable Mutex reports_mu_{"EpochRing.reports_mu"};

@@ -370,7 +370,7 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
   GraphBuilderOptions builder = unaligned_options_.builder;
   builder.arrays_per_group = arrays;
   const LambdaTable& er_lambda = KeptLambdaTable(
-      &er_lambda_, matrix.cols(),
+      &lambda_tables_->er, matrix.cols(),
       LambdaTable::PStarFromEdgeProb(
           unaligned_options_.er_p1_times_n / static_cast<double>(n), arrays));
   const double core_p1 =
@@ -379,7 +379,7 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
   Graph core_graph(0);
   if (core_p1 < 1.0) {
     const LambdaTable& core_lambda = KeptLambdaTable(
-        &core_lambda_, matrix.cols(),
+        &lambda_tables_->core, matrix.cols(),
         LambdaTable::PStarFromEdgeProb(core_p1, arrays));
     std::tie(er_graph, core_graph) =
         BuildCorrelationGraphs(matrix, er_lambda, core_lambda, builder);
@@ -442,6 +442,12 @@ void DcsMonitor::ClearEpoch() {
   seen_.clear();
   epoch_locked_ = false;
   reference_epoch_ = 0;
+}
+
+void DcsMonitor::ShareLambdaTables(
+    std::shared_ptr<UnalignedLambdaTables> tables) {
+  DCS_CHECK(tables != nullptr);
+  lambda_tables_ = std::move(tables);
 }
 
 }  // namespace dcs

@@ -18,6 +18,15 @@
 
 namespace dcs {
 
+/// The unaligned analysis's two λ tables (ER graph and core graph), kept
+/// across epochs and rebuilt only when their (array bits, p*) key moves.
+/// A table's cells depend only on that key, so monitors that never analyze
+/// at the same time may share one pair (an EpochRing's slots do).
+struct UnalignedLambdaTables {
+  std::unique_ptr<const LambdaTable> er;
+  std::unique_ptr<const LambdaTable> core;
+};
+
 /// \brief The central analysis module of the DCS architecture (Fig 2).
 ///
 /// Routers ship Digests; the monitor stacks them into the per-epoch analysis
@@ -120,6 +129,11 @@ class DcsMonitor {
   /// the vertex count, so a steady fleet calibrates them once.
   void ClearEpoch();
 
+  /// Keeps the λ tables in `tables` from now on, in place of this
+  /// monitor's own pair. Every monitor sharing `tables` must analyze on
+  /// the same thread, one at a time. Reports do not change.
+  void ShareLambdaTables(std::shared_ptr<UnalignedLambdaTables> tables);
+
   /// Digests buffered so far.
   std::size_t num_aligned_digests() const { return aligned_routers_.size(); }
   std::size_t num_unaligned_digests() const { return unaligned_.size(); }
@@ -166,11 +180,11 @@ class DcsMonitor {
   IncrementalColumnWeights incremental_weights_;
   std::uint64_t raw_bytes_ = 0;
   // The ER and core graphs' lambda tables, kept across epochs (ClearEpoch
-  // leaves them) and rebuilt only when their (array bits, p*) key moves.
-  // Each holds at most span^2 cells of 4 bytes, span being the width of
-  // the range of row weights it has seen (at most array bits + 1).
-  mutable std::unique_ptr<const LambdaTable> er_lambda_;
-  mutable std::unique_ptr<const LambdaTable> core_lambda_;
+  // leaves them). Each holds at most span^2 cells of 4 bytes, span being
+  // the width of the range of row weights it has seen (at most array
+  // bits + 1).
+  std::shared_ptr<UnalignedLambdaTables> lambda_tables_ =
+      std::make_shared<UnalignedLambdaTables>();
 
   // Hardened-ingestion state, reset by ClearEpoch().
   EpochIngestStats stats_;

@@ -4,7 +4,10 @@
 // the aligned matrix narrower, recalibrates that evidence bar via
 // EpochCalibration and leaves the unaligned analysis at full fidelity;
 // block analyzes everything and only counts how often it had to; the
-// ingest.* and soak.* metrics count what was dropped.
+// ingest.* and soak.* metrics count what was dropped. A complete epoch
+// closes on its last digest and is never shed or degraded, so the overload
+// cases run a fleet one router larger than the routers that report: every
+// epoch is short, and closes only when the window moves past it.
 
 #include "dcs/epoch_ring.h"
 
@@ -48,7 +51,8 @@ EpochRingOptions SmallRing(ShedPolicy policy) {
   options.aligned.detector.first_iteration_hopefuls = 64;
   options.aligned.detector.hopefuls = 32;
   options.aligned.incremental_weights = true;
-  options.ingest.expected_routers = kRouters;
+  // Router kRouters is down: no epoch is ever complete.
+  options.ingest.expected_routers = kRouters + 1;
   return options;
 }
 
@@ -187,7 +191,8 @@ Digest WormDigest(std::uint64_t epoch, std::uint32_t router, bool planted) {
 
 EpochRingOptions WormRing() {
   EpochRingOptions options = SmallRing(ShedPolicy::kDegrade);
-  options.ingest.expected_routers = kWormRouters;
+  // Router kWormRouters is down: no epoch is ever complete.
+  options.ingest.expected_routers = kWormRouters + 1;
   options.unaligned.er_threshold = 6;
   options.unaligned.detector.beta = 9;
   options.unaligned.detector.expand_min_edges = 2;
@@ -264,6 +269,63 @@ TEST(BackpressureTest, BlockPolicyAnalyzesEverythingAndCountsOverruns) {
   EXPECT_EQ(ring.stats().epochs_shed, 0u);
   EXPECT_EQ(ring.stats().epochs_analyzed, 7u);
   EXPECT_EQ(ring.tracker().gaps_seen(), 0u);
+}
+
+// A complete epoch is analyzed in full however overloaded the ring is: it
+// closes on its last digest, or, when it waits behind an overdue head, as
+// soon as that head is gone, without being charged to the budget.
+TEST(BackpressureTest, CompleteEpochsAreAnalyzedAtFullFidelity) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kDropOldest, ShedPolicy::kDegrade}) {
+    EpochRingOptions options = SmallRing(policy);
+    options.ingest.expected_routers = kRouters;
+    EpochRing ring(options);
+    OfferEpoch(&ring, 0);  // Complete: closes on its last digest.
+    ASSERT_EQ(ring.head_epoch(), 1u);
+    for (std::uint32_t r = 0; r + 1 < kRouters; ++r) {
+      ASSERT_TRUE(ring.Offer(NoiseDigest(1, r)).ok());  // One router short.
+    }
+    OfferEpoch(&ring, 2);  // Complete, but waits behind epoch 1.
+    ASSERT_EQ(ring.head_epoch(), 1u);
+    // Jumping to epoch 9 closes the short epoch 1 (within budget), the
+    // complete epoch 2 (at full fidelity, outside the budget) and the
+    // silent epochs 3..7 (over budget: shed or degraded).
+    OfferEpoch(&ring, 9);
+    ring.Drain();
+    const std::vector<DcsReport> reports = ring.TakeReports();
+    ASSERT_EQ(reports.size(), 10u) << ShedPolicyName(policy);
+    for (const std::uint64_t e : {0u, 1u, 2u, 9u}) {
+      EXPECT_FALSE(reports[e].shed) << ShedPolicyName(policy) << " " << e;
+      EXPECT_FALSE(reports[e].degraded_analysis)
+          << ShedPolicyName(policy) << " " << e;
+    }
+    for (std::uint64_t e = 3; e <= 7; ++e) {
+      EXPECT_TRUE(reports[e].shed || reports[e].degraded_analysis)
+          << ShedPolicyName(policy) << " " << e;
+    }
+    // Epoch 8 is silent, so the complete epoch 9 waits for Drain().
+    EXPECT_EQ(reports[8].epoch_id, 8u);
+    EXPECT_EQ(reports[9].digests_accepted, kRouters);
+    EXPECT_EQ(ring.stats().complete_closes, 2u);
+    EXPECT_EQ(ring.stats().advance_closes, 6u);
+    EXPECT_EQ(ring.stats().epochs_shed + ring.stats().epochs_degraded, 5u);
+
+    // The complete epoch's report is the one-shot monitor's under the
+    // ring's full options.
+    IngestOptions pinned = options.ingest;
+    pinned.lock_epoch_to_first = false;
+    pinned.expected_epoch = 2;
+    pinned.max_epoch_skew = 0;
+    DcsMonitor expected(options.aligned, options.unaligned,
+                        AnalysisContext{}, pinned);
+    for (std::uint32_t r = 0; r < kRouters; ++r) {
+      ASSERT_TRUE(expected.AddDigest(NoiseDigest(2, r)).ok());
+    }
+    EXPECT_EQ(reports[2].aligned, expected.AnalyzeAligned())
+        << ShedPolicyName(policy);
+    EXPECT_EQ(reports[2].unaligned, expected.AnalyzeUnaligned())
+        << ShedPolicyName(policy);
+  }
 }
 
 TEST(BackpressureTest, ShedAndIngestMetricsCountDrops) {

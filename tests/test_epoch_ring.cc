@@ -2,14 +2,17 @@
 // epoch stream through the ring must be bit-identical to one-shot
 // DcsMonitor analysis of the same digests — at thread counts 1, 2, and 8,
 // with incremental weights hot-starting the screen, with shedding on and
-// off, and with a FaultPlan quarantining a router mid-stream. The running
-// column counts are also cross-checked against the BitMatrix::ColumnWeights
-// oracle every epoch.
+// off, with epochs closing as soon as they are complete, and with a
+// FaultPlan quarantining a router mid-stream. The running column counts are
+// also cross-checked against the BitMatrix::ColumnWeights oracle every
+// epoch.
 
 #include "dcs/epoch_ring.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,17 +70,47 @@ EpochRingOptions RingOptions(ShedPolicy policy) {
   return options;
 }
 
+// A router's unaligned digest: 4 groups x 2 arrays of 256-bit rows at
+// about 1/4 fill.
+Digest SynthesizeUnalignedDigest(std::uint64_t epoch, std::uint32_t router) {
+  Digest digest;
+  digest.router_id = router;
+  digest.epoch_id = epoch;
+  digest.kind = DigestKind::kUnaligned;
+  digest.num_groups = 4;
+  digest.arrays_per_group = 2;
+  Rng rng(epoch * 900001 + router * 104729 + 5);
+  for (std::size_t r = 0; r < 8; ++r) {
+    BitVector row(256);
+    std::uint64_t* words = row.mutable_words();
+    for (std::size_t w = 0; w < row.num_words(); ++w) {
+      words[w] = rng.Next() & rng.Next();
+    }
+    digest.rows.push_back(std::move(row));
+  }
+  return digest;
+}
+
 // One-shot reference: a fresh monitor per epoch, cold weight screen, same
-// pinned ingest the ring applies to its slots.
-DcsReport OneShotReport(std::uint64_t epoch, const AnalysisContext& context) {
+// pinned ingest the ring applies to its slots, fed `digests` (by default
+// every router's aligned digest of the epoch).
+DcsReport OneShotReport(std::uint64_t epoch, const AnalysisContext& context,
+                        std::uint32_t expected_routers = 0,
+                        std::vector<Digest> digests = {}) {
   IngestOptions pinned;
+  pinned.expected_routers = expected_routers;
   pinned.lock_epoch_to_first = false;
   pinned.expected_epoch = epoch;
   pinned.max_epoch_skew = 0;
   DcsMonitor monitor(RingAligned(/*incremental=*/false),
                      UnalignedPipelineOptions{}, context, pinned);
-  for (std::uint32_t r = 0; r < kRouters; ++r) {
-    EXPECT_TRUE(monitor.AddDigest(SynthesizeDigest(epoch, r)).ok());
+  if (digests.empty()) {
+    for (std::uint32_t r = 0; r < kRouters; ++r) {
+      digests.push_back(SynthesizeDigest(epoch, r));
+    }
+  }
+  for (Digest& digest : digests) {
+    EXPECT_TRUE(monitor.AddDigest(std::move(digest)).ok());
   }
   DcsReport report;
   report.epoch_id = epoch;
@@ -208,6 +241,146 @@ TEST(EpochRingDifferentialTest, AnalyzedEpochsMatchOneShotUnderShedding) {
   EXPECT_GT(shed, 0u);
   EXPECT_EQ(ring.stats().epochs_shed, shed);
   EXPECT_EQ(ring.tracker().gaps_seen(), shed);
+}
+
+// With the fleet size known, each epoch closes on its last digest. Digests
+// arrive shuffled across the whole window (every block of `capacity`
+// epochs is offered in one random order), so epochs complete out of order
+// and wait for their heads; the reports still equal one-shot analysis.
+TEST(EpochRingDifferentialTest, CompleteClosesMatchOneShotUnderShuffle) {
+  constexpr std::uint64_t kEpochs = 16;
+  EpochRingOptions options = RingOptions(ShedPolicy::kBlock);
+  options.ingest.expected_routers = kRouters;
+  EpochRing ring(options);
+  Rng rng(17);
+  for (std::uint64_t first = 0; first < kEpochs; first += options.capacity) {
+    std::vector<Digest> block;
+    for (std::uint64_t e = first; e < first + options.capacity; ++e) {
+      for (std::uint32_t r = 0; r < kRouters; ++r) {
+        block.push_back(SynthesizeDigest(e, r));
+      }
+    }
+    for (std::size_t i = block.size(); i > 1; --i) {
+      std::swap(block[i - 1], block[rng.UniformInt(i)]);
+    }
+    if (first == 0) {
+      // The stream's first digest seeds the head, so it must be epoch 0's.
+      std::iter_swap(block.begin(),
+                     std::find_if(block.begin(), block.end(),
+                                  [](const Digest& d) {
+                                    return d.epoch_id == 0;
+                                  }));
+    }
+    for (Digest& digest : block) {
+      ASSERT_TRUE(ring.Offer(std::move(digest)).ok());
+    }
+    // The block's last digest completed its last epoch, so every epoch so
+    // far has closed without a window advance.
+    EXPECT_EQ(ring.head_epoch(), first + options.capacity);
+    EXPECT_EQ(ring.epochs_in_flight(), 0u);
+  }
+  const std::vector<DcsReport> reports = ring.TakeReports();
+  ASSERT_EQ(reports.size(), kEpochs);
+  for (std::uint64_t e = 0; e < kEpochs; ++e) {
+    EXPECT_EQ(reports[e], OneShotReport(e, AnalysisContext{}, kRouters))
+        << "epoch " << e;
+  }
+  EXPECT_EQ(ring.stats().complete_closes, kEpochs);
+  EXPECT_EQ(ring.stats().advance_closes, 0u);
+  EXPECT_EQ(ring.stats().stale_digests, 0u);
+}
+
+TEST(EpochRingTest, LateDuplicateAfterCompleteCloseIsStale) {
+  EpochRingOptions options = RingOptions(ShedPolicy::kBlock);
+  options.ingest.expected_routers = kRouters;
+  EpochRing ring(options);
+  for (std::uint32_t r = 0; r < kRouters; ++r) {
+    ASSERT_TRUE(ring.Offer(SynthesizeDigest(0, r)).ok());
+  }
+  ASSERT_EQ(ring.head_epoch(), 1u);
+  const Status late = ring.Offer(SynthesizeDigest(0, 3));
+  EXPECT_EQ(late.code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(ring.stats().stale_digests, 1u);
+  EXPECT_EQ(ring.stats().digests_rejected, 0u);
+  EXPECT_EQ(ring.epochs_in_flight(), 0u);
+  const std::vector<DcsReport> reports = ring.TakeReports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].digests_accepted, kRouters);
+  EXPECT_EQ(reports[0].digests_rejected, 0u);
+}
+
+// An epoch one router short is not complete: it closes only when a digest
+// beyond the window arrives, then the complete epochs behind it close too,
+// and its report is one-shot analysis of the routers that did report.
+TEST(EpochRingTest, ShortEpochClosesOnAdvanceWithItsReportUnchanged) {
+  EpochRingOptions options = RingOptions(ShedPolicy::kBlock);
+  options.ingest.expected_routers = kRouters;
+  EpochRing ring(options);
+  std::vector<Digest> short_epoch;
+  for (std::uint32_t r = 0; r + 1 < kRouters; ++r) {
+    short_epoch.push_back(SynthesizeDigest(0, r));
+    ASSERT_TRUE(ring.Offer(SynthesizeDigest(0, r)).ok());
+  }
+  for (std::uint64_t e = 1; e < options.capacity; ++e) {
+    for (std::uint32_t r = 0; r < kRouters; ++r) {
+      ASSERT_TRUE(ring.Offer(SynthesizeDigest(e, r)).ok());
+    }
+  }
+  EXPECT_EQ(ring.head_epoch(), 0u);
+  EXPECT_TRUE(ring.TakeReports().empty());
+
+  ASSERT_TRUE(ring.Offer(SynthesizeDigest(options.capacity, 0)).ok());
+  EXPECT_EQ(ring.head_epoch(), options.capacity);
+  const std::vector<DcsReport> reports = ring.TakeReports();
+  ASSERT_EQ(reports.size(), options.capacity);
+  EXPECT_EQ(reports[0],
+            OneShotReport(0, AnalysisContext{}, kRouters, short_epoch));
+  EXPECT_EQ(reports[0].digests_accepted, kRouters - 1);
+  for (std::uint64_t e = 1; e < options.capacity; ++e) {
+    EXPECT_EQ(reports[e], OneShotReport(e, AnalysisContext{}, kRouters))
+        << "epoch " << e;
+  }
+  EXPECT_EQ(ring.stats().advance_closes, 1u);
+  EXPECT_EQ(ring.stats().complete_closes, options.capacity - 1);
+  EXPECT_EQ(ring.stats().blocked_advances, 0u);
+}
+
+// A fleet shipping both kinds, every aligned digest of an epoch before any
+// unaligned one. Until the first unaligned digest the ring knows only the
+// aligned kind, so epoch 0 closes on its aligned digests and its unaligned
+// ones are stale; from epoch 1 on each epoch waits for both kinds.
+TEST(EpochRingTest, MixedKindFleetLosesNoDigestAfterItsFirstEpoch) {
+  constexpr std::uint64_t kEpochs = 6;
+  EpochRingOptions options = RingOptions(ShedPolicy::kBlock);
+  options.ingest.expected_routers = kRouters;
+  EpochRing ring(options);
+  for (std::uint64_t e = 0; e < kEpochs; ++e) {
+    for (std::uint32_t r = 0; r < kRouters; ++r) {
+      ASSERT_TRUE(ring.Offer(SynthesizeDigest(e, r)).ok());
+    }
+    for (std::uint32_t r = 0; r < kRouters; ++r) {
+      const Status status = ring.Offer(SynthesizeUnalignedDigest(e, r));
+      EXPECT_EQ(status.ok(), e > 0) << "epoch " << e << " router " << r;
+    }
+  }
+  EXPECT_EQ(ring.stats().stale_digests, kRouters);
+  EXPECT_EQ(ring.stats().digests_accepted, (2 * kEpochs - 1) * kRouters);
+  EXPECT_EQ(ring.stats().complete_closes, kEpochs);
+  EXPECT_EQ(ring.epochs_in_flight(), 0u);
+  const std::vector<DcsReport> reports = ring.TakeReports();
+  ASSERT_EQ(reports.size(), kEpochs);
+  EXPECT_EQ(reports[0], OneShotReport(0, AnalysisContext{}, kRouters));
+  for (std::uint64_t e = 1; e < kEpochs; ++e) {
+    std::vector<Digest> both;
+    for (std::uint32_t r = 0; r < kRouters; ++r) {
+      both.push_back(SynthesizeDigest(e, r));
+      both.push_back(SynthesizeUnalignedDigest(e, r));
+    }
+    EXPECT_EQ(reports[e].digests_accepted, 2 * kRouters) << "epoch " << e;
+    EXPECT_EQ(reports[e],
+              OneShotReport(e, AnalysisContext{}, kRouters, std::move(both)))
+        << "epoch " << e;
+  }
 }
 
 TEST(EpochRingTest, SilentEpochsGetContiguousEmptyReports) {

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "dcs/epoch_ring.h"
 #include "netio/digest_sender.h"
@@ -408,6 +409,75 @@ TEST(NetioLoopbackTest, LiveUdsSocketPathRefused) {
   live.RequestStop();
   serve_thread.join();
   EXPECT_EQ(live.stats().connections_accepted, 2u);
+}
+
+// With the fleet size known, an epoch's report is queued during the poll
+// round that dispatches its last frame. The client ships one epoch, then
+// waits until the server has dispatched all of its frames before shipping
+// the next, so no later epoch can have pushed the window past it: the
+// report was out before any later-epoch frame was sent.
+TEST(NetioLoopbackTest, ReportLeavesWithTheEpochsLastFrame) {
+  constexpr std::uint64_t kEpochs = 5;
+  EpochRingOptions ring_options = RingOptions();
+  ring_options.ingest.expected_routers = kRouters;
+  EpochRing ring(ring_options, AnalysisContext{});
+  FrameDispatcher dispatcher(&ring, nullptr);
+
+  Mutex mu("ReportLeavesWithTheEpochsLastFrame.mu");
+  CondVar cv;
+  std::uint64_t frames_seen = 0;  // Guarded by mu.
+  std::vector<DcsReport> reports;
+  // Frames dispatched when each report was first seen in TakeReports().
+  std::vector<std::uint64_t> frames_at_report;
+  const IngestServer* server_ptr = nullptr;
+  IngestServerOptions options;
+  options.poll_timeout_ms = 5;
+  options.after_round = [&]() {
+    const std::uint64_t frames = dispatcher.stats().frames;
+    for (DcsReport& report : ring.TakeReports()) {
+      reports.push_back(std::move(report));
+      frames_at_report.push_back(frames);
+    }
+    {
+      MutexLock lock(&mu);
+      frames_seen = frames;
+    }
+    cv.SignalAll();
+    return server_ptr == nullptr || server_ptr->stats().connections_closed < 1;
+  };
+  IngestServer server(options, &dispatcher);
+  server_ptr = &server;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dcs_report_latency_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  ASSERT_TRUE(server.ListenUds(path).ok());
+  Status serve_status;
+  std::thread serve_thread(
+      [&server, &serve_status] { serve_status = server.Serve(); });
+  [&] {
+    DigestSender sender;
+    ASSERT_TRUE(DigestSender::ConnectUds(path, &sender).ok());
+    for (std::uint64_t e = 0; e < kEpochs; ++e) {
+      for (std::uint32_t r = 0; r < kRouters; ++r) {
+        ASSERT_TRUE(sender.Send(AlignedDigest(e, r), CodecMode::kAuto).ok());
+      }
+      MutexLock lock(&mu);
+      while (frames_seen < (e + 1) * kRouters) cv.Wait(&lock);
+    }
+    sender.Close();
+  }();
+  serve_thread.join();
+  EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+
+  ASSERT_EQ(reports.size(), kEpochs);
+  for (std::uint64_t e = 0; e < kEpochs; ++e) {
+    EXPECT_EQ(reports[e].epoch_id, e);
+    EXPECT_EQ(reports[e].digests_accepted, kRouters);
+    EXPECT_EQ(frames_at_report[e], (e + 1) * kRouters) << "epoch " << e;
+  }
+  EXPECT_EQ(ring.stats().complete_closes, kEpochs);
+  EXPECT_EQ(ring.stats().advance_closes, 0u);
 }
 
 // An identity lie — the frame envelope claiming a different router than the

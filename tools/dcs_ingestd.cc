@@ -14,6 +14,13 @@
 //       [--beta 12] [--er-threshold 0] [--max-epochs 0] [--exit-on-idle]
 //       [--max-rejects 64] [--metrics-out <path>]
 //
+// --expected-routers N (the fleet size) recalibrates each report for the
+// routers that actually reported, and decides when an epoch closes: as
+// soon as N digests of each kind are in, so its report streams out one
+// analysis after its last frame. With 0, or for an epoch short of a
+// router, the epoch closes only when a digest --ring-capacity epochs newer
+// arrives; --shed-policy and --analysis-budget govern only those closes.
+//
 // --max-epochs N exits after N epoch reports have streamed out;
 // --exit-on-idle exits once every accepted connection has hung up (the
 // scripted-run mode: senders connect, ship, disconnect, and the daemon

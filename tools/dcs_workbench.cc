@@ -26,10 +26,13 @@
 //     --expected-routers N turns on hardened ingestion (docs/ROBUSTNESS.md):
 //     rejected digests are reported instead of aborting the run, and the
 //     report carries thresholds recalibrated for the routers that actually
-//     made it. --fault-plan runs every digest through the deterministic
-//     fault injector first (src/testing/fault_injector.h) to rehearse a
-//     lossy or hostile collection network; see FaultSpec::Parse for the
-//     key=value syntax.
+//     made it. In the ring replay it also decides when epochs close: an
+//     epoch closes as soon as N digests of each kind are in, and only an
+//     epoch short of a router waits for the window to move past it (so
+//     with N set, --epoch-stride sheds only short epochs). --fault-plan
+//     runs every digest through the deterministic fault injector first
+//     (src/testing/fault_injector.h) to rehearse a lossy or hostile
+//     collection network; see FaultSpec::Parse for the key=value syntax.
 //
 //     --ring-epochs N replays the on-disk digests as N consecutive epochs
 //     through the continuous-operation EpochRing (docs/STREAMING.md)
@@ -325,11 +328,14 @@ Status RunRingReplay(const Flags& flags, const EpochRingOptions& options,
   }
   const RingStats& stats = ring.stats();
   std::printf("ring stats: %llu analyzed, %llu shed, %llu degraded, "
-              "%llu blocked advances, max in flight %zu\n",
+              "%llu blocked advances, %llu complete closes, %llu advance "
+              "closes, max in flight %zu\n",
               static_cast<unsigned long long>(stats.epochs_analyzed),
               static_cast<unsigned long long>(stats.epochs_shed),
               static_cast<unsigned long long>(stats.epochs_degraded),
               static_cast<unsigned long long>(stats.blocked_advances),
+              static_cast<unsigned long long>(stats.complete_closes),
+              static_cast<unsigned long long>(stats.advance_closes),
               stats.max_in_flight);
   std::printf("tracker: %llu epochs, %llu gaps, %s\n",
               static_cast<unsigned long long>(ring.tracker().epochs_seen()),
